@@ -11,7 +11,8 @@ Two quantities drive everything downstream:
 
 Both searches are exponential by nature and carry size guards; ``k_sys``
 additionally has a greedy fallback that returns an upper bound flagged as
-inexact.
+inexact.  ``best_matching`` is the one place that chooses between the exact
+``k_sys`` search (within its guards) and that fallback (above them).
 """
 
 from __future__ import annotations
@@ -178,6 +179,16 @@ def k_sys_search(g: ConstraintGraph, exact: bool = True,
     return k, match, True
 
 
+def best_matching(g: ConstraintGraph, matching_guard: int = MATCHING_GUARD,
+                  subset_guard: int = SUBSET_GUARD):
+    """(k_sys, witness matching, exact flag): the exact search when the
+    guards allow it, else the heuristic upper bound."""
+    try:
+        return k_sys_search(g, True, matching_guard, subset_guard)
+    except GuardExceededError:
+        return k_sys_search(g, False)
+
+
 def fully_connected_columns(g: ConstraintGraph):
     """Columns adjacent to every message row."""
     return [j for j in range(g.n) if all(r[j] for r in g.adjacency)]
@@ -188,10 +199,7 @@ def bounds_report(g: ConstraintGraph, subset_guard: int = SUBSET_GUARD,
     """Aggregate report; falls back to the heuristic k_sys above the guard."""
     d_min, witness_subset = d_min_bound(g, subset_guard)
     k_min = g.n - d_min + 1
-    if g.s <= matching_guard:
-        k_sys, witness_matching, exact = k_sys_search(g, True, matching_guard, subset_guard)
-    else:
-        k_sys, witness_matching, exact = k_sys_search(g, False)
+    k_sys, witness_matching, exact = best_matching(g, matching_guard, subset_guard)
     a = len(fully_connected_columns(g))
     r_m = g.n - a
     return BoundsReport(

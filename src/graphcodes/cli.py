@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .bounds import MATCHING_GUARD, bounds_report, k_sys_search
+from .bounds import MATCHING_GUARD, best_matching, bounds_report
 from .construct import (CodeSpec, MODES, generic_subcode, mds_nullspace_construct,
                         systematic_dmin, systematic_dsys)
 from .errors import DecodingError, GuardExceededError, InfeasibleError
@@ -128,10 +128,7 @@ def cmd_construct(args) -> int:
         spec = systematic_dsys(g, gf, nodes=nodes,
                                matching_guard=matching_guard, subset_guard=subset)
     else:  # mds-nullspace
-        try:
-            k_sys, matching, _ = k_sys_search(g, True, matching_guard, subset)
-        except GuardExceededError:
-            k_sys, matching, _ = k_sys_search(g, False)
+        k_sys, matching, _ = best_matching(g, matching_guard, subset)
         k = args.k if args.k is not None else k_sys
         if k < k_sys:
             raise InfeasibleError(

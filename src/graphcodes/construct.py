@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .bounds import MATCHING_GUARD, d_min_bound, fully_connected_columns, k_sys_search
-from .errors import GuardExceededError, InfeasibleError
+from .bounds import MATCHING_GUARD, best_matching, d_min_bound, fully_connected_columns
+from .errors import InfeasibleError
 from .field import GF
 from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching,
                     find_matching, matched_adjacency, row_zero_stats)
@@ -206,10 +206,7 @@ def systematic_dsys(g: ConstraintGraph, gf: GF, nodes=None,
     (still a valid lower bound) is flagged inexact.
     """
     nodes = _check_field_and_nodes(g, gf, nodes)
-    try:
-        k, matching, exact = k_sys_search(g, True, matching_guard, subset_guard)
-    except GuardExceededError:
-        k, matching, exact = k_sys_search(g, False)
+    k, matching, exact = best_matching(g, matching_guard, subset_guard)
     matched = matched_adjacency(g, matching)
     T = _transform_rows(gf, nodes, _zero_sets(matched.rows), k, normalize_at=matching)
     rs = RSCode(gf, nodes, k)
@@ -281,22 +278,16 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
 
     exact = False
     if systematic:
+        k_sys, best, found_exact = best_matching(g, matching_guard, subset_guard)
         if matching is None:
-            try:
-                k_sys, matching, found_exact = k_sys_search(g, True, matching_guard,
-                                                            subset_guard)
-            except GuardExceededError:
-                k_sys, matching, found_exact = k_sys_search(g, False)
             if k < k_sys:
                 raise InfeasibleError(
                     "dimension %d cannot host a systematic code (needs >= %d)"
                     % (k, k_sys))
-            exact = found_exact and target_distance == n - k_sys + 1
+            matching = best
         else:
             matching = check_matching(g, matching)
-            if g.s <= matching_guard:
-                k_sys, _, _ = k_sys_search(g, True, matching_guard, subset_guard)
-                exact = target_distance == n - k_sys + 1
+        exact = found_exact and target_distance == n - k_sys + 1
         rows = matched_adjacency(g, matching).rows
     else:
         matching = None

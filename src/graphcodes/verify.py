@@ -1,16 +1,16 @@
 """Ground-truth oracles and the end-to-end decoder for constructed codes.
 
 The distance oracle enumerates every message (distance of a linear code =
-minimum nonzero codeword weight), vectorized in blocks for prime fields and
-a plain loop for binary extension fields.  Decoding runs the RS layer first
-and then solves m . T = u against a cached pivot factorization of T.
+minimum nonzero codeword weight) in vectorized blocks; only the step that
+turns a block of messages into codewords depends on the kind of field.
+Decoding runs the RS layer first and then solves m . T = u against a cached
+pivot factorization of T.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .field import GF
 from .linalg import invert, rank, rref, vec_mat
 
 ENUM_GUARD = 1 << 24
+BLOCK = 1 << 16
 
 
 @dataclass
@@ -42,57 +43,57 @@ def _message_block(q: int, s: int, start: int, stop: int) -> np.ndarray:
     return digits
 
 
+def _block_encoder(Gm: np.ndarray, gf: GF):
+    """Function taking a block of message rows (base-q digits) to m . G.
+    GF(2^m) XORs one gather per row of G from that row's (q x n) table of
+    products x * G[i][j], built once here from the log/antilog tables."""
+    if gf.m == 1:
+        return lambda digits: (digits @ Gm) % gf.p
+    log = np.array((0,) + gf.log_table)
+    exp = np.array(gf.antilog_table * 2)
+    x = np.arange(gf.q)[:, None]
+    tables = [np.where((x > 0) & (row > 0), exp[log[x] + log[row]], 0) for row in Gm]
+    return lambda digits: reduce(np.bitwise_xor, (t[c] for t, c in zip(tables, digits.T)))
+
+
 def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
                             with_histogram: bool = False) -> DistanceReport:
     """Minimum weight over all nonzero codewords, with the lexicographically
     smallest witness message.  Messages encoding the zero codeword (possible
     when the generator is rank-deficient) do not count."""
-    s = len(G)
-    n = len(G[0])
+    if len(G) == 0 or len(G[0]) == 0 or any(len(r) != len(G[0]) for r in G):
+        raise ValueError("generator must be a non-empty rectangular matrix")
+    Gm = np.array(G, dtype=np.int64)
+    if Gm.min() < 0 or Gm.max() >= gf.q:
+        raise ValueError("generator entries must lie in [0, %d)" % gf.q)
+    s, n = Gm.shape
     q = gf.q
     total = q ** s
     if total > guard:
         raise GuardExceededError(
             "enumeration of %d codewords exceeds the guard %d" % (total, guard))
 
-    hist: Counter | None = Counter() if with_histogram else None
-    best_w = None
-    best_msg = None
+    encode = _block_encoder(Gm, gf)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    best_w, best_msg = n + 1, None
+    # blocks go in message order and ties keep the earlier (lex smaller) witness
+    for start in range(0, total, BLOCK):
+        digits = _message_block(q, s, start, min(start + BLOCK, total))
+        w = np.count_nonzero(encode(digits), axis=1)
+        if with_histogram:
+            hist += np.bincount(w[1:] if start == 0 else w, minlength=n + 1)
+        w = np.where(w == 0, n + 1, w)  # zero codewords never count
+        i = int(np.argmin(w))
+        if w[i] < best_w:
+            best_w = int(w[i])
+            best_msg = tuple(int(x) for x in digits[i])
 
-    if gf.m == 1:
-        Gm = np.array(G, dtype=np.int64)
-        block = 1 << 16
-        for start in range(0, total, block):
-            digits = _message_block(q, s, start, min(start + block, total))
-            cw = (digits @ Gm) % gf.p
-            w = np.count_nonzero(cw, axis=1)
-            if hist is not None:
-                for wv, cnt in zip(*np.unique(w[1:] if start == 0 else w,
-                                              return_counts=True)):
-                    hist[int(wv)] += int(cnt)
-            w = np.where(w == 0, n + 1, w)  # zero codewords never count
-            i = int(np.argmin(w))
-            wv = int(w[i])
-            if best_w is None or wv < best_w:
-                best_w = wv
-                best_msg = tuple(int(x) for x in digits[i])
-    else:
-        for msg in itertools.product(range(q), repeat=s):
-            if not any(msg):
-                continue
-            cw = vec_mat(gf, msg, G)
-            w = sum(1 for v in cw if v)
-            if hist is not None:
-                hist[w] += 1
-            if w and (best_w is None or w < best_w):
-                best_w = w
-                best_msg = msg
-
-    if best_w is None or best_w > n:
+    if best_w > n:
         raise ValueError("generator spans only the zero codeword")
     return DistanceReport(
         distance=best_w, witness_message=best_msg,
-        weight_histogram=dict(sorted(hist.items())) if hist is not None else None)
+        weight_histogram={w: int(c) for w, c in enumerate(hist) if c}
+        if with_histogram else None)
 
 
 def rank_over_field(mat, gf: GF) -> int:
@@ -104,6 +105,8 @@ def subcode_encode(spec: CodeSpec, message) -> list:
     """m . G; systematic specs place message symbols at the matched columns."""
     if len(message) != spec.s:
         raise ValueError("message length %d != s=%d" % (len(message), spec.s))
+    if any(not 0 <= v < spec.gf.q for v in message):
+        raise ValueError("message symbols must lie in [0, %d)" % spec.gf.q)
     return vec_mat(spec.gf, message, spec.G)
 
 

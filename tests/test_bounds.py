@@ -1,13 +1,18 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from conftest import REF_ROWS, random_dims, random_graph
+from graphcodes import cli
 from graphcodes.bounds import (bounds_report, d_min_bound, k_sys_search,
                                matching_k)
+from graphcodes.construct import mds_nullspace_construct, systematic_dsys
 from graphcodes.errors import GuardExceededError, NoMatchingError
+from graphcodes.field import GF
 from graphcodes.graph import load_graph
+from graphcodes.rs import RSCode, default_defining_set, generator_matrix
 
 
 def brute_d_min(rows):
@@ -118,6 +123,28 @@ def test_k_sys_guard_and_heuristic_fallback():
     assert exact is False
     assert k >= 13  # s <= k always
     assert len(set(match)) == 13
+
+
+def test_fallback_above_guard_agrees_everywhere(tmp_path):
+    rows = [[1] * 14 for _ in range(13)]
+    g = load_graph(rows)
+    want = k_sys_search(g, exact=False)
+    assert want[2] is False
+    rep = bounds_report(g)
+    assert (rep.k_sys, rep.witness_matching, rep.search_exact) == want
+    gf = GF(17)
+    spec = systematic_dsys(g, gf)
+    assert (spec.k, spec.matching, spec.distance_exact) == want
+    gen = generator_matrix(RSCode(gf, default_defining_set(gf, 14), want[0]))
+    spec = mds_nullspace_construct(g, gf, gen, matching=None)
+    assert (spec.k, spec.matching, spec.distance_exact) == want
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"s": 13, "n": 14, "adjacency": rows}))
+    out = tmp_path / "code.json"
+    assert cli.main(["construct", str(path), "--mode", "mds-nullspace",
+                     "--out", str(out)]) == 0
+    code = json.loads(out.read_text())
+    assert (code["k"], tuple(code["matching"]), code["distance_exact"]) == want
 
 
 def test_no_matching_propagates():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from graphcodes.construct import generic_subcode, systematic_dsys
 from graphcodes.errors import DecodingError, GuardExceededError
 from graphcodes.field import GF
 from graphcodes.graph import load_graph
+from graphcodes.linalg import vec_mat
 from graphcodes.rs import RSCode, default_defining_set, encode, generator_matrix
 from graphcodes.verify import (min_distance_exhaustive, rank_over_field,
                                subcode_decode, subcode_encode,
@@ -26,6 +28,20 @@ def brute_pairwise_distance(G, gf):
         words.add(tuple(w))
     return min(sum(a != b for a, b in zip(w1, w2))
                for w1, w2 in itertools.combinations(words, 2))
+
+
+def scalar_distance_oracle(G, gf):
+    """(distance, witness, histogram) by encoding every message one at a time."""
+    hist = Counter()
+    best_w = best_msg = None
+    for msg in itertools.product(range(gf.q), repeat=len(G)):
+        if not any(msg):
+            continue
+        w = sum(1 for v in vec_mat(gf, msg, G) if v)
+        hist[w] += 1
+        if w and (best_w is None or w < best_w):
+            best_w, best_msg = w, msg
+    return best_w, best_msg, dict(sorted(hist.items()))
 
 
 def test_reference_generator_distance(gf7):
@@ -67,6 +83,25 @@ def test_distance_extension_field_path_matches_oracle():
             continue
         assert (min_distance_exhaustive(G, gf).distance
                 == brute_pairwise_distance(G, gf))
+    # the block oracle against the scalar loop, on extension fields and one
+    # prime field; the last case (4^9 messages) spans several blocks
+    cases = [(GF(2, 2), 3, 5), (GF(2, 3), 3, 6), (GF(2, 4), 2, 7), (GF(11), 3, 5)]
+    for gf, s, n in cases:
+        for trial in range(4):
+            G = [[rng.randrange(gf.q) for _ in range(n)] for _ in range(s)]
+            if trial == 0:
+                G[-1] = [gf.mul(3, v) for v in G[0]]  # rank-deficient
+            if all(v == 0 for row in G for v in row):
+                continue
+            rep = min_distance_exhaustive(G, gf, with_histogram=True)
+            assert ((rep.distance, rep.witness_message, rep.weight_histogram)
+                    == scalar_distance_oracle(G, gf))
+    gf = GF(2, 2)
+    G = [[rng.randrange(4) for _ in range(2)] for _ in range(9)]
+    G[8] = list(G[0])
+    rep = min_distance_exhaustive(G, gf, with_histogram=True)
+    assert ((rep.distance, rep.witness_message, rep.weight_histogram)
+            == scalar_distance_oracle(G, gf))
 
 
 def test_distance_skips_zero_codewords_of_deficient_generators():
@@ -76,6 +111,19 @@ def test_distance_skips_zero_codewords_of_deficient_generators():
     assert rep.distance == 2  # never 0, despite nonzero messages encoding to zero
     with pytest.raises(ValueError):
         min_distance_exhaustive([[0, 0], [0, 0]], gf)
+
+
+@pytest.mark.parametrize("p, m, G", [
+    (7, 1, [[1, 9, 0], [0, 1, 2]]),      # 9 used to be read as 9 mod 7
+    (2, 4, [[1, 16, 0], [0, 1, 2]]),     # 16 used to index past the log table
+    (7, 1, [[1, -1, 0], [0, 1, 2]]),
+    (7, 1, [[1, 2, 3], [0, 1]]),         # ragged
+    (7, 1, []),
+    (7, 1, [[]]),
+])
+def test_distance_rejects_malformed_generators(p, m, G):
+    with pytest.raises(ValueError):
+        min_distance_exhaustive(G, GF(p, m))
 
 
 def test_distance_guard():
@@ -116,6 +164,14 @@ def test_subcode_encode(ref_graph, gf7):
     assert subcode_encode(spec, [0, 0, 0]) == [0] * 7
     with pytest.raises(ValueError):
         subcode_encode(spec, [1, 2])
+
+
+@pytest.mark.parametrize("message", [[7, 0, 0], [-1, 0, 0]])
+def test_subcode_encode_rejects_out_of_range_symbols(ref_graph, gf7, message):
+    # 7 used to raise IndexError; -1 was read from the end of the log table
+    spec = systematic_dsys(ref_graph, gf7)
+    with pytest.raises(ValueError):
+        subcode_encode(spec, message)
 
 
 def test_subcode_decode_roundtrip(ref_graph, gf7):
