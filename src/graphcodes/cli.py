@@ -16,7 +16,8 @@ import sys
 from .bounds import MATCHING_GUARD, best_matching, bounds_report
 from .construct import (CodeSpec, MODES, generic_subcode, mds_nullspace_construct,
                         systematic_dmin, systematic_dsys)
-from .errors import DecodingError, GuardExceededError, InfeasibleError
+from .errors import (DecodingError, GuardExceededError, InconsistentCodeError,
+                     InfeasibleError)
 from .field import GF, smallest_prime_at_least
 from .graph import SUBSET_GUARD, ConstraintGraph, matched_adjacency
 from .rs import RSCode, default_defining_set, generator_matrix
@@ -78,6 +79,8 @@ def _load_graph(path) -> ConstraintGraph:
 def _load_spec(path) -> CodeSpec:
     try:
         return CodeSpec.load(path)
+    except InconsistentCodeError:
+        raise  # only `verify` reads such a file, to report it
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _UsageError("cannot read code file %s: %s" % (path, exc))
 
@@ -150,11 +153,15 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args.code)
+    problems = []
+    try:
+        spec = _load_spec(args.code)
+    except InconsistentCodeError as exc:
+        spec = exc.spec
+        problems.append(str(exc))
     g = _load_graph(args.graph)
     report = verification_report(spec, g)
     _emit(report, args.out)
-    problems = []
     if not report["valid_pattern"]:
         problems.append("generator violates the adjacency zero pattern")
     if spec.matching is not None and not report["systematic"]:

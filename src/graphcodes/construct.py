@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 
 from .bounds import MATCHING_GUARD, best_matching, d_min_bound, fully_connected_columns
-from .errors import InfeasibleError
+from .errors import InconsistentCodeError, InfeasibleError
 from .field import GF
 from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching,
                     find_matching, matched_adjacency, row_zero_stats)
@@ -90,14 +90,20 @@ class CodeSpec:
             raise ValueError("T rows must have k columns")
         if any(len(r) != rs.n for r in G):
             raise ValueError("G rows must have n columns")
+        if any(not 0 <= v < gf.q for r in T + G for v in r):
+            raise ValueError("T and G entries must lie in [0, %d)" % gf.q)
         mode = d["mode"]
         if mode not in MODES:
             raise ValueError("unknown mode %r" % (mode,))
         matching = d.get("matching")
-        return cls(gf=gf, rs=rs, T=T, G=G, mode=mode,
+        spec = cls(gf=gf, rs=rs, T=T, G=G, mode=mode,
                    matching=tuple(matching) if matching is not None else None,
                    claimed_distance=d["claimed_distance"],
                    distance_exact=d["distance_exact"])
+        bad = [i for i, row in enumerate(matmul(gf, T, generator_matrix(rs))) if row != G[i]]
+        if bad:
+            raise InconsistentCodeError("G differs from T . G_RS in rows %s" % bad, spec)
+        return spec
 
     @classmethod
     def load(cls, path) -> "CodeSpec":

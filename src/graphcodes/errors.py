@@ -21,5 +21,16 @@ class NoMatchingError(InfeasibleError):
         self.witness = witness
 
 
+class InconsistentCodeError(ValueError):
+    """A code file whose generator G differs from T . G_RS.
+
+    ``spec`` is the file as loaded, so that an audit can still report on it.
+    """
+
+    def __init__(self, message, spec):
+        super().__init__(message)
+        self.spec = spec
+
+
 class DecodingError(ValueError):
     """Received word could not be decoded within the guaranteed radius."""

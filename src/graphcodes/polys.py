@@ -42,6 +42,26 @@ def poly_eval(gf, f: list, x: int) -> int:
     return acc
 
 
+def poly_interpolate(gf, xs, ys) -> list:
+    """The polynomial of degree < len(xs) through (xs[i], ys[i]), distinct xs.
+
+    Newton divided differences, then expansion of the Newton form from the
+    innermost factor outwards; O(n^2) field operations.
+    """
+    n = len(xs)
+    c = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = gf.div(gf.sub(c[i], c[i - 1]), gf.sub(xs[i], xs[i - j]))
+    f = [0] * n
+    for i in range(n - 1, -1, -1):
+        nx = gf.neg(xs[i])  # f <- f * (x - xs[i]) + c[i]
+        for d in range(n - 1 - i, 0, -1):
+            f[d] = gf.add(f[d - 1], gf.mul(nx, f[d]))
+        f[0] = gf.add(gf.mul(nx, f[0]), c[i])
+    return poly_trim(f)
+
+
 def poly_add(gf, f: list, g: list) -> list:
     out = [0] * max(len(f), len(g))
     for i, c in enumerate(f):

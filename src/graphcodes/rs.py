@@ -1,10 +1,10 @@
 """Reed-Solomon codes in the evaluation view.
 
 A codeword is the vector of evaluations of a message polynomial of degree
-less than k at n distinct field elements (the defining set).  Error decoding
-solves the classic two-polynomial functional equation Q(x) = y * E(x) on all
-evaluation points; erasure decoding interpolates through k clean points and
-cross-checks the rest.
+less than k at n distinct field elements (the defining set).  One decoder,
+Gao's interpolate / partial extended Euclid / divide algorithm, corrects
+errors and erasures together: e errors and f erasures whenever
+2e + f <= n - k, in O(n^2) field operations.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import DecodingError
 from .field import GF
-from .linalg import solve
-from .polys import poly_divmod, poly_eval, poly_trim
+from .polys import (poly_deg, poly_divmod, poly_eval, poly_from_roots,
+                    poly_interpolate, poly_mul, poly_sub)
 
 
 @dataclass(frozen=True)
@@ -64,76 +64,55 @@ def encode(code: RSCode, message) -> list:
     if len(message) != code.k:
         raise ValueError("message length %d != k=%d" % (len(message), code.k))
     gf = code.gf
+    if any(not 0 <= v < gf.q for v in message):
+        raise ValueError("message symbols must lie in [0, %d)" % gf.q)
     return [poly_eval(gf, message, x) for x in code.nodes]
 
 
-def decode(code: RSCode, received):
-    """Correct up to floor((n-k)/2) errors.
+def decode(code: RSCode, received, erasures=()):
+    """Correct e errors and f erasures whenever 2e + f <= n - k (Gao, 2003).
 
-    Returns (message coefficients, error positions).  Solves for Q of degree
-    < k+t and monic E of degree t with Q(x_j) = y_j E(x_j) at every node,
-    then divides; any solution of the system yields the same message when
-    the received word lies within the radius.  Raises DecodingError when the
-    system is inconsistent, the division is inexact, or the re-encoded
-    result disagrees with the received word in more than t places.
+    Returns (message coefficients, error positions among the unerased
+    symbols).  With g0 = prod (x - x_j) and g1 the interpolant of the N = n - f
+    unerased symbols, a partial extended Euclid run on (g0, g1) stops at the
+    first remainder g of degree < (N + k) / 2; then g = v * g1 mod g0, and the
+    message is g / v.  Raises DecodingError when fewer than k symbols are
+    left, the division is inexact or exceeds the degree bound, or the
+    re-encoded result disagrees with the unerased symbols in more than
+    floor((N - k) / 2) places.
     """
     gf = code.gf
     n, k = code.n, code.k
     if len(received) != n:
         raise ValueError("received length %d != n=%d" % (len(received), n))
-    t = (n - k) // 2
+    if any(not 0 <= v < gf.q for v in received):
+        raise ValueError("received symbols must lie in [0, %d)" % gf.q)
+    erased = set(erasures)
+    if any(not 0 <= j < n for j in erased):
+        raise ValueError("erasure index out of range")
+    kept = [j for j in range(n) if j not in erased]
+    if len(kept) < k:
+        raise DecodingError("only %d unerased symbols, need %d" % (len(kept), k))
 
-    rows = []
-    rhs = []
-    for x, y in zip(code.nodes, received):
-        powers = [gf.pow(x, u) for u in range(k + t)]
-        row = powers + [gf.neg(gf.mul(y, gf.pow(x, v))) for v in range(t)]
-        rows.append(row)
-        rhs.append(gf.mul(y, gf.pow(x, t)))
-    sol = solve(gf, rows, rhs)
-    if sol is None:
-        raise DecodingError("no locator/quotient pair fits the received word")
+    xs = [code.nodes[j] for j in kept]
+    ys = [received[j] for j in kept]
+    r0, r1 = poly_from_roots(gf, xs), poly_interpolate(gf, xs, ys)
+    v0, v1 = [], [1]
+    while 2 * poly_deg(r1) >= len(kept) + k:
+        quo, rem = poly_divmod(gf, r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, poly_sub(gf, v0, poly_mul(gf, quo, v1))
+    message, rem = poly_divmod(gf, r1, v1)
+    if rem or len(message) > k:
+        raise DecodingError("no codeword lies within the decoding radius")
+    message += [0] * (k - len(message))
 
-    q_poly = poly_trim(sol[: k + t])
-    e_poly = sol[k + t:] + [1]
-    msg_poly, rem = poly_divmod(gf, q_poly, e_poly)
-    if rem:
-        raise DecodingError("locator does not divide the interpolant")
-    if len(msg_poly) > k:
-        raise DecodingError("decoded polynomial exceeds degree bound")
-    message = msg_poly + [0] * (k - len(msg_poly))
-
-    reencoded = encode(code, message)
-    positions = [j for j in range(n) if reencoded[j] != received[j]]
-    if len(positions) > t:
+    positions = [j for j, x, y in zip(kept, xs, ys) if poly_eval(gf, message, x) != y]
+    if len(positions) > (len(kept) - k) // 2:
         raise DecodingError("corruption exceeds the unique-decoding radius")
     return message, positions
 
 
 def erasure_decode(code: RSCode, received, erased=()) -> list:
-    """Recover the message from >= k clean symbols; erased positions ignored.
-
-    The remaining clean symbols are cross-checked against the interpolated
-    polynomial; a mismatch means errors are present and error decoding
-    should be used instead.
-    """
-    gf = code.gf
-    n, k = code.n, code.k
-    if len(received) != n:
-        raise ValueError("received length %d != n=%d" % (len(received), n))
-    erased = set(erased)
-    if any(not 0 <= j < n for j in erased):
-        raise ValueError("erasure index out of range")
-    clean = [j for j in range(n) if j not in erased]
-    if len(clean) < k:
-        raise DecodingError("only %d clean symbols, need %d" % (len(clean), k))
-
-    base, rest = clean[:k], clean[k:]
-    rows = [[gf.pow(code.nodes[j], u) for u in range(k)] for j in base]
-    message = solve(gf, rows, [received[j] for j in base])
-    if message is None:
-        raise AssertionError("interpolation system on distinct nodes must be solvable")
-    for j in rest:
-        if poly_eval(gf, message, code.nodes[j]) != received[j]:
-            raise DecodingError("clean symbols are inconsistent; errors present")
-    return message
+    """The message of ``decode(code, received, erased)``."""
+    return decode(code, received, erased)[0]

@@ -142,15 +142,13 @@ def _solver(spec: CodeSpec) -> _TransformSolver:
 def subcode_decode(spec: CodeSpec, received, erasures=()) -> list:
     """Recover the message: RS-decode to the transform image u, then invert T.
 
-    With erasures given, the clean symbols must be error-free; without, up to
-    floor((n-k)/2) symbol errors are corrected.
+    e symbol errors and f erased positions are corrected together whenever
+    2e + f <= n - k.  Every symbol must lie in [0, q), but the values at
+    erased positions are otherwise ignored.
     """
     if spec.rs is None:
         raise ValueError("spec carries no defining set; cannot decode")
-    if erasures:
-        u = rs.erasure_decode(spec.rs, received, erasures)
-    else:
-        u, _ = rs.decode(spec.rs, received)
+    u, _ = rs.decode(spec.rs, received, erasures)
     return _solver(spec).solve(u)
 
 

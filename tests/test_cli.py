@@ -129,6 +129,25 @@ def test_verify_flags_tampered_code(ref_graph_file, tmp_path, capsys):
     assert "zero pattern" in err
 
 
+def test_code_file_with_g_rescaled_from_t_is_refused(ref_graph_file, tmp_path, capsys):
+    out_file = tmp_path / "code.json"
+    _run(capsys, ["construct", ref_graph_file, "--p", "7", "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    col = payload["matching"][0]
+    payload["G"][0] = [v if j == col else 3 * v % 7 for j, v in enumerate(payload["G"][0])]
+    out_file.write_text(json.dumps(payload))
+    # the clean codeword of [2, 5, 1] under the file's G used to decode to [6, 5, 1]
+    G = payload["G"]
+    codeword = [(2 * a + 5 * b + c) % 7 for a, b, c in zip(*G)]
+    code, out, err = _run(capsys, ["decode", str(out_file), ",".join(map(str, codeword))])
+    assert code == 1 and out == ""
+    assert "T . G_RS" in err
+    code, out, err = _run(capsys, ["verify", str(out_file), ref_graph_file])
+    assert code == 4
+    assert json.loads(out)["valid_pattern"] is True
+    assert "MISMATCH: G differs from T . G_RS" in err
+
+
 def test_encode_decode_paths(ref_graph_file, tmp_path, capsys):
     out_file = tmp_path / "code.json"
     _run(capsys, ["construct", ref_graph_file, "--p", "7", "--alpha", "3",

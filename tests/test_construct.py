@@ -8,7 +8,8 @@ from graphcodes.construct import (CodeSpec, generic_subcode,
                                   mds_nullspace_construct, systematic_columns_ok,
                                   systematic_dmin, systematic_dsys,
                                   validity_check)
-from graphcodes.errors import InfeasibleError, NoMatchingError
+from graphcodes.errors import (InconsistentCodeError, InfeasibleError,
+                               NoMatchingError)
 from graphcodes.field import GF
 from graphcodes.graph import load_graph
 from graphcodes.linalg import rank
@@ -230,6 +231,23 @@ def test_codespec_serialization_roundtrip(ref_graph, gf7):
     assert back.gf == spec.gf
     assert back.claimed_distance == spec.claimed_distance
     assert back.distance_exact == spec.distance_exact
+
+
+def test_codespec_load_checks_g_against_t(ref_graph, gf7):
+    spec = systematic_dsys(ref_graph, gf7)
+    d = spec.to_dict()
+    c = spec.matching[0]
+    d["G"][0] = [v if j == c else gf7.mul(3, v) for j, v in enumerate(d["G"][0])]
+    # zero pattern and identity columns survive, so only T . G_RS exposes it
+    assert validity_check(ref_graph, d["G"]) and systematic_columns_ok(d["G"], spec.matching)
+    with pytest.raises(InconsistentCodeError, match=r"rows \[0\]") as info:
+        CodeSpec.from_dict(d)
+    assert info.value.spec.G == d["G"]
+    for key, value in (("T", 7), ("G", -1)):
+        d = spec.to_dict()
+        d[key][1][0] = value
+        with pytest.raises(ValueError, match="must lie in"):
+            CodeSpec.from_dict(d)
 
 
 def test_codespec_without_nodes_cannot_serialize():

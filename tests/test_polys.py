@@ -4,8 +4,8 @@ import pytest
 
 from graphcodes.field import GF
 from graphcodes.polys import (poly_add, poly_deg, poly_divmod, poly_eval,
-                              poly_from_roots, poly_mul, poly_scale, poly_sub,
-                              poly_trim)
+                              poly_from_roots, poly_interpolate, poly_mul,
+                              poly_scale, poly_sub, poly_trim)
 
 
 def _random_poly(rng, gf, max_deg):
@@ -75,6 +75,15 @@ def test_divmod_exact_and_reconstruction(gf7):
         q2, r2 = poly_divmod(gf7, f, g)
         assert poly_deg(r2) < poly_deg(g)
         assert poly_add(gf7, poly_mul(gf7, g, q2), r2) == f
+
+
+def test_interpolate_recovers_the_polynomial():
+    rng = random.Random(55)
+    for gf in (GF(7), GF(13), GF(2, 4)):
+        for n in range(gf.q + 1):
+            xs = rng.sample(range(gf.q), n)
+            f = _random_poly(rng, gf, n - 1)
+            assert poly_interpolate(gf, xs, [poly_eval(gf, f, x) for x in xs]) == f
 
 
 def test_add_sub_roundtrip():

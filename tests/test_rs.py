@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcodes.errors import DecodingError
 from graphcodes.field import GF
@@ -152,6 +153,65 @@ def test_erasure_decode(gf7):
     corrupted[6] = gf7.add(corrupted[6], 1)
     with pytest.raises(DecodingError):
         erasure_decode(code, corrupted, (0, 1))  # clean symbols disagree
+
+
+def test_decode_one_erasure_and_one_error(gf7):
+    # 2e + f = 3 <= n - k = 3; the old erasure path refused any error
+    code = RSCode(gf7, default_defining_set(gf7, 7), 4)
+    msg = [4, 0, 2, 6]
+    received = encode(code, msg)
+    received[1] = 0
+    received[5] = gf7.add(received[5], 3)
+    assert decode(code, received, (1,)) == (msg, [5])
+    assert erasure_decode(code, received, (1,)) == msg
+
+
+@st.composite
+def delivered_words(draw):
+    """(code, message, received, erasures, errors) over GF(7), GF(11), GF(16)."""
+    gf = draw(st.sampled_from((GF(7), GF(11), GF(2, 4))))
+    n = draw(st.integers(1, gf.q))
+    k = draw(st.integers(1, n))
+    code = RSCode(gf, default_defining_set(gf, n), k)
+    msg = draw(st.lists(st.integers(0, gf.q - 1), min_size=k, max_size=k))
+    order = draw(st.permutations(range(n)))
+    f = draw(st.integers(0, n))
+    e = draw(st.integers(0, n - f))
+    erasures, errors = sorted(order[:f]), sorted(order[f:f + e])
+    received = encode(code, msg)
+    for j in erasures:
+        received[j] = draw(st.integers(0, gf.q - 1))
+    for j in errors:
+        received[j] = gf.add(received[j], draw(st.integers(1, gf.q - 1)))
+    return code, msg, received, erasures, errors
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(delivered_words())
+def test_decode_errors_and_erasures_property(word):
+    code, msg, received, erasures, errors = word
+    n, k, f, e = code.n, code.k, len(erasures), len(errors)
+    if 2 * e + f <= n - k:
+        assert decode(code, received, erasures) == (msg, errors)
+        return
+    try:
+        got, positions = decode(code, received, erasures)
+    except DecodingError:
+        return
+    # beyond the radius only a codeword within budget of the unerased symbols may come back
+    reenc = encode(code, got)
+    mismatches = [j for j in range(n) if j not in erasures and reenc[j] != received[j]]
+    assert positions == mismatches
+    assert len(mismatches) <= (n - f - k) // 2
+
+
+@pytest.mark.parametrize("symbol", [7, -1])
+def test_encode_and_decode_reject_out_of_range_symbols(gf7, symbol):
+    code = RSCode(gf7, default_defining_set(gf7, 7), 4)
+    with pytest.raises(ValueError, match="message symbols must lie in"):
+        encode(code, [symbol, 0, 0, 0])
+    with pytest.raises(ValueError, match="received symbols must lie in"):
+        decode(code, [symbol] + [0] * 6)
 
 
 def test_erasure_index_validation(gf7):

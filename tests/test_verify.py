@@ -174,6 +174,18 @@ def test_subcode_encode_rejects_out_of_range_symbols(ref_graph, gf7, message):
         subcode_encode(spec, message)
 
 
+@pytest.mark.parametrize("m, first", [(1, 9), (1, -5), (4, -1)])
+def test_subcode_decode_rejects_out_of_range_symbols(ref_graph, m, first):
+    # over GF(7), 9 used to raise IndexError and -5 decoded to [2, 5, 1];
+    # over GF(16), -1 was read from the end of the log table
+    gf = GF(7) if m == 1 else GF(2, m)
+    spec = systematic_dsys(ref_graph, gf)
+    received = subcode_encode(spec, [2, 5, 1])
+    received[0] = first
+    with pytest.raises(ValueError, match="received symbols must lie in"):
+        subcode_decode(spec, received)
+
+
 def test_subcode_decode_roundtrip(ref_graph, gf7):
     spec = systematic_dsys(ref_graph, gf7)
     rng = random.Random(444)
