@@ -37,6 +37,10 @@ from .rs import RSCode, default_defining_set, generator_matrix
 MODES = ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(eq=False)
 class CodeSpec:
     """A constructed code: field, RS layer, transform T, generator G = T.G_RS."""
@@ -96,6 +100,14 @@ class CodeSpec:
         if mode not in MODES:
             raise ValueError("unknown mode %r" % (mode,))
         matching = d.get("matching")
+        if matching is not None and not (
+                isinstance(matching, (list, tuple)) and len(matching) == len(G)
+                and all(_is_int(c) and 0 <= c < rs.n for c in matching)
+                and len(set(matching)) == len(matching)):
+            raise ValueError("matching must be %d distinct columns in [0, %d)"
+                             % (len(G), rs.n))
+        if not (_is_int(d["claimed_distance"]) and 1 <= d["claimed_distance"] <= rs.n):
+            raise ValueError("claimed_distance must be an integer in [1, %d]" % rs.n)
         spec = cls(gf=gf, rs=rs, T=T, G=G, mode=mode,
                    matching=tuple(matching) if matching is not None else None,
                    claimed_distance=d["claimed_distance"],

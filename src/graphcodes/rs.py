@@ -108,6 +108,10 @@ def decode(code: RSCode, received, erasures=()):
     message += [0] * (k - len(message))
 
     positions = [j for j, x, y in zip(kept, xs, ys) if poly_eval(gf, message, x) != y]
+    # Cannot fire once v divides the remainder exactly: the message then
+    # agrees with the received word wherever v is nonzero, so at most
+    # deg v <= floor((N - k) / 2) symbols differ.  It stays as the stated
+    # guard of the decoder's contract, cheap next to the Euclid steps.
     if len(positions) > (len(kept) - k) // 2:
         raise DecodingError("corruption exceeds the unique-decoding radius")
     return message, positions

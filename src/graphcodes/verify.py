@@ -1,16 +1,18 @@
 """Ground-truth oracles and the end-to-end decoder for constructed codes.
 
-The distance oracle enumerates every message (distance of a linear code =
-minimum nonzero codeword weight) in vectorized blocks; only the step that
-turns a block of messages into codewords depends on the kind of field.
+The distance oracle (distance of a linear code = minimum nonzero codeword
+weight) encodes one message per scalar class: the (q^s - 1)/(q - 1) messages
+whose first nonzero symbol is 1.  It builds them in vectorized blocks from
+per-row tables of x . G[i], with no digit arithmetic; only those tables
+depend on the kind of field.  Its guard still counts all q^s messages.
 Decoding runs the RS layer first and then solves m . T = u against a cached
 pivot factorization of T.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -32,35 +34,38 @@ class DistanceReport:
     weight_histogram: dict | None = None
 
 
-def _message_block(q: int, s: int, start: int, stop: int) -> np.ndarray:
-    """Messages start..stop-1 as base-q digit rows, first symbol most significant."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((len(idx), s), dtype=np.int64)
-    for pos in range(s):
-        div = q ** (s - 1 - pos)
-        digits[:, pos] = idx // div
-        idx = idx % div
-    return digits
-
-
-def _block_encoder(Gm: np.ndarray, gf: GF):
-    """Function taking a block of message rows (base-q digits) to m . G.
-    GF(2^m) XORs one gather per row of G from that row's (q x n) table of
-    products x * G[i][j], built once here from the log/antilog tables."""
+def _row_tables(Gm: np.ndarray, gf: GF):
+    """(tables, add, neg): tables[i][:, x] is the row x . G[i] as a column,
+    so tables has shape (s, n, q), and add/neg are the field's addition and
+    negation on such arrays.  This is the only place that reads the kind of
+    field."""
+    x = np.arange(gf.q)
+    rows = Gm[:, :, None]
     if gf.m == 1:
-        return lambda digits: (digits @ Gm) % gf.p
-    log = np.array((0,) + gf.log_table)
-    exp = np.array(gf.antilog_table * 2)
-    x = np.arange(gf.q)[:, None]
-    tables = [np.where((x > 0) & (row > 0), exp[log[x] + log[row]], 0) for row in Gm]
-    return lambda digits: reduce(np.bitwise_xor, (t[c] for t, c in zip(tables, digits.T)))
+        p = gf.p
+        tables = (x * rows) % p
+        add, neg = (lambda a, b: (a + b) % p), (lambda a: (p - a) % p)
+    else:
+        log = np.array((0,) + gf.log_table)
+        exp = np.array(gf.antilog_table * 2)
+        tables = np.where((x > 0) & (rows > 0), exp[log[x] + log[rows]], 0)
+        add, neg = np.bitwise_xor, (lambda a: a)
+    # the smallest dtype that holds a sum of two elements before reduction
+    return tables.astype(np.min_scalar_type(2 * gf.q - 2)), add, neg
 
 
 def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
                             with_histogram: bool = False) -> DistanceReport:
     """Minimum weight over all nonzero codewords, with the lexicographically
     smallest witness message.  Messages encoding the zero codeword (possible
-    when the generator is rank-deficient) do not count."""
+    when the generator is rank-deficient) do not count.
+
+    Every nonzero scalar multiple of a message has the same weight, so only
+    the (q^s - 1)/(q - 1) messages whose first nonzero symbol is 1 are
+    encoded, and histogram counts are scaled by q - 1.  The lex-smallest
+    message of each scalar class is that one, so the witness is unchanged.
+    The guard still counts all q^s messages.
+    """
     if len(G) == 0 or len(G[0]) == 0 or any(len(r) != len(G[0]) for r in G):
         raise ValueError("generator must be a non-empty rectangular matrix")
     Gm = np.array(G, dtype=np.int64)
@@ -73,26 +78,62 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
         raise GuardExceededError(
             "enumeration of %d codewords exceeds the guard %d" % (total, guard))
 
-    encode = _block_encoder(Gm, gf)
+    # Codewords are columns.  span[:, i] encodes message i over the last r
+    # rows (q^r <= BLOCK), in message order, so its messages whose first
+    # nonzero symbol is 1 are the columns q^k .. 2 q^k - 1 for each k < r.
+    # lead1 holds those, then G[s-1-r] + span: every such message whose
+    # leading 1 lies in the last r + 1 rows, in lex order.
+    tables, add, neg = _row_tables(Gm, gf)
+    r = 0
+    while r < s - 1 and q ** (r + 1) <= BLOCK:
+        r += 1
+    span = np.zeros((n, 1), dtype=tables.dtype)
+    for i in range(s - 1, s - 1 - r, -1):
+        span = add(tables[i][:, :, None], span[:, None]).reshape(n, -1)
+    lead1 = np.concatenate([span[:, q ** k:2 * q ** k] for k in range(r)]
+                           + [add(tables[s - 1 - r][:, 1:2], span)], axis=1)
+    weight_dtype = np.min_scalar_type(n + 1)
+
+    def digits(j, width):
+        return tuple(int(d) for d in np.unravel_index(j, (q,) * width))
+
+    def lead1_message(j):
+        k = 0  # lead1 holds q^k messages with their leading 1 at row s-1-k
+        while j >= q ** k:
+            j -= q ** k
+            k += 1
+        return (0,) * (s - 1 - k) + (1,) + digits(j, k)
+
+    def blocks():
+        """(weights, column -> message) for each block, in lex order of the
+        messages: lead1, then a leading 1 further left, one block per choice
+        of the digits between it and the span's rows."""
+        yield (lead1 != 0).sum(axis=0, dtype=weight_dtype), lead1_message
+        for lead in range(s - 2 - r, -1, -1):
+            for middle in itertools.product(range(q), repeat=s - 1 - r - lead):
+                prefix = tables[lead][:, 1]
+                for i, x in enumerate(middle, lead + 1):
+                    prefix = add(prefix, tables[i][:, x])
+                head = (0,) * lead + (1,) + middle
+                # prefix + span[:, j] is nonzero exactly where span[:, j] != -prefix
+                yield ((span != neg(prefix)[:, None]).sum(axis=0, dtype=weight_dtype),
+                       lambda j, head=head: head + digits(j, r))
+
     hist = np.zeros(n + 1, dtype=np.int64)
     best_w, best_msg = n + 1, None
-    # blocks go in message order and ties keep the earlier (lex smaller) witness
-    for start in range(0, total, BLOCK):
-        digits = _message_block(q, s, start, min(start + BLOCK, total))
-        w = np.count_nonzero(encode(digits), axis=1)
+    for w, message in blocks():  # ties keep the earlier (lex smaller) witness
         if with_histogram:
-            hist += np.bincount(w[1:] if start == 0 else w, minlength=n + 1)
-        w = np.where(w == 0, n + 1, w)  # zero codewords never count
-        i = int(np.argmin(w))
-        if w[i] < best_w:
-            best_w = int(w[i])
-            best_msg = tuple(int(x) for x in digits[i])
+            hist += np.bincount(w, minlength=n + 1)
+        w[w == 0] = n + 1  # zero codewords never count
+        j = int(np.argmin(w))
+        if w[j] < best_w:
+            best_w, best_msg = int(w[j]), message(j)
 
     if best_w > n:
         raise ValueError("generator spans only the zero codeword")
     return DistanceReport(
         distance=best_w, witness_message=best_msg,
-        weight_histogram={w: int(c) for w, c in enumerate(hist) if c}
+        weight_histogram={w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
         if with_histogram else None)
 
 

@@ -148,6 +148,19 @@ def test_code_file_with_g_rescaled_from_t_is_refused(ref_graph_file, tmp_path, c
     assert "MISMATCH: G differs from T . G_RS" in err
 
 
+def test_code_file_with_bad_matching_is_refused(ref_graph_file, tmp_path, capsys):
+    out_file = tmp_path / "code.json"
+    _run(capsys, ["construct", ref_graph_file, "--p", "7", "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    payload["matching"], payload["claimed_distance"] = [9, 9, 9], 99
+    out_file.write_text(json.dumps(payload))
+    for argv in (["decode", str(out_file), "1,0,0,2,5,1,5"],
+                 ["verify", str(out_file), ref_graph_file]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "matching must be 3 distinct columns in [0, 7)" in err
+
+
 def test_encode_decode_paths(ref_graph_file, tmp_path, capsys):
     out_file = tmp_path / "code.json"
     _run(capsys, ["construct", ref_graph_file, "--p", "7", "--alpha", "3",

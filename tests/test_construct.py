@@ -250,6 +250,26 @@ def test_codespec_load_checks_g_against_t(ref_graph, gf7):
             CodeSpec.from_dict(d)
 
 
+@pytest.mark.parametrize("matching, claimed", [
+    ([9, 9, 9], 99),        # loaded, then systematic_fast_read raised IndexError
+    ([9, 9, 9], 4),
+    ([0, 0, 1], 4),         # repeated column
+    ([0, 1], 4),            # one column per row
+    ([0, 1, -1], 4),
+    ([0, 1, 2.0], 4),
+    (None, 99),
+    (None, 0),
+    (None, 8),              # n = 7
+    (None, 4.0),
+    (None, True),
+])
+def test_codespec_load_checks_matching_and_claimed_distance(ref_graph, gf7, matching, claimed):
+    d = systematic_dsys(ref_graph, gf7).to_dict()
+    d["matching"], d["claimed_distance"] = matching, claimed
+    with pytest.raises(ValueError, match="matching|claimed_distance"):
+        CodeSpec.from_dict(d)
+
+
 def test_codespec_without_nodes_cannot_serialize():
     g = load_graph([[1, 1, 1], [1, 1, 1]])
     gf = GF(5)

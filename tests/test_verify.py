@@ -3,8 +3,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REF_G, random_dims, random_graph
+from graphcodes import verify
 from graphcodes.construct import generic_subcode, systematic_dsys
 from graphcodes.errors import DecodingError, GuardExceededError
 from graphcodes.field import GF
@@ -102,6 +104,75 @@ def test_distance_extension_field_path_matches_oracle():
     rep = min_distance_exhaustive(G, gf, with_histogram=True)
     assert ((rep.distance, rep.witness_message, rep.weight_histogram)
             == scalar_distance_oracle(G, gf))
+
+
+# (p, m, largest s) for the oracle comparisons: q^s stays within 4096
+ORACLE_FIELDS = [(2, 1, 8), (7, 1, 4), (11, 1, 3), (2, 2, 5), (2, 3, 4), (2, 4, 3)]
+
+
+def assert_oracle_agrees(G, gf, blocks):
+    """Same distance, witness and histogram as the scalar loop, whatever the
+    block size; BLOCK = 1 makes every block a single message."""
+    expected = scalar_distance_oracle(G, gf)
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "BLOCK", block)
+            rep = min_distance_exhaustive(G, gf, with_histogram=True)
+        assert (rep.distance, rep.witness_message, rep.weight_histogram) == expected
+
+
+@pytest.mark.parametrize("p, m, s_max", ORACLE_FIELDS)
+def test_distance_matches_scalar_oracle_in_any_block_size(p, m, s_max):
+    gf = GF(p, m)
+    rng = random.Random(1000 * p + m)
+    for s in (1, 2, s_max):
+        n = rng.randint(s, s + 3)
+        G = [[rng.randrange(gf.q) for _ in range(n)] for _ in range(s)]
+        for i in range(s):
+            G[i][i] = 1  # no row is zero
+        cases = [G]
+        if s > 1:
+            a = rng.randrange(1, gf.q)
+            cases.append(G[:-1] + [[gf.mul(a, v) for v in G[0]]])  # rank-deficient
+            cases.append([[0] * n] + G[1:])  # all-zero leading row
+        for case in cases:
+            assert_oracle_agrees(case, gf, (1, 16, verify.BLOCK))
+
+
+@st.composite
+def generators(draw):
+    p, m, s_max = draw(st.sampled_from(ORACLE_FIELDS))
+    gf = GF(p, m)
+    s = draw(st.integers(1, s_max))
+    n = draw(st.integers(1, 7))
+    G = draw(st.lists(st.lists(st.integers(0, gf.q - 1), min_size=n, max_size=n),
+                      min_size=s, max_size=s))
+    if s > 1 and draw(st.booleans()):
+        a = draw(st.integers(1, gf.q - 1))
+        i, j = draw(st.integers(0, s - 1)), draw(st.integers(0, s - 1))
+        G[j] = [gf.mul(a, v) for v in G[i]]  # a repeated row, up to scale
+    return G, gf
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(generators(), st.sampled_from((1, 2, 16, verify.BLOCK)))
+def test_distance_matches_scalar_oracle_property(case, block):
+    G, gf = case
+    if not any(v for row in G for v in row):
+        with pytest.raises(ValueError):
+            min_distance_exhaustive(G, gf)
+    else:
+        assert_oracle_agrees(G, gf, (block,))
+
+
+@pytest.mark.parametrize("p, m, s", [(11, 1, 4), (2, 3, 5), (2, 1, 1)])
+def test_distance_guard_counts_every_message(p, m, s):
+    # the oracle encodes (q^s - 1)/(q - 1) messages, but the guard is on q^s
+    gf = GF(p, m)
+    G = [[1] * 3 for _ in range(s)]
+    assert min_distance_exhaustive(G, gf, guard=gf.q ** s).distance == 3
+    with pytest.raises(GuardExceededError):
+        min_distance_exhaustive(G, gf, guard=gf.q ** s - 1)
 
 
 def test_distance_skips_zero_codewords_of_deficient_generators():
