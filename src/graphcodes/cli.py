@@ -13,14 +13,13 @@ import argparse
 import json
 import sys
 
-from .bounds import MATCHING_GUARD, best_matching, bounds_report
-from .construct import (CodeSpec, MODES, generic_subcode, mds_nullspace_construct,
+from .bounds import MATCHING_GUARD, bounds_report
+from .construct import (CodeSpec, MODES, generic_subcode, rs_nullspace_construct,
                         systematic_dmin, systematic_dsys)
 from .errors import (DecodingError, GuardExceededError, InconsistentCodeError,
                      InfeasibleError)
 from .field import GF, smallest_prime_at_least
 from .graph import SUBSET_GUARD, ConstraintGraph, matched_adjacency
-from .rs import RSCode, default_defining_set, generator_matrix
 from .verify import (min_distance_exhaustive, subcode_decode, subcode_encode,
                      verification_report)
 
@@ -131,17 +130,8 @@ def cmd_construct(args) -> int:
         spec = systematic_dsys(g, gf, nodes=nodes,
                                matching_guard=matching_guard, subset_guard=subset)
     else:  # mds-nullspace
-        k_sys, matching, _ = best_matching(g, matching_guard, subset)
-        k = args.k if args.k is not None else k_sys
-        if k < k_sys:
-            raise InfeasibleError(
-                "k=%d is below the systematic minimum %d for this graph" % (k, k_sys))
-        use_nodes = nodes if nodes is not None else default_defining_set(gf, g.n)
-        rs_code = RSCode(gf, use_nodes, k)
-        spec = mds_nullspace_construct(
-            g, gf, generator_matrix(rs_code), target_distance=g.n - k + 1,
-            systematic=True, matching=matching, nodes=use_nodes,
-            matching_guard=matching_guard, subset_guard=subset)
+        spec = rs_nullspace_construct(g, gf, k=args.k, nodes=nodes,
+                                      matching_guard=matching_guard, subset_guard=subset)
 
     _emit(spec.to_dict(), args.out)
     print("mode=%s [n=%d, s=%d] k=%d claimed_distance=%d%s systematic_columns=%s"

@@ -108,6 +108,8 @@ class CodeSpec:
                              % (len(G), rs.n))
         if not (_is_int(d["claimed_distance"]) and 1 <= d["claimed_distance"] <= rs.n):
             raise ValueError("claimed_distance must be an integer in [1, %d]" % rs.n)
+        if not isinstance(d["distance_exact"], bool):
+            raise ValueError("distance_exact must be true or false")
         spec = cls(gf=gf, rs=rs, T=T, G=G, mode=mode,
                    matching=tuple(matching) if matching is not None else None,
                    claimed_distance=d["claimed_distance"],
@@ -284,19 +286,51 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
     optionally records the defining set when the generator came from an RS
     code, which keeps the constructed code decodable.
     """
+    target_distance = _mds_target_distance(g, mds_generator, target_distance)
+    search = best_matching(g, matching_guard, subset_guard) if systematic else None
+    return _mds_nullspace(g, gf, mds_generator, target_distance, search, matching, nodes)
+
+
+def rs_nullspace_construct(g: ConstraintGraph, gf: GF, k: int | None = None, nodes=None,
+                           matching_guard: int = MATCHING_GUARD,
+                           subset_guard: int = SUBSET_GUARD) -> CodeSpec:
+    """The systematic ``mds-nullspace`` code on the [n, k] RS generator,
+    k defaulting to k_sys.  One matching search gives k_sys, the matching
+    and whether the claimed distance is exact."""
+    search = best_matching(g, matching_guard, subset_guard)
+    k_sys = search[0]
+    k = k_sys if k is None else k
+    if k < k_sys:
+        raise InfeasibleError(
+            "k=%d is below the systematic minimum %d for this graph" % (k, k_sys))
+    nodes = nodes if nodes is not None else default_defining_set(gf, g.n)
+    generator = generator_matrix(RSCode(gf, nodes, k))
+    target_distance = _mds_target_distance(g, generator, g.n - k + 1)
+    return _mds_nullspace(g, gf, generator, target_distance, search, None, nodes)
+
+
+def _mds_target_distance(g: ConstraintGraph, mds_generator, target_distance):
     k = len(mds_generator)
     n = len(mds_generator[0])
     if n != g.n:
         raise ValueError("generator has %d columns but the graph has %d" % (n, g.n))
     if target_distance is None:
-        target_distance = n - k + 1
-    elif k != n - target_distance + 1:
+        return n - k + 1
+    if k != n - target_distance + 1:
         raise ValueError("target distance %d needs an [%d, %d] MDS generator"
                          % (target_distance, n, n - target_distance + 1))
+    return target_distance
 
+
+def _mds_nullspace(g: ConstraintGraph, gf: GF, mds_generator, target_distance: int,
+                   search, matching, nodes) -> CodeSpec:
+    """``search`` is best_matching's (k_sys, matching, exact) for a
+    systematic code and None otherwise."""
+    k = len(mds_generator)
+    n = len(mds_generator[0])
     exact = False
-    if systematic:
-        k_sys, best, found_exact = best_matching(g, matching_guard, subset_guard)
+    if search is not None:
+        k_sys, best, found_exact = search
         if matching is None:
             if k < k_sys:
                 raise InfeasibleError(
@@ -327,7 +361,7 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
         if len(basis) != k - len(zs):
             raise ValueError("nullspace dimension is off; generator is not MDS")
         h, row = _pick_covering_combination(gf, basis, mds_generator, set(zs))
-        if systematic:
+        if search is not None:
             pivot = row[matching[i]]
             if pivot == 0:
                 raise ValueError("could not hit the systematic pivot; generator is not MDS")

@@ -3,8 +3,8 @@
 The distance oracle (distance of a linear code = minimum nonzero codeword
 weight) encodes one message per scalar class: the (q^s - 1)/(q - 1) messages
 whose first nonzero symbol is 1.  It builds them in vectorized blocks from
-per-row tables of x . G[i], with no digit arithmetic; only those tables
-depend on the kind of field.  Its guard still counts all q^s messages.
+per-row tables of x . G[i], with no digit arithmetic, and its field
+arithmetic comes from ``arrays``.  Its guard still counts all q^s messages.
 Decoding runs the RS layer first and then solves m . T = u against a cached
 pivot factorization of T.
 """
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rs
+from .arrays import field_arrays
 from .construct import CodeSpec, systematic_columns_ok, validity_check
 from .errors import DecodingError, GuardExceededError
 from .field import GF
@@ -32,26 +33,6 @@ class DistanceReport:
     witness_message: tuple[int, ...]
     method: str = "exhaustive"
     weight_histogram: dict | None = None
-
-
-def _row_tables(Gm: np.ndarray, gf: GF):
-    """(tables, add, neg): tables[i][:, x] is the row x . G[i] as a column,
-    so tables has shape (s, n, q), and add/neg are the field's addition and
-    negation on such arrays.  This is the only place that reads the kind of
-    field."""
-    x = np.arange(gf.q)
-    rows = Gm[:, :, None]
-    if gf.m == 1:
-        p = gf.p
-        tables = (x * rows) % p
-        add, neg = (lambda a, b: (a + b) % p), (lambda a: (p - a) % p)
-    else:
-        log = np.array((0,) + gf.log_table)
-        exp = np.array(gf.antilog_table * 2)
-        tables = np.where((x > 0) & (rows > 0), exp[log[x] + log[rows]], 0)
-        add, neg = np.bitwise_xor, (lambda a: a)
-    # the smallest dtype that holds a sum of two elements before reduction
-    return tables.astype(np.min_scalar_type(2 * gf.q - 2)), add, neg
 
 
 def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
@@ -78,12 +59,15 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
         raise GuardExceededError(
             "enumeration of %d codewords exceeds the guard %d" % (total, guard))
 
+    # tables[i][:, x] is the row x . G[i] as a column
+    fa = field_arrays(gf)
+    tables, add, neg = fa.mul(np.arange(q), Gm[:, :, None]), fa.add, fa.neg
+
     # Codewords are columns.  span[:, i] encodes message i over the last r
     # rows (q^r <= BLOCK), in message order, so its messages whose first
     # nonzero symbol is 1 are the columns q^k .. 2 q^k - 1 for each k < r.
     # lead1 holds those, then G[s-1-r] + span: every such message whose
     # leading 1 lies in the last r + 1 rows, in lex order.
-    tables, add, neg = _row_tables(Gm, gf)
     r = 0
     while r < s - 1 and q ** (r + 1) <= BLOCK:
         r += 1

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import REF_G, REF_ROWS
-from graphcodes import cli
+from graphcodes import bounds, cli
 
 
 def _write_graph(tmp_path, rows, name="graph.json"):
@@ -115,6 +115,33 @@ def test_construct_mds_mode(ref_graph_file, tmp_path, capsys):
     code, _, err = _run(capsys, ["construct", ref_graph_file, "--mode",
                                  "mds-nullspace", "--p", "7", "--k", "3"])
     assert code == 2  # below the systematic minimum
+
+
+def test_construct_mds_mode_runs_one_exact_search(ref_graph_file, tmp_path, capsys, monkeypatch):
+    calls = []
+    search = bounds._k_sys_exact
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(bounds, "_k_sys_exact", counted)
+    code, out, err = _run(capsys, ["construct", ref_graph_file, "--mode", "mds-nullspace",
+                                   "--p", "7"])
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["matching"] == [0, 1, 2]
+    assert "claimed_distance=4 (exact)" in err
+
+
+def test_verify_refuses_non_boolean_distance_exact(ref_graph_file, tmp_path, capsys):
+    out_file = tmp_path / "code.json"
+    _run(capsys, ["construct", ref_graph_file, "--p", "7", "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    payload["distance_exact"] = "no"
+    out_file.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, ["verify", str(out_file), ref_graph_file])
+    assert code == 1 and out == ""
+    assert "distance_exact" in err
 
 
 def test_verify_flags_tampered_code(ref_graph_file, tmp_path, capsys):

@@ -270,6 +270,15 @@ def test_codespec_load_checks_matching_and_claimed_distance(ref_graph, gf7, matc
         CodeSpec.from_dict(d)
 
 
+@pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
+def test_codespec_load_requires_boolean_distance_exact(ref_graph, gf7, flag):
+    # "no" is truthy: verify used to demand an exact distance for it
+    d = systematic_dsys(ref_graph, gf7).to_dict()
+    d["distance_exact"] = flag
+    with pytest.raises(ValueError, match="distance_exact"):
+        CodeSpec.from_dict(d)
+
+
 def test_codespec_without_nodes_cannot_serialize():
     g = load_graph([[1, 1, 1], [1, 1, 1]])
     gf = GF(5)

@@ -7,8 +7,50 @@ from hypothesis import given, settings, strategies as st
 from graphcodes.errors import DecodingError
 from graphcodes.field import GF
 from graphcodes.linalg import rank
+from graphcodes.polys import (poly_deg, poly_divmod, poly_eval, poly_from_roots,
+                              poly_interpolate, poly_mul, poly_sub)
 from graphcodes.rs import (RSCode, decode, default_defining_set, encode,
                            erasure_decode, generator_matrix)
+
+
+def scalar_decode(code, received, erasures=()):
+    """Gao's decoder one field element at a time: the reference for decode.
+
+    Interpolates the N unerased symbols to g1, runs a partial extended
+    Euclid on (prod (x - x_j) over the unerased nodes, g1) until the
+    remainder has degree < (N + k) / 2, and divides it by the Bezout
+    coefficient v.  Raises DecodingError where decode must.
+    """
+    gf = code.gf
+    n, k = code.n, code.k
+    erased = set(erasures)
+    kept = [j for j in range(n) if j not in erased]
+    if len(kept) < k:
+        raise DecodingError("only %d unerased symbols, need %d" % (len(kept), k))
+    xs = [code.nodes[j] for j in kept]
+    ys = [received[j] for j in kept]
+    r0, r1 = poly_from_roots(gf, xs), poly_interpolate(gf, xs, ys)
+    v0, v1 = [], [1]
+    while 2 * poly_deg(r1) >= len(kept) + k:
+        quo, rem = poly_divmod(gf, r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, poly_sub(gf, v0, poly_mul(gf, quo, v1))
+    message, rem = poly_divmod(gf, r1, v1)
+    if rem or len(message) > k:
+        raise DecodingError("no codeword lies within the decoding radius")
+    message += [0] * (k - len(message))
+    positions = [j for j, x, y in zip(kept, xs, ys) if poly_eval(gf, message, x) != y]
+    if len(positions) > (len(kept) - k) // 2:
+        raise DecodingError("corruption exceeds the unique-decoding radius")
+    return message, positions
+
+
+def outcome(decoder, code, received, erasures):
+    """(message, positions), or the DecodingError's text."""
+    try:
+        return decoder(code, received, erasures)
+    except DecodingError as exc:
+        return str(exc)
 
 
 def test_default_defining_set(gf7):
@@ -231,3 +273,99 @@ def test_rs_is_mds_small():
         dist = min(sum(a != b for a, b in zip(w1, w2))
                    for w1, w2 in itertools.combinations(words, 2))
         assert dist == 7 - k + 1
+
+
+PARITY_FIELDS = (GF(7), GF(13), GF(31), GF(2, 4), GF(2, 6), GF(2, 8))
+
+
+def corrupted_word(rng, code, errors, erasures):
+    """A codeword of a random message with ``errors`` symbols changed and
+    ``erasures`` others erased (set to random values)."""
+    gf, n = code.gf, code.n
+    received = encode(code, [rng.randrange(gf.q) for _ in range(code.k)])
+    order = rng.sample(range(n), errors + erasures)
+    erased = sorted(order[:erasures])
+    for j in erased:
+        received[j] = rng.randrange(gf.q)
+    for j in order[erasures:]:
+        received[j] = gf.add(received[j], rng.randrange(1, gf.q))
+    return received, erased
+
+
+@pytest.mark.parametrize("gf", PARITY_FIELDS, ids=repr)
+def test_decode_matches_scalar_reference(gf):
+    # words within and beyond the radius, 40% of them with erasures
+    rng = random.Random(gf.q)
+    for trial in range(60):
+        n = rng.randint(1, min(gf.q, 40))
+        k = rng.randint(1, n)
+        code = RSCode(gf, default_defining_set(gf, n), k)
+        f = rng.randint(1, n - k) if trial % 5 < 2 and n > k else 0
+        t = (n - f - k) // 2
+        e = rng.randint(0, min(n - f, t + 2))
+        received, erased = corrupted_word(rng, code, e, f)
+        assert (outcome(decode, code, received, erased)
+                == outcome(scalar_decode, code, received, erased)), (n, k, f, e)
+
+
+@pytest.mark.parametrize("gf", PARITY_FIELDS, ids=repr)
+def test_decode_edge_cases_match_scalar_reference(gf):
+    # n = q (0 is a node), k = 1, k = n and f = n - k, within and beyond t
+    rng = random.Random(2 * gf.q + 1)
+    n = min(gf.q, 64)
+    nodes = default_defining_set(gf, n)
+    for k in (1, n // 2, n - 1, n):
+        code = RSCode(gf, nodes, k)
+        t = (n - k) // 2
+        for e, f in ((0, 0), (t, 0), (t + 1, 0), (0, n - k), (0, n - k + 1),
+                     (1, n - k - 1), (t // 2, n - k - 2 * (t // 2))):
+            if e < 0 or f < 0 or e + f > n:
+                continue
+            received, erased = corrupted_word(rng, code, e, f)
+            assert (outcome(decode, code, received, erased)
+                    == outcome(scalar_decode, code, received, erased)), (k, e, f)
+
+
+def test_decode_full_length_code_matches_scalar_reference():
+    gf = GF(2, 8)
+    rng = random.Random(256)
+    code = RSCode(gf, default_defining_set(gf, 256), 100)
+    for e, f in ((78, 0), (79, 0), (40, 76), (0, 156), (20, 120)):
+        received, erased = corrupted_word(rng, code, e, f)
+        assert (outcome(decode, code, received, erased)
+                == outcome(scalar_decode, code, received, erased)), (e, f)
+
+
+@st.composite
+def parity_words(draw):
+    gf = draw(st.sampled_from(PARITY_FIELDS))
+    n = draw(st.integers(1, min(gf.q, 32)))
+    k = draw(st.integers(1, n))
+    code = RSCode(gf, default_defining_set(gf, n), k)
+    received = draw(st.lists(st.integers(0, gf.q - 1), min_size=n, max_size=n))
+    erasures = draw(st.lists(st.integers(0, n - 1), max_size=n - k, unique=True))
+    return code, received, erasures
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(parity_words())
+def test_decode_matches_scalar_reference_on_arbitrary_words(word):
+    code, received, erasures = word
+    assert (outcome(decode, code, received, erasures)
+            == outcome(scalar_decode, code, received, erasures))
+
+
+def test_decode_tables_are_built_once_and_stay_out_of_equality():
+    gf = GF(2, 6)
+    nodes = default_defining_set(gf, 40)
+    code, twin = RSCode(gf, nodes, 12), RSCode(gf, nodes, 12)
+    assert "_tables" not in vars(code)
+    msg = list(range(12))
+    word = encode(code, msg)
+    word[3] ^= 5
+    assert decode(code, word) == (msg, [3])
+    tables = vars(code)["_tables"]
+    assert decode(code, word, (7,)) == (msg, [3])
+    assert code._tables is tables
+    assert code == twin and hash(code) == hash(twin) and "_tables" not in vars(twin)
+    assert {code: 1}[twin] == 1
