@@ -53,6 +53,10 @@ class FieldArrays:
         """1 / a for nonzero a."""
         return self.exp[(self.q - 1) - self.log[a]]
 
+    def vec_mat_logs(self, log_v, log_mat):
+        """v . M from the logs of v and M: one gather and one sum."""
+        return self.sum(self.exp[log_v[:, None] + log_mat], axis=0)
+
 
 @functools.cache
 def field_arrays(gf: GF) -> FieldArrays:

@@ -22,15 +22,20 @@ Modes:
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
+
+from .arrays import field_arrays
 from .bounds import MATCHING_GUARD, best_matching, d_min_bound, fully_connected_columns
-from .errors import InconsistentCodeError, InfeasibleError
+from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF
 from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching,
                     find_matching, matched_adjacency, row_zero_stats)
-from .linalg import identity_matrix, left_nullspace_basis, matmul, vec_mat
+from .linalg import (identity_matrix, invert, left_nullspace_basis, matmul, rref,
+                     vec_mat)
 from .polys import poly_eval, poly_from_roots, poly_scale
 from .rs import RSCode, default_defining_set, generator_matrix
 
@@ -53,7 +58,6 @@ class CodeSpec:
     matching: tuple[int, ...] | None
     claimed_distance: int
     distance_exact: bool
-    _solver: object = field(default=None, repr=False)
 
     @property
     def s(self) -> int:
@@ -66,6 +70,12 @@ class CodeSpec:
     @property
     def k(self) -> int:
         return len(self.T[0])
+
+    @functools.cached_property
+    def _tables(self) -> "SpecTables":
+        """Array tables for encode, fast read and decode, each built on its
+        first use; not a field, so it never enters repr or to_dict."""
+        return SpecTables(self)
 
     def to_dict(self) -> dict:
         if self.rs is None:
@@ -123,6 +133,51 @@ class CodeSpec:
     def load(cls, path) -> "CodeSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+class SpecTables:
+    """One spec's matrices as int32 logs on field arrays (``arrays``).
+
+    ``log_G`` (s x n) is built on the first encode or fast read.
+    ``log_T`` (s x k) and ``log_R``, the logs of a k x s right inverse R of T
+    (T R = I), are built on the first decode only, so that m = u R solves
+    m T = u.  For a systematic spec, G = T V with V the RS generator and the
+    matched columns of G unit columns, so T V_M = I: R is V_M, the node
+    powers x_{M_i}^r, and no elimination runs.  Otherwise R holds the
+    inverse of T's pivot columns in their rows and zeros elsewhere.
+    """
+
+    def __init__(self, spec: CodeSpec):
+        # the spec's parts, not the spec: the spec holds this object
+        self.fa = field_arrays(spec.gf)
+        self._gf, self._rs, self._T, self._G = spec.gf, spec.rs, spec.T, spec.G
+        self._matching = spec.matching
+
+    @functools.cached_property
+    def log_G(self) -> np.ndarray:
+        return self.fa.log[np.array(self._G)]
+
+    @functools.cached_property
+    def log_T(self) -> np.ndarray:
+        return self.fa.log[np.array(self._T)]
+
+    @functools.cached_property
+    def log_R(self) -> np.ndarray:
+        fa, T = self.fa, self._T
+        s, k = len(T), len(T[0])
+        if self._matching is not None and systematic_columns_ok(self._G, self._matching):
+            log_x = fa.log[np.array(self._rs.nodes)[list(self._matching)]].astype(np.int64)
+            log_R = (np.arange(k)[:, None] * log_x % (self._gf.q - 1)).astype(np.int32)
+            log_R[1:, log_x == fa.zero_log] = fa.zero_log  # 0^r = 0 for r >= 1
+            return log_R
+        _, pivots = rref(self._gf, T)
+        if len(pivots) < s:
+            raise DecodingError(
+                "transform matrix has rank %d < s=%d; decoding is ambiguous"
+                % (len(pivots), s))
+        log_R = np.full((k, s), fa.zero_log, dtype=np.int32)
+        log_R[pivots] = fa.log[np.array(invert(self._gf, [[row[c] for c in pivots] for row in T]))]
+        return log_R
 
 
 def _check_field_and_nodes(g: ConstraintGraph, gf: GF, nodes):

@@ -20,12 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import FieldArrays, field_arrays
-from .errors import DecodingError
+from .errors import DecodingError, GuardExceededError
 from .field import GF
 from .polys import poly_eval
 
 # elements gathered per block of table rows: bounds the decoder's temporaries
 BLOCK_ELEMENTS = 1 << 14
+# bytes a code's decode tables may take: 4 n (n + k) of int32 logs plus the
+# n x n quotients built on the way, so n = 4096 fits and n = 8192 does not
+TABLE_BYTES_GUARD = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -191,12 +194,19 @@ class DecodeTables:
     ``lagrange[j]`` holds the logs of the coefficients of the Lagrange basis
     polynomial L_j = g0 / ((x - x_j) g0'(x_j)), and ``powers[i, j]`` the log
     of x_j^i for i < k.  Both are int32 and built in row blocks, so no n x n
-    int64 temporary exists.
+    int64 temporary exists.  Raises GuardExceededError before allocating
+    when they would exceed TABLE_BYTES_GUARD.
     """
 
     def __init__(self, code: RSCode):
         fa = self.fa = field_arrays(code.gf)
         n, k, order = code.n, code.k, code.gf.q - 1
+        # int32 Lagrange logs and powers, plus the n x n quotients while building
+        needed = 4 * n * (n + k) + n * n * fa.dtype.itemsize
+        if needed > TABLE_BYTES_GUARD:
+            raise GuardExceededError(
+                "decode tables for n=%d need %d bytes, over the guard of %d"
+                % (n, needed, TABLE_BYTES_GUARD))
         x = self.x = np.array(code.nodes, dtype=fa.dtype)
         g0 = self.g0 = np.zeros(n + 1, dtype=fa.dtype)
         g0[0] = 1
@@ -234,8 +244,7 @@ def _combine(fa: FieldArrays, log_coeffs, rows, table) -> np.ndarray:
     logs (the log of a nonzero c_r below q - 1): one gather per block of rows."""
     out = np.zeros(table.shape[1], dtype=fa.dtype)
     for block in _row_blocks(len(rows), table.shape[1]):
-        terms = fa.exp[log_coeffs[block, None] + table[rows[block]]]
-        out = fa.add(out, fa.sum(terms, axis=0))
+        out = fa.add(out, fa.vec_mat_logs(log_coeffs[block], table[rows[block]]))
     return out
 
 

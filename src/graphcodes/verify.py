@@ -5,8 +5,12 @@ weight) encodes one message per scalar class: the (q^s - 1)/(q - 1) messages
 whose first nonzero symbol is 1.  It builds them in vectorized blocks from
 per-row tables of x . G[i], with no digit arithmetic, and its field
 arithmetic comes from ``arrays``.  Its guard still counts all q^s messages.
-Decoding runs the RS layer first and then solves m . T = u against a cached
-pivot factorization of T.
+Encoding, fast read and decoding run on field arrays against the spec's
+table set (``CodeSpec._tables``): the logs of G, of T and of a right inverse
+R of T, each built on first use.  Decoding runs the RS layer first, then
+takes m = u . R and keeps m only if m . T = u.  For a systematic spec R is
+the RS generator's matched columns, the node powers x_{M_i}^r, so no
+elimination runs; other specs invert T's pivot columns once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .arrays import field_arrays
 from .construct import CodeSpec, systematic_columns_ok, validity_check
 from .errors import DecodingError, GuardExceededError
 from .field import GF
-from .linalg import invert, rank, rref, vec_mat
+from .linalg import rank
 
 ENUM_GUARD = 1 << 24
 BLOCK = 1 << 16
@@ -126,55 +130,47 @@ def rank_over_field(mat, gf: GF) -> int:
     return rank(gf, mat)
 
 
+def _symbols(values, q: int, what: str) -> np.ndarray:
+    """values as a vector of integers, checked to lie in [0, q) before any
+    of them indexes a log table, where a negative one would wrap silently."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= q:
+        raise ValueError("%s symbols must lie in [0, %d)" % (what, q))
+    return arr
+
+
+def _encode(spec: CodeSpec, message: np.ndarray) -> np.ndarray:
+    tables = spec._tables
+    return tables.fa.vec_mat_logs(tables.fa.log[message], tables.log_G)
+
+
 def subcode_encode(spec: CodeSpec, message) -> list:
     """m . G; systematic specs place message symbols at the matched columns."""
     if len(message) != spec.s:
         raise ValueError("message length %d != s=%d" % (len(message), spec.s))
-    if any(not 0 <= v < spec.gf.q for v in message):
-        raise ValueError("message symbols must lie in [0, %d)" % spec.gf.q)
-    return vec_mat(spec.gf, message, spec.G)
-
-
-class _TransformSolver:
-    """Solves m . T = u through a cached invertible column submatrix of T."""
-
-    def __init__(self, gf: GF, T):
-        s = len(T)
-        _, pivots = rref(gf, T)
-        if len(pivots) < s:
-            raise DecodingError(
-                "transform matrix has rank %d < s=%d; decoding is ambiguous"
-                % (len(pivots), s))
-        self.gf = gf
-        self.T = T
-        self.pivots = pivots
-        self.b_inv = invert(gf, [[T[i][c] for c in pivots] for i in range(s)])
-
-    def solve(self, u):
-        m = vec_mat(self.gf, [u[c] for c in self.pivots], self.b_inv)
-        if vec_mat(self.gf, m, self.T) != list(u):
-            raise DecodingError(
-                "decoded word lies outside the code (likely corruption beyond radius)")
-        return m
-
-
-def _solver(spec: CodeSpec) -> _TransformSolver:
-    if spec._solver is None:
-        spec._solver = _TransformSolver(spec.gf, spec.T)
-    return spec._solver
+    return _encode(spec, _symbols(message, spec.gf.q, "message")).tolist()
 
 
 def subcode_decode(spec: CodeSpec, received, erasures=()) -> list:
-    """Recover the message: RS-decode to the transform image u, then invert T.
+    """Recover the message: RS-decode to the transform image u, then solve
+    m . T = u as m = u . R, R a right inverse of T.
 
     e symbol errors and f erased positions are corrected together whenever
     2e + f <= n - k.  Every symbol must lie in [0, q), but the values at
-    erased positions are otherwise ignored.
+    erased positions are otherwise ignored.  Raises DecodingError when T has
+    rank below s or u lies outside T's row space.
     """
     if spec.rs is None:
         raise ValueError("spec carries no defining set; cannot decode")
     u, _ = rs.decode(spec.rs, received, erasures)
-    return _solver(spec).solve(u)
+    tables = spec._tables
+    fa, log_R = tables.fa, tables.log_R
+    u = np.array(u, dtype=fa.dtype)
+    m = fa.vec_mat_logs(fa.log[u], log_R)
+    if not np.array_equal(fa.vec_mat_logs(fa.log[m], tables.log_T), u):
+        raise DecodingError(
+            "decoded word lies outside the code (likely corruption beyond radius)")
+    return m.tolist()
 
 
 def systematic_fast_read(spec: CodeSpec, received):
@@ -187,8 +183,9 @@ def systematic_fast_read(spec: CodeSpec, received):
         raise ValueError("spec is not systematic")
     if len(received) != spec.n:
         raise ValueError("received length %d != n=%d" % (len(received), spec.n))
-    message = [received[j] for j in spec.matching]
-    return message, subcode_encode(spec, message) == list(received)
+    word = _symbols(received, spec.gf.q, "received")
+    message = word[list(spec.matching)]
+    return message.tolist(), bool(np.array_equal(_encode(spec, message), word))
 
 
 def verification_report(spec: CodeSpec, g, guard: int = ENUM_GUARD) -> dict:

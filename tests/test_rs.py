@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphcodes.errors import DecodingError
+from graphcodes import rs
+from graphcodes.arrays import field_arrays
+from graphcodes.errors import DecodingError, GuardExceededError
 from graphcodes.field import GF
 from graphcodes.linalg import rank
 from graphcodes.polys import (poly_deg, poly_divmod, poly_eval, poly_from_roots,
@@ -369,3 +371,16 @@ def test_decode_tables_are_built_once_and_stay_out_of_equality():
     assert code._tables is tables
     assert code == twin and hash(code) == hash(twin) and "_tables" not in vars(twin)
     assert {code: 1}[twin] == 1
+
+
+def test_decode_tables_guard_refuses_before_allocating(monkeypatch):
+    # a full-length code over GF(2^16) would need about 24 GiB of tables
+    gf = GF(31)
+    code = RSCode(gf, default_defining_set(gf, 31), 11)
+    needed = 4 * 31 * (31 + 11) + 31 * 31 * field_arrays(gf).dtype.itemsize
+    monkeypatch.setattr(rs, "TABLE_BYTES_GUARD", needed - 1)
+    with pytest.raises(GuardExceededError, match="n=31 need %d bytes" % needed):
+        decode(code, [0] * 31)
+    assert "_tables" not in vars(code)
+    monkeypatch.setattr(rs, "TABLE_BYTES_GUARD", needed)
+    assert decode(code, [0] * 31) == ([0] * 11, [])

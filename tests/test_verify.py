@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REF_G, random_dims, random_graph
-from graphcodes import verify
-from graphcodes.construct import generic_subcode, systematic_dsys
+from graphcodes import construct, linalg, rs, verify
+from graphcodes.construct import (CodeSpec, generic_subcode, rs_nullspace_construct,
+                                  systematic_columns_ok, systematic_dmin, systematic_dsys)
 from graphcodes.errors import DecodingError, GuardExceededError
 from graphcodes.field import GF
-from graphcodes.graph import load_graph
-from graphcodes.linalg import vec_mat
+from graphcodes.graph import ConstraintGraph, load_graph
+from graphcodes.linalg import invert, matmul, rref, vec_mat
 from graphcodes.rs import RSCode, default_defining_set, encode, generator_matrix
 from graphcodes.verify import (min_distance_exhaustive, rank_over_field,
                                subcode_decode, subcode_encode,
@@ -30,6 +32,27 @@ def brute_pairwise_distance(G, gf):
         words.add(tuple(w))
     return min(sum(a != b for a, b in zip(w1, w2))
                for w1, w2 in itertools.combinations(words, 2))
+
+
+def scalar_solve(gf, T, u):
+    """m with m . T = u, one field element at a time, through the inverse of
+    T's pivot columns: the reference for subcode_decode's solve.  Raises
+    DecodingError where subcode_decode must."""
+    s = len(T)
+    _, pivots = rref(gf, T)
+    if len(pivots) < s:
+        raise DecodingError(
+            "transform matrix has rank %d < s=%d; decoding is ambiguous" % (len(pivots), s))
+    b_inv = invert(gf, [[T[i][c] for c in pivots] for i in range(s)])
+    m = vec_mat(gf, [u[c] for c in pivots], b_inv)
+    if vec_mat(gf, m, T) != list(u):
+        raise DecodingError(
+            "decoded word lies outside the code (likely corruption beyond radius)")
+    return m
+
+
+def scalar_subcode_decode(spec, received, erasures=()):
+    return scalar_solve(spec.gf, spec.T, rs.decode(spec.rs, received, erasures)[0])
 
 
 def scalar_distance_oracle(G, gf):
@@ -331,3 +354,173 @@ def test_verification_report(ref_graph, gf7):
         "valid_pattern": True,
         "systematic": True,
     }
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("position", [1, 5])  # matched, unmatched
+@pytest.mark.parametrize("bad", ["-1", "q"])
+def test_fast_read_rejects_out_of_range_symbols(ref_graph, m, position, bad):
+    # an out-of-range symbol at an unmatched position used to give a
+    # (message, False) answer, and -1 would index a log table from its end
+    gf = GF(7) if m == 1 else GF(2, m)
+    spec = systematic_dsys(ref_graph, gf)
+    assert (position in spec.matching) == (position == 1)
+    received = subcode_encode(spec, [1, 2, 3])
+    received[position] = -1 if bad == "-1" else gf.q
+    with pytest.raises(ValueError, match="received symbols must lie in"):
+        systematic_fast_read(spec, received)
+
+
+def outcome(decoder, spec, received, erasures=()):
+    """The decoded message, or the DecodingError's text."""
+    try:
+        return decoder(spec, received, erasures)
+    except DecodingError as exc:
+        return str(exc)
+
+
+def loaded_mixed_spec(spec):
+    """``spec`` written and loaded with T and G replaced by A . T and A . G, A
+    invertible but not a permutation: G = T . G_RS still holds, but the
+    matched columns of G are no longer unit columns."""
+    gf, s = spec.gf, spec.s
+    A = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
+    A[0][0], A[0][1] = 2, 1
+    d = spec.to_dict()
+    d["T"], d["G"] = matmul(gf, A, spec.T), matmul(gf, A, spec.G)
+    return CodeSpec.from_dict(d)
+
+
+def duplicate_first_row(g):
+    rows = [list(r) for r in g.adjacency]
+    rows[1] = list(rows[0])
+    return ConstraintGraph.from_rows(rows)
+
+
+SOLVE_BUILDERS = {
+    "generic": generic_subcode,
+    "generic-deficient": lambda g, gf: generic_subcode(duplicate_first_row(g), gf),
+    "systematic-dmin": systematic_dmin,
+    "systematic-dsys": systematic_dsys,
+    "mds-nullspace": rs_nullspace_construct,
+    "loaded": lambda g, gf: loaded_mixed_spec(systematic_dsys(g, gf)),
+}
+SOLVE_FIELDS = [(7, 1), (31, 1), (2, 4), (2, 8)]
+
+
+@functools.cache
+def solve_spec(p, m, mode, index):
+    """The index-th spec of ``mode`` over GF(p^m) that builds, on seeded
+    random graphs with 2 <= s <= 4 and n <= 12."""
+    gf = GF(p, m)
+    rng = random.Random("%d/%d/%s" % (p, m, mode))
+    built = []
+    for _ in range(500):
+        g = random_graph(rng, *random_dims(rng, 4, min(gf.q, 12), s_min=2), density=0.7)
+        try:
+            built.append(SOLVE_BUILDERS[mode](g, gf))
+        except ValueError:  # infeasible for this graph, or no valid dimension
+            continue
+        if len(built) > index:
+            return built[index]
+    raise AssertionError("no %s spec over GF(%d^%d) in 500 graphs" % (mode, p, m))
+
+
+@pytest.mark.parametrize("p, m", SOLVE_FIELDS)
+def test_solve_spec_modes_take_both_routes(p, m):
+    for index in range(3):
+        deficient = solve_spec(p, m, "generic-deficient", index)
+        assert linalg.rank(deficient.gf, deficient.T) < deficient.s
+        loaded = solve_spec(p, m, "loaded", index)
+        assert not systematic_columns_ok(loaded.G, loaded.matching)
+        for mode in ("systematic-dmin", "systematic-dsys", "mds-nullspace"):
+            spec = solve_spec(p, m, mode, index)
+            assert systematic_columns_ok(spec.G, spec.matching)
+
+
+@st.composite
+def delivered_subcode_words(draw):
+    """(spec, message, received, erasures): a codeword delivered clean, with
+    at most t errors, with erasures, with t + 1 errors, or a random word."""
+    p, m = draw(st.sampled_from(SOLVE_FIELDS))
+    spec = solve_spec(p, m, draw(st.sampled_from(sorted(SOLVE_BUILDERS))),
+                      draw(st.integers(0, 2)))
+    gf, n, k = spec.gf, spec.n, spec.k
+    symbols = st.integers(0, gf.q - 1)
+    message = draw(st.lists(symbols, min_size=spec.s, max_size=spec.s))
+    received = vec_mat(gf, message, spec.G)
+    erasures = ()
+    t = (n - k) // 2
+    delivery = draw(st.sampled_from(("clean", "errors", "erasures", "beyond", "random")))
+    if delivery == "random":
+        received = draw(st.lists(symbols, min_size=n, max_size=n))
+    elif delivery == "erasures":
+        erasures = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n - k))))
+        for j in erasures:
+            received[j] = 0
+    elif delivery != "clean":
+        count = draw(st.integers(min(1, t), t)) if delivery == "errors" else t + 1
+        for j in draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count,
+                               unique=True)):
+            received[j] = gf.add(received[j], draw(st.integers(1, gf.q - 1)))
+    return spec, message, received, erasures
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(delivered_subcode_words())
+def test_array_paths_match_scalar_reference(case):
+    spec, message, received, erasures = case
+    gf = spec.gf
+    assert subcode_encode(spec, message) == vec_mat(gf, message, spec.G)
+    if spec.matching is not None:
+        read = [received[j] for j in spec.matching]
+        assert systematic_fast_read(spec, received) == (
+            read, vec_mat(gf, read, spec.G) == received)
+    assert (outcome(subcode_decode, spec, received, erasures)
+            == outcome(scalar_subcode_decode, spec, received, erasures))
+
+
+def refuse_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("elimination ran")
+
+    for module in (construct, linalg):
+        monkeypatch.setattr(module, "rref", refuse)
+        monkeypatch.setattr(module, "invert", refuse)
+
+
+@pytest.mark.parametrize("p, m", SOLVE_FIELDS)
+def test_systematic_spec_decodes_without_elimination(monkeypatch, p, m):
+    specs = [CodeSpec.from_dict(solve_spec(p, m, mode, 0).to_dict())
+             for mode in ("systematic-dmin", "systematic-dsys", "mds-nullspace")]
+    refuse_elimination(monkeypatch)
+    rng = random.Random(p * m)
+    for spec in specs:
+        message = [rng.randrange(spec.gf.q) for _ in range(spec.s)]
+        received = subcode_encode(spec, message)
+        if spec.n - spec.k >= 2:  # one error is within the radius
+            received[0] = spec.gf.add(received[0], 1)
+        assert subcode_decode(spec, received) == message
+
+
+def test_unit_columns_decide_the_route(monkeypatch):
+    spec = CodeSpec.from_dict(solve_spec(31, 1, "loaded", 0).to_dict())  # no tables yet
+    message = list(range(1, spec.s + 1))
+    received = subcode_encode(spec, message)
+    refuse_elimination(monkeypatch)
+    with pytest.raises(AssertionError, match="elimination ran"):
+        subcode_decode(spec, received)
+    monkeypatch.undo()
+    assert subcode_decode(spec, received) == message
+
+
+def test_spec_tables_are_built_once_and_decode_tables_only_on_decode(ref_graph, gf7):
+    spec = systematic_dsys(ref_graph, gf7)
+    codeword = subcode_encode(spec, [2, 5, 1])
+    tables = spec._tables
+    assert systematic_fast_read(spec, codeword) == ([2, 5, 1], True)
+    assert spec._tables is tables
+    assert "log_G" in vars(tables) and "log_R" not in vars(tables)
+    assert subcode_decode(spec, codeword) == [2, 5, 1]
+    assert "log_R" in vars(tables) and spec._tables is tables
+    assert "_tables" not in spec.to_dict() and "_tables" not in repr(spec)
