@@ -54,8 +54,8 @@ class FieldArrays:
         return self.exp[(self.q - 1) - self.log[a]]
 
     def vec_mat_logs(self, log_v, log_mat):
-        """v . M from the logs of v and M: one gather and one sum."""
-        return self.sum(self.exp[log_v[:, None] + log_mat], axis=0)
+        """v . M, one per row of a 2-D v, from the logs: one gather and one sum."""
+        return self.sum(self.exp[log_v[..., None] + log_mat], axis=-2)
 
 
 @functools.cache

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GuardExceededError
-from .graph import (ConstraintGraph, SUBSET_GUARD, find_matching,
-                    matched_adjacency, row_zero_stats, subset_union_masks)
+from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching, find_matching,
+                    subset_union_masks)
 
 MATCHING_GUARD = 12
 
@@ -76,8 +76,9 @@ def d_min_bound(g: ConstraintGraph, guard: int = SUBSET_GUARD):
 
 
 def matching_k(g: ConstraintGraph, matching) -> int:
-    """k value (max row zeros + 1) of the matched adjacency for a matching."""
-    return row_zero_stats(matched_adjacency(g, matching))[0] + 1
+    """Max row zeros + 1 of the matched adjacency: row i loses the others' matched columns."""
+    matched = sum(1 << c for c in check_matching(g, matching))
+    return g.n - min((g.row_mask(i) & ~matched).bit_count() for i in range(g.s))
 
 
 def _k_sys_exact(g: ConstraintGraph, k_floor: int):

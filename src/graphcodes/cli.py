@@ -320,7 +320,8 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except GuardExceededError as exc:
-        print("error: %s (raise it with --max-exact-s)" % exc, file=sys.stderr)
+        hint = " (raise it with --max-exact-s)" if "max_exact_s" in vars(args) else ""
+        print("error: %s%s" % (exc, hint), file=sys.stderr)
         return EXIT_GUARD
     except InfeasibleError as exc:
         hint = "; use --mode systematic-dsys" if "k_min >= r_M" in str(exc) else ""

@@ -34,10 +34,9 @@ from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF
 from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching,
                     find_matching, matched_adjacency, row_zero_stats)
-from .linalg import (identity_matrix, invert, left_nullspace_basis, matmul, rref,
-                     vec_mat)
+from .linalg import identity_matrix, invert, left_nullspace_basis, rref, vec_mat
 from .polys import poly_eval, poly_from_roots, poly_scale
-from .rs import RSCode, default_defining_set, generator_matrix
+from .rs import RSCode, default_defining_set, evaluate, generator_matrix
 
 MODES = ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace")
 
@@ -124,7 +123,7 @@ class CodeSpec:
                    matching=tuple(matching) if matching is not None else None,
                    claimed_distance=d["claimed_distance"],
                    distance_exact=d["distance_exact"])
-        bad = [i for i, row in enumerate(matmul(gf, T, generator_matrix(rs))) if row != G[i]]
+        bad = [i for i, row in enumerate(evaluate(rs, T)) if row != G[i]]
         if bad:
             raise InconsistentCodeError("G differs from T . G_RS in rows %s" % bad, spec)
         return spec
@@ -142,9 +141,10 @@ class SpecTables:
     ``log_T`` (s x k) and ``log_R``, the logs of a k x s right inverse R of T
     (T R = I), are built on the first decode only, so that m = u R solves
     m T = u.  For a systematic spec, G = T V with V the RS generator and the
-    matched columns of G unit columns, so T V_M = I: R is V_M, the node
-    powers x_{M_i}^r, and no elimination runs.  Otherwise R holds the
-    inverse of T's pivot columns in their rows and zeros elsewhere.
+    matched columns of G unit columns, so T V_M = I: R is V_M, the matched
+    columns of the code's node-power table, and no elimination runs.
+    Otherwise R holds the inverse of T's pivot columns in their rows and
+    zeros elsewhere.
     """
 
     def __init__(self, spec: CodeSpec):
@@ -166,10 +166,7 @@ class SpecTables:
         fa, T = self.fa, self._T
         s, k = len(T), len(T[0])
         if self._matching is not None and systematic_columns_ok(self._G, self._matching):
-            log_x = fa.log[np.array(self._rs.nodes)[list(self._matching)]].astype(np.int64)
-            log_R = (np.arange(k)[:, None] * log_x % (self._gf.q - 1)).astype(np.int32)
-            log_R[1:, log_x == fa.zero_log] = fa.zero_log  # 0^r = 0 for r >= 1
-            return log_R
+            return self._rs.log_powers[:, list(self._matching)]
         _, pivots = rref(self._gf, T)
         if len(pivots) < s:
             raise DecodingError(
@@ -195,19 +192,23 @@ def _zero_sets(rows):
     return [tuple(j for j, v in enumerate(r) if v == 0) for r in rows]
 
 
-def _transform_rows(gf: GF, nodes, zero_sets, k: int, normalize_at=None):
-    """Coefficient rows (padded to k) of the per-row vanishing polynomials."""
-    T = []
-    for i, zs in enumerate(zero_sets):
-        t = poly_from_roots(gf, [nodes[j] for j in zs])
-        if len(t) > k:
+def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
+             distance_exact: bool) -> CodeSpec:
+    """The subcode of rs whose row i vanishes where rows[i] is zero: T holds
+    the vanishing polynomials' coefficients (padded to k), each scaled to 1
+    at node matching[i] when a matching is given, and G = T . G_RS."""
+    gf, T = rs.gf, []
+    for i, zs in enumerate(_zero_sets(rows)):
+        t = poly_from_roots(gf, [rs.nodes[j] for j in zs])
+        if len(t) > rs.k:
             raise InfeasibleError(
-                "row %d needs %d zeros but the RS dimension is only %d" % (i, len(zs), k))
-        if normalize_at is not None:
-            pivot = poly_eval(gf, t, nodes[normalize_at[i]])
+                "row %d needs %d zeros but the RS dimension is only %d" % (i, len(zs), rs.k))
+        if matching is not None:
+            pivot = poly_eval(gf, t, rs.nodes[matching[i]])
             t = poly_scale(gf, t, gf.inv(pivot))
-        T.append(t + [0] * (k - len(t)))
-    return T
+        T.append(t + [0] * (rs.k - len(t)))
+    return CodeSpec(gf=gf, rs=rs, T=T, G=evaluate(rs, T), mode=mode, matching=matching,
+                    claimed_distance=claimed_distance, distance_exact=distance_exact)
 
 
 def generic_subcode(g: ConstraintGraph, gf: GF, nodes=None, k=None,
@@ -228,10 +229,7 @@ def generic_subcode(g: ConstraintGraph, gf: GF, nodes=None, k=None,
     if not max_zeros < k <= g.n:
         raise ValueError(
             "need RS dimension in (%d, %d], got k=%d" % (max_zeros, g.n, k))
-    rs = RSCode(gf, nodes, k)
-    T = _transform_rows(gf, nodes, _zero_sets(g.adjacency), k)
-    return CodeSpec(gf=gf, rs=rs, T=T, G=matmul(gf, T, generator_matrix(rs)),
-                    mode="generic", matching=None,
+    return _subcode(RSCode(gf, nodes, k), g.adjacency, "generic", None,
                     claimed_distance=g.n - k + 1, distance_exact=False)
 
 
@@ -264,10 +262,7 @@ def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
 
     matched = matched_adjacency(g, matching)
     assert row_zero_stats(matched)[0] <= g.n - d_min
-    T = _transform_rows(gf, nodes, _zero_sets(matched.rows), k, normalize_at=matching)
-    rs = RSCode(gf, nodes, k)
-    return CodeSpec(gf=gf, rs=rs, T=T, G=matmul(gf, T, generator_matrix(rs)),
-                    mode="systematic-dmin", matching=matching,
+    return _subcode(RSCode(gf, nodes, k), matched.rows, "systematic-dmin", matching,
                     claimed_distance=d_min, distance_exact=True)
 
 
@@ -282,11 +277,8 @@ def systematic_dsys(g: ConstraintGraph, gf: GF, nodes=None,
     """
     nodes = _check_field_and_nodes(g, gf, nodes)
     k, matching, exact = best_matching(g, matching_guard, subset_guard)
-    matched = matched_adjacency(g, matching)
-    T = _transform_rows(gf, nodes, _zero_sets(matched.rows), k, normalize_at=matching)
-    rs = RSCode(gf, nodes, k)
-    return CodeSpec(gf=gf, rs=rs, T=T, G=matmul(gf, T, generator_matrix(rs)),
-                    mode="systematic-dsys", matching=matching,
+    return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, matching).rows,
+                    "systematic-dsys", matching,
                     claimed_distance=g.n - k + 1, distance_exact=exact)
 
 

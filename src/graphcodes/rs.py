@@ -6,10 +6,10 @@ Gao's interpolate / partial extended Euclid / divide algorithm, corrects
 errors and erasures together: e errors and f erasures whenever
 2e + f <= n - k, in O(n^2) field operations.  It runs on numpy field arrays
 (``arrays``) against tables built once per code on its first decode: the
-node product g0, the Lagrange basis of the nodes and the node powers, as
-int32 logs (about 4 n^2 bytes).  Interpolation is then one gather per block
-of basis rows, and erasures need no second path: they enter as the factor
-prod (x - x_e), which the Euclid steps carry along.
+node product g0 and the Lagrange basis, as int32 logs (about 4 n^2 bytes).
+Interpolation is then one gather per block of basis rows, and erasures enter
+as the factor prod (x - x_e), which the Euclid steps carry along.  The code's
+node powers (``RSCode.log_powers``) serve the generator, ``evaluate`` and re-encode.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .arrays import FieldArrays, field_arrays
 from .errors import DecodingError, GuardExceededError
 from .field import GF
-from .polys import poly_eval
 
 # elements gathered per block of table rows: bounds the decoder's temporaries
 BLOCK_ELEMENTS = 1 << 14
@@ -55,6 +54,17 @@ class RSCode:
         return len(self.nodes)
 
     @functools.cached_property
+    def log_powers(self) -> np.ndarray:
+        """k x n int32 logs of x_j^r, 0^0 = 1; not a field, so equality and hashing ignore it."""
+        fa, order = field_arrays(self.gf), self.gf.q - 1
+        log_x = fa.log[np.array(self.nodes)]
+        powers = np.empty((self.k, self.n), dtype=np.int32)
+        for rows in _row_blocks(self.k, self.n):  # r log x_j in int64, a block at a time
+            powers[rows] = np.arange(rows.start, rows.stop)[:, None] * log_x % order
+        powers[1:, log_x == fa.zero_log] = fa.zero_log
+        return powers
+
+    @functools.cached_property
     def _tables(self) -> "DecodeTables":
         """The decoder's constants, built on the first decode; not a field,
         so equality and hashing ignore it."""
@@ -63,30 +73,32 @@ class RSCode:
 
 def default_defining_set(gf: GF, n: int) -> tuple[int, ...]:
     """{0, 1, alpha, alpha^2, ...} truncated to n elements."""
-    if n > gf.q:
+    if not 1 <= n <= gf.q:
         raise ValueError("cannot pick %d distinct nodes in GF(%d)" % (n, gf.q))
-    pts = [0]
-    v = 1
-    while len(pts) < n:
-        pts.append(v)
-        v = gf.mul(v, gf.alpha)
-    return tuple(pts)
+    return (0,) + gf.antilog_table[:n - 1]
 
 
 def generator_matrix(code: RSCode):
     """k x n Vandermonde matrix, row r = nodes elementwise to the power r."""
-    gf = code.gf
-    return [[gf.pow(x, r) for x in code.nodes] for r in range(code.k)]
+    return field_arrays(code.gf).exp[code.log_powers].tolist()
+
+
+def evaluate(code: RSCode, messages) -> list:
+    """The codewords of s messages (coefficient rows, ascending), as s lists of n ints."""
+    c = np.asarray(messages)
+    if c.ndim != 2 or c.shape[1] != code.k:
+        raise ValueError("each message must have k=%d symbols" % code.k)
+    if c.dtype.kind not in "iu" or c.min() < 0 or c.max() >= code.gf.q:
+        raise ValueError("message symbols must lie in [0, %d)" % code.gf.q)
+    fa, powers = field_arrays(code.gf), code.log_powers
+    log_c = fa.log[c]
+    return [word for rows in _row_blocks(len(c), powers.size)
+            for word in fa.vec_mat_logs(log_c[rows], powers).tolist()]
 
 
 def encode(code: RSCode, message) -> list:
     """Evaluate the message polynomial (coefficients, ascending) at all nodes."""
-    if len(message) != code.k:
-        raise ValueError("message length %d != k=%d" % (len(message), code.k))
-    gf = code.gf
-    if any(not 0 <= v < gf.q for v in message):
-        raise ValueError("message symbols must lie in [0, %d)" % gf.q)
-    return [poly_eval(gf, message, x) for x in code.nodes]
+    return evaluate(code, [message])[0]
 
 
 def decode(code: RSCode, received, erasures=()):
@@ -171,7 +183,7 @@ def decode(code: RSCode, received, erasures=()):
         if rem[:dw].any():
             raise DecodingError("no codeword lies within the decoding radius")
 
-    values = _combine(fa, fa.log[message], np.arange(k), tables.powers)
+    values = _combine(fa, fa.log[message], np.arange(k), code.log_powers)
     positions = kept[values[kept] != y[kept]].tolist()
     # Cannot fire once v divides the remainder exactly: the message then
     # agrees with the received word wherever v is nonzero, so at most
@@ -192,17 +204,16 @@ class DecodeTables:
 
     ``x`` holds the nodes and ``g0`` the coefficients of prod (x - x_j).
     ``lagrange[j]`` holds the logs of the coefficients of the Lagrange basis
-    polynomial L_j = g0 / ((x - x_j) g0'(x_j)), and ``powers[i, j]`` the log
-    of x_j^i for i < k.  Both are int32 and built in row blocks, so no n x n
-    int64 temporary exists.  Raises GuardExceededError before allocating
-    when they would exceed TABLE_BYTES_GUARD.
+    polynomial L_j = g0 / ((x - x_j) g0'(x_j)), int32 and built in row
+    blocks, so no n x n int64 temporary exists.  Raises GuardExceededError
+    before allocating when they and the node powers exceed TABLE_BYTES_GUARD.
     """
 
     def __init__(self, code: RSCode):
         fa = self.fa = field_arrays(code.gf)
-        n, k, order = code.n, code.k, code.gf.q - 1
-        # int32 Lagrange logs and powers, plus the n x n quotients while building
-        needed = 4 * n * (n + k) + n * n * fa.dtype.itemsize
+        n, order = code.n, code.gf.q - 1
+        # int32 Lagrange logs and node powers, plus the n x n quotients while building
+        needed = 4 * n * (n + code.k) + n * n * fa.dtype.itemsize
         if needed > TABLE_BYTES_GUARD:
             raise GuardExceededError(
                 "decode tables for n=%d need %d bytes, over the guard of %d"
@@ -223,20 +234,15 @@ class DecodeTables:
         for rows in _row_blocks(n, n):
             # log g0'(x_j) = sum over i != j of log (x_j - x_i)
             logs = fa.log[fa.sub(x[rows, None], x)]
-            logs[np.arange(len(rows)), rows] = 0
+            np.fill_diagonal(logs[:, rows], 0)
             scale = fa.inv(fa.exp[logs.sum(axis=1) % order])
             self.lagrange[rows] = fa.log[fa.mul(quotients[:, rows].T, scale[:, None])]
-        powers = self.powers = np.zeros((k, n), dtype=np.int32)
-        log_x = fa.log[x]
-        for i in range(1, k):
-            powers[i] = (powers[i - 1] + log_x) % order
-        powers[1:, x == 0] = fa.zero_log
 
 
 def _row_blocks(count: int, width: int):
     step = max(1, BLOCK_ELEMENTS // width)
     for start in range(0, count, step):
-        yield np.arange(start, min(start + step, count))
+        yield slice(start, min(start + step, count))
 
 
 def _combine(fa: FieldArrays, log_coeffs, rows, table) -> np.ndarray:

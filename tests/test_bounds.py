@@ -11,7 +11,7 @@ from graphcodes.bounds import (bounds_report, d_min_bound, k_sys_search,
 from graphcodes.construct import mds_nullspace_construct, systematic_dsys
 from graphcodes.errors import GuardExceededError, NoMatchingError
 from graphcodes.field import GF
-from graphcodes.graph import load_graph
+from graphcodes.graph import load_graph, matched_adjacency, row_zero_stats
 from graphcodes.rs import RSCode, default_defining_set, generator_matrix
 
 
@@ -198,6 +198,21 @@ def test_k_sys_matches_brute_oracle():
         checked += 1
 
 
+def random_matching(rng, g):
+    """A covering matching from a random column order, or None."""
+    cols = list(range(g.n))
+    rng.shuffle(cols)
+    match = []
+    used = set()
+    for i in range(g.s):
+        pick = next((c for c in cols if g.adjacency[i][c] and c not in used), None)
+        if pick is None:
+            return None
+        match.append(pick)
+        used.add(pick)
+    return match
+
+
 def test_random_matchings_never_beat_k_sys():
     rng = random.Random(606)
     for _ in range(60):
@@ -206,20 +221,27 @@ def test_random_matchings_never_beat_k_sys():
             k_sys, _, _ = k_sys_search(g)
         except NoMatchingError:
             continue
-        # sample random covering matchings by trying random column orders
         for _ in range(20):
-            cols = list(range(g.n))
-            rng.shuffle(cols)
-            match = []
-            used = set()
-            for i in range(g.s):
-                pick = next((c for c in cols if g.adjacency[i][c] and c not in used), None)
-                if pick is None:
-                    break
-                match.append(pick)
-                used.add(pick)
-            if len(match) == g.s:
+            match = random_matching(rng, g)
+            if match is not None:
                 assert matching_k(g, match) >= k_sys
+
+
+def test_matching_k_matches_matched_adjacency():
+    rng = random.Random(909)
+    checked = 0
+    while checked < 2000:
+        g = random_graph(rng, *random_dims(rng, 6, 12),
+                         density=rng.choice([0.3, 0.5, 0.8, 1.0]))
+        match = random_matching(rng, g)
+        if match is None:
+            continue
+        assert matching_k(g, match) == row_zero_stats(matched_adjacency(g, match))[0] + 1
+        checked += 1
+    g = load_graph(REF_ROWS)
+    for bad in ([0, 1], [0, 0, 2], [1, 1, 2], [0, 1, 7]):  # short, repeated, non-edge, out of range
+        with pytest.raises(ValueError):
+            matching_k(g, bad)
 
 
 def test_heuristic_upper_bounds_exact():

@@ -3,7 +3,10 @@ import json
 import pytest
 
 from conftest import REF_G, REF_ROWS
-from graphcodes import bounds, cli
+from graphcodes import bounds, cli, rs
+from graphcodes.construct import systematic_dsys
+from graphcodes.field import GF
+from graphcodes.graph import load_graph
 
 
 def _write_graph(tmp_path, rows, name="graph.json"):
@@ -48,6 +51,30 @@ def test_bounds_guard_exceeded(tmp_path, capsys):
     code, _, err = _run(capsys, ["bounds", _write_graph(tmp_path, rows)])
     assert code == 3
     assert "--max-exact-s" in err
+
+
+def test_construct_guard_exceeded_names_the_flag(tmp_path, capsys):
+    rows = [[1] * 21 for _ in range(21)]
+    code, _, err = _run(capsys, ["construct", _write_graph(tmp_path, rows),
+                                 "--mode", "systematic-dmin", "--p", "23"])
+    assert code == 3
+    assert "--max-exact-s" in err
+
+
+def test_guards_without_the_flag_give_no_hint(tmp_path, capsys, monkeypatch):
+    # 11^7 codewords are over the distance oracle's guard of 2^24
+    rows = [[1 if j == i or j >= 7 or j == (i + 1) % 7 else 0 for j in range(10)]
+            for i in range(7)]
+    graph = _write_graph(tmp_path, rows)
+    spec_file = tmp_path / "code.json"
+    spec_file.write_text(json.dumps(systematic_dsys(load_graph(rows), GF(11)).to_dict()))
+    code, _, err = _run(capsys, ["verify", str(spec_file), graph])
+    assert code == 3
+    assert "exceeds the guard" in err and "--max-exact-s" not in err
+    monkeypatch.setattr(rs, "TABLE_BYTES_GUARD", 0)
+    code, _, err = _run(capsys, ["decode", str(spec_file), ",".join(["0"] * 10)])
+    assert code == 3
+    assert "decode tables" in err and "--max-exact-s" not in err
 
 
 def test_construct_verify_roundtrip(ref_graph_file, tmp_path, capsys):

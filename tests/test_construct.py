@@ -1,20 +1,42 @@
+import functools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (REF_G, REF_NODES, REF_ROWS, REF_T, random_dims,
                       random_graph)
 from graphcodes.construct import (CodeSpec, generic_subcode,
-                                  mds_nullspace_construct, systematic_columns_ok,
-                                  systematic_dmin, systematic_dsys,
-                                  validity_check)
+                                  mds_nullspace_construct, rs_nullspace_construct,
+                                  systematic_columns_ok, systematic_dmin,
+                                  systematic_dsys, validity_check)
 from graphcodes.errors import (InconsistentCodeError, InfeasibleError,
                                NoMatchingError)
 from graphcodes.field import GF
 from graphcodes.graph import load_graph
-from graphcodes.linalg import rank
+from graphcodes.linalg import matmul, rank
 from graphcodes.rs import RSCode, default_defining_set, encode, generator_matrix
 from graphcodes.verify import min_distance_exhaustive
+
+
+BUILDERS = {
+    "generic": generic_subcode,
+    "systematic-dmin": systematic_dmin,
+    "systematic-dsys": systematic_dsys,
+    "mds-nullspace": rs_nullspace_construct,
+}
+# four fully connected columns, so k_min = 3 >= r_M = 3 and every mode builds
+ALL_MODES_ROWS = (
+    (1, 0, 0, 1, 1, 1, 1),
+    (0, 1, 0, 1, 1, 1, 1),
+    (0, 0, 1, 1, 1, 1, 1),
+)
+
+
+def scalar_generator(gf, nodes, k):
+    """The RS generator one gf.pow at a time: row r holds x_j^r."""
+    return [[gf.pow(x, r) for x in nodes] for r in range(k)]
 
 
 def _zero_pattern(G):
@@ -286,6 +308,48 @@ def test_codespec_without_nodes_cannot_serialize():
     spec = mds_nullspace_construct(g, gf, gen, systematic=True)
     with pytest.raises(ValueError):
         spec.to_dict()
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3)])
+@pytest.mark.parametrize("mode", sorted(BUILDERS))
+def test_code_files_are_byte_identical_across_builds(p, m, mode):
+    g, gf = load_graph(ALL_MODES_ROWS), GF(p, m)
+    first, second = (json.dumps(BUILDERS[mode](g, gf).to_dict()) for _ in range(2))
+    assert first == second
+    d = json.loads(first)
+    assert d["mode"] == mode
+    assert d["G"] == matmul(gf, d["T"], scalar_generator(gf, d["defining_set"], d["k"]))
+
+
+@functools.cache
+def valid_code_files():
+    """Code files of every mode over GF(7) and GF(8), plus a generic one over
+    GF(11) on nodes without 0, as JSON text."""
+    g = load_graph(ALL_MODES_ROWS)
+    files = [BUILDERS[mode](g, GF(p, m)).to_dict()
+             for p, m in ((7, 1), (2, 3)) for mode in sorted(BUILDERS)]
+    nodes = (2, 3, 5, 7, 8, 9, 10)
+    files.append(generic_subcode(load_graph(REF_ROWS), GF(11), nodes=nodes).to_dict())
+    return tuple(json.dumps(d) for d in files)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_code_file_load_checks_every_entry(data):
+    d = json.loads(data.draw(st.sampled_from(valid_code_files())))
+    gf = GF.from_dict(d["field"])
+    part = data.draw(st.sampled_from(("T", "G", "defining_set")))
+    row = d[part] if part == "defining_set" else d[part][data.draw(st.integers(0, len(d[part]) - 1))]
+    j = data.draw(st.integers(0, len(row) - 1))
+    old, row[j] = row[j], data.draw(st.integers(-2, gf.q + 1))
+    try:
+        spec = CodeSpec.from_dict(d)
+    except (ValueError, InconsistentCodeError):
+        return
+    # G_RS has full row rank, so a changed T entry changes its row of T . G_RS,
+    # and G is compared entry by entry: only a moved node can still load
+    assert row[j] == old or part == "defining_set"
+    assert spec.G == matmul(gf, spec.T, scalar_generator(gf, spec.rs.nodes, spec.rs.k))
 
 
 def test_constructions_respect_validity_on_random_graphs():

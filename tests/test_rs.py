@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,27 @@ from graphcodes.linalg import rank
 from graphcodes.polys import (poly_deg, poly_divmod, poly_eval, poly_from_roots,
                               poly_interpolate, poly_mul, poly_sub)
 from graphcodes.rs import (RSCode, decode, default_defining_set, encode,
-                           erasure_decode, generator_matrix)
+                           erasure_decode, evaluate, generator_matrix)
+
+# prime and binary-extension fields; at n = 64 over GF(256), nine messages
+# split evaluate's gather over several blocks of BLOCK_ELEMENTS, and a
+# 64-element block splits the node-power table's build as well
+GENERATOR_FIELDS = ((7, 1), (31, 1), (2, 4), (2, 8))
+
+
+def generator_cases():
+    """(code, scalar generator) for every field above, with node 0 in and
+    out of the defining set and k = 1, k = n and k in between."""
+    rng = random.Random(31)
+    for p, m in GENERATOR_FIELDS:
+        gf = GF(p, m)
+        n = min(gf.q, 64)
+        with_zero = default_defining_set(gf, n)
+        without_zero = tuple(rng.sample(range(1, gf.q), n - 1))
+        for nodes in (with_zero, without_zero):
+            for k in sorted({1, 2, len(nodes) // 2, len(nodes)}):
+                code = RSCode(gf, nodes, k)
+                yield code, [[gf.pow(x, r) for x in nodes] for r in range(k)]
 
 
 def scalar_decode(code, received, erasures=()):
@@ -84,6 +105,28 @@ def test_generator_shape_and_rows(gf7):
     assert generator_matrix(one) == [[1] * 7]
     square = RSCode(gf7, code.nodes, 7)
     assert rank(gf7, generator_matrix(square)) == 7
+    # 0^0 = 1 and 0^r = 0 for r >= 1 in the node-0 column
+    assert [row[0] for row in generator_matrix(square)] == [1, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("block", [rs.BLOCK_ELEMENTS, 64])
+def test_generator_matches_scalar_powers(monkeypatch, block):
+    monkeypatch.setattr(rs, "BLOCK_ELEMENTS", block)
+    for code, want in generator_cases():
+        assert generator_matrix(code) == want
+        assert all(type(v) is int for row in generator_matrix(code) for v in row)
+
+
+def test_node_powers_are_built_once_and_stay_out_of_equality():
+    gf = GF(2, 4)
+    code, twin = (RSCode(gf, default_defining_set(gf, 12), 5) for _ in range(2))
+    assert "log_powers" not in vars(code)
+    table = code.log_powers
+    assert table.shape == (5, 12) and table.dtype == np.int32
+    generator_matrix(code)
+    encode(code, [1] * 5)
+    assert code.log_powers is table
+    assert code == twin and hash(code) == hash(twin) and "log_powers" not in vars(twin)
 
 
 def test_every_k_columns_invertible():
@@ -104,6 +147,36 @@ def test_encode_examples(gf7):
     assert encode(code, [0, 0, 0, 1])[2] == 6
     with pytest.raises(ValueError):
         encode(code, [1, 2, 3])
+
+
+@pytest.mark.parametrize("block", [rs.BLOCK_ELEMENTS, 64])
+def test_encode_and_evaluate_match_scalar_horner(monkeypatch, block):
+    monkeypatch.setattr(rs, "BLOCK_ELEMENTS", block)
+    rng = random.Random(7)
+    for code, _ in generator_cases():
+        gf = code.gf
+        messages = [[rng.randrange(gf.q) for _ in range(code.k)] for _ in range(9)]
+        messages[0] = [0] * code.k
+        messages[1] = [gf.q - 1] * code.k
+        want = [[poly_eval(gf, msg, x) for x in code.nodes] for msg in messages]
+        assert evaluate(code, messages) == want
+        assert [encode(code, msg) for msg in messages] == want
+        assert evaluate(code, messages[2:3]) == want[2:3]
+
+
+@pytest.mark.parametrize("messages", [
+    [[1, 2, 3]],            # k - 1 symbols
+    [[1, 2, 3, 4, 5]],
+    [1, 2, 3, 4],           # one message, not a block of them
+    [[1, 2, 3, 7]],         # outside GF(7)
+    [[1, 2, 3, -1]],        # would wrap in a log table
+    [[1, 2, 3, 4.0]],
+    [[1, 2, 3, 1 << 70]],
+])
+def test_evaluate_rejects_bad_messages(gf7, messages):
+    code = RSCode(gf7, default_defining_set(gf7, 7), 4)
+    with pytest.raises(ValueError):
+        evaluate(code, messages)
 
 
 def test_decode_clean(gf7):
