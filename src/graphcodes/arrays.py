@@ -6,7 +6,8 @@ nonzero log, and ``exp`` is alpha^i up to that index and zero from it on, so
 ``exp[log[a] + log[b]]`` is a * b for all a, b, zeros included.  Elements
 are held in the smallest dtype that holds a sum of two elements before
 reduction.  This is the only place that reads the kind of field for arrays:
-GF(p) adds mod p, GF(2^m) adds by XOR.
+GF(p) adds mod p, GF(2^m) adds by XOR.  ``symbols`` is the one check of
+field symbols that arrive from outside the package.
 """
 
 from __future__ import annotations
@@ -56,6 +57,23 @@ class FieldArrays:
     def vec_mat_logs(self, log_v, log_mat):
         """v . M, one per row of a 2-D v, from the logs: one gather and one sum."""
         return self.sum(self.exp[log_v[..., None] + log_mat], axis=-2)
+
+
+def symbols(values, q: int, what: str, ndim: int = 1) -> np.ndarray:
+    """values as an integer ndarray of rank ndim with every entry in [0, q).
+
+    Checked before any entry indexes a log table, where a negative one would
+    wrap silently and a float or a string would fail with an IndexError.
+    An empty input passes as an empty integer array.  Raises ValueError
+    naming ``what`` when the dtype is not integer, the rank is not ndim or an
+    entry lies outside [0, q).
+    """
+    arr = np.asarray(values)
+    if not arr.size:
+        return arr.astype(np.int64)
+    if arr.ndim != ndim or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= q:
+        raise ValueError("%s must lie in [0, %d)" % (what, q))
+    return arr
 
 
 @functools.cache

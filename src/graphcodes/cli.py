@@ -171,24 +171,14 @@ def cmd_verify(args) -> int:
 
 def cmd_encode(args) -> int:
     spec = _load_spec(args.code)
-    message = _csv_ints(args.message)
-    if len(message) != spec.s or any(not 0 <= v < spec.gf.q for v in message):
-        raise _UsageError("message must be %d field elements in [0, %d)"
-                          % (spec.s, spec.gf.q))
-    _emit(subcode_encode(spec, message), args.out)
+    _emit(subcode_encode(spec, _csv_ints(args.message)), args.out)
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
     spec = _load_spec(args.code)
-    received = _csv_ints(args.received)
-    if len(received) != spec.n or any(not 0 <= v < spec.gf.q for v in received):
-        raise _UsageError("received word must be %d field elements in [0, %d)"
-                          % (spec.n, spec.gf.q))
     erasures = _csv_ints(args.erasures) if args.erasures else []
-    if any(not 0 <= j < spec.n for j in erasures):
-        raise _UsageError("erasure positions must be in [0, %d)" % spec.n)
-    _emit(subcode_decode(spec, received, erasures), args.out)
+    _emit(subcode_decode(spec, _csv_ints(args.received), erasures), args.out)
     return EXIT_OK
 
 

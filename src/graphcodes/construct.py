@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import field_arrays
+from .arrays import field_arrays, symbols
 from .bounds import MATCHING_GUARD, best_matching, d_min_bound, fully_connected_columns
 from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF
@@ -103,8 +103,8 @@ class CodeSpec:
             raise ValueError("T rows must have k columns")
         if any(len(r) != rs.n for r in G):
             raise ValueError("G rows must have n columns")
-        if any(not 0 <= v < gf.q for r in T + G for v in r):
-            raise ValueError("T and G entries must lie in [0, %d)" % gf.q)
+        symbols(T, gf.q, "T entries", ndim=2)
+        symbols(G, gf.q, "G entries", ndim=2)
         mode = d["mode"]
         if mode not in MODES:
             raise ValueError("unknown mode %r" % (mode,))
@@ -293,9 +293,8 @@ def _pick_covering_combination(gf: GF, basis, gen, zero_cols):
     """
     n = len(gen[0])
     outside = [j for j in range(n) if j not in zero_cols]
-    h = list(basis[0])
-    row = vec_mat(gf, h, gen)
     basis_rows = [vec_mat(gf, b, gen) for b in basis]
+    h, row = list(basis[0]), basis_rows[0]
     for j in outside:
         if row[j] != 0:
             continue
@@ -333,6 +332,7 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
     optionally records the defining set when the generator came from an RS
     code, which keeps the constructed code decodable.
     """
+    symbols(mds_generator, gf.q, "generator entries", ndim=2)
     target_distance = _mds_target_distance(g, mds_generator, target_distance)
     search = best_matching(g, matching_guard, subset_guard) if systematic else None
     return _mds_nullspace(g, gf, mds_generator, target_distance, search, matching, nodes)
@@ -344,13 +344,13 @@ def rs_nullspace_construct(g: ConstraintGraph, gf: GF, k: int | None = None, nod
     """The systematic ``mds-nullspace`` code on the [n, k] RS generator,
     k defaulting to k_sys.  One matching search gives k_sys, the matching
     and whether the claimed distance is exact."""
+    nodes = _check_field_and_nodes(g, gf, nodes)
     search = best_matching(g, matching_guard, subset_guard)
     k_sys = search[0]
     k = k_sys if k is None else k
     if k < k_sys:
         raise InfeasibleError(
             "k=%d is below the systematic minimum %d for this graph" % (k, k_sys))
-    nodes = nodes if nodes is not None else default_defining_set(gf, g.n)
     generator = generator_matrix(RSCode(gf, nodes, k))
     target_distance = _mds_target_distance(g, generator, g.n - k + 1)
     return _mds_nullspace(g, gf, generator, target_distance, search, None, nodes)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import FieldArrays, field_arrays
+from .arrays import FieldArrays, field_arrays, symbols
 from .errors import DecodingError, GuardExceededError
 from .field import GF
 
@@ -42,10 +42,10 @@ class RSCode:
         n = len(self.nodes)
         if n == 0 or n > self.gf.q:
             raise ValueError("need 1 <= n <= q, got n=%d, q=%d" % (n, self.gf.q))
-        if any(not 0 <= x < self.gf.q for x in self.nodes):
-            raise ValueError("defining set contains values outside the field")
+        symbols(self.nodes, self.gf.q, "defining set")
         if len(set(self.nodes)) != n:
             raise ValueError("defining set elements must be distinct")
+        symbols(self.k, n + 1, "k", ndim=0)  # an integer before it sizes a table
         if not 1 <= self.k <= n:
             raise ValueError("need 1 <= k <= n, got k=%d, n=%d" % (self.k, n))
 
@@ -85,11 +85,9 @@ def generator_matrix(code: RSCode):
 
 def evaluate(code: RSCode, messages) -> list:
     """The codewords of s messages (coefficient rows, ascending), as s lists of n ints."""
-    c = np.asarray(messages)
+    c = symbols(messages, code.gf.q, "message symbols", ndim=2)
     if c.ndim != 2 or c.shape[1] != code.k:
         raise ValueError("each message must have k=%d symbols" % code.k)
-    if c.dtype.kind not in "iu" or c.min() < 0 or c.max() >= code.gf.q:
-        raise ValueError("message symbols must lie in [0, %d)" % code.gf.q)
     fa, powers = field_arrays(code.gf), code.log_powers
     log_c = fa.log[c]
     return [word for rows in _row_blocks(len(c), powers.size)
@@ -121,21 +119,17 @@ def decode(code: RSCode, received, erasures=()):
     n, k = code.n, code.k
     if len(received) != n:
         raise ValueError("received length %d != n=%d" % (len(received), n))
-    if any(not 0 <= v < gf.q for v in received):
-        raise ValueError("received symbols must lie in [0, %d)" % gf.q)
-    erased = sorted(set(erasures))
-    if any(not 0 <= j < n for j in erased):
-        raise ValueError("erasure index out of range")
+    word = symbols(received, gf.q, "received symbols")
+    keep = np.ones(n, dtype=bool)
+    keep[symbols(list(erasures), n, "erasure positions")] = False
+    kept, erased = np.flatnonzero(keep), np.flatnonzero(~keep)
     f = len(erased)
     if n - f < k:
         raise DecodingError("only %d unerased symbols, need %d" % (n - f, k))
 
     tables = code._tables
     fa, order = tables.fa, gf.q - 1
-    y = np.array(received, dtype=fa.dtype)
-    keep = np.ones(n, dtype=bool)
-    keep[erased] = False
-    kept = np.flatnonzero(keep)
+    y = word.astype(fa.dtype)
     if f:
         # log Gamma(x_j) at the unerased nodes; Gamma interpolates those
         # values and is zero at the erased nodes

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rs
-from .arrays import field_arrays
+from .arrays import field_arrays, symbols
 from .construct import CodeSpec, systematic_columns_ok, validity_check
 from .errors import DecodingError, GuardExceededError
 from .field import GF
@@ -53,9 +53,7 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
     """
     if len(G) == 0 or len(G[0]) == 0 or any(len(r) != len(G[0]) for r in G):
         raise ValueError("generator must be a non-empty rectangular matrix")
-    Gm = np.array(G, dtype=np.int64)
-    if Gm.min() < 0 or Gm.max() >= gf.q:
-        raise ValueError("generator entries must lie in [0, %d)" % gf.q)
+    Gm = symbols(G, gf.q, "generator entries", ndim=2)
     s, n = Gm.shape
     q = gf.q
     total = q ** s
@@ -127,16 +125,8 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
 
 def rank_over_field(mat, gf: GF) -> int:
     """Row rank by Gaussian elimination over the field."""
+    symbols(mat, gf.q, "matrix entries", ndim=2)
     return rank(gf, mat)
-
-
-def _symbols(values, q: int, what: str) -> np.ndarray:
-    """values as a vector of integers, checked to lie in [0, q) before any
-    of them indexes a log table, where a negative one would wrap silently."""
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= q:
-        raise ValueError("%s symbols must lie in [0, %d)" % (what, q))
-    return arr
 
 
 def _encode(spec: CodeSpec, message: np.ndarray) -> np.ndarray:
@@ -148,7 +138,7 @@ def subcode_encode(spec: CodeSpec, message) -> list:
     """m . G; systematic specs place message symbols at the matched columns."""
     if len(message) != spec.s:
         raise ValueError("message length %d != s=%d" % (len(message), spec.s))
-    return _encode(spec, _symbols(message, spec.gf.q, "message")).tolist()
+    return _encode(spec, symbols(message, spec.gf.q, "message symbols")).tolist()
 
 
 def subcode_decode(spec: CodeSpec, received, erasures=()) -> list:
@@ -183,7 +173,7 @@ def systematic_fast_read(spec: CodeSpec, received):
         raise ValueError("spec is not systematic")
     if len(received) != spec.n:
         raise ValueError("received length %d != n=%d" % (len(received), spec.n))
-    word = _symbols(received, spec.gf.q, "received")
+    word = symbols(received, spec.gf.q, "received symbols")
     message = word[list(spec.matching)]
     return message.tolist(), bool(np.array_equal(_encode(spec, message), word))
 

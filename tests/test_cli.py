@@ -4,7 +4,7 @@ import pytest
 
 from conftest import REF_G, REF_ROWS
 from graphcodes import bounds, cli, rs
-from graphcodes.construct import systematic_dsys
+from graphcodes.construct import MODES, systematic_dsys
 from graphcodes.field import GF
 from graphcodes.graph import load_graph
 
@@ -215,6 +215,30 @@ def test_code_file_with_bad_matching_is_refused(ref_graph_file, tmp_path, capsys
         assert "matching must be 3 distinct columns in [0, 7)" in err
 
 
+@pytest.mark.parametrize("part, value", [
+    ("T", 1.5), ("G", 1.0), ("G", "1"), ("defining_set", 1.0), ("k", 4.0), ("k", "4"),
+])
+def test_code_file_with_non_integer_entry_is_refused(ref_graph_file, tmp_path, capsys,
+                                                      part, value):
+    # a float used to load and fail later with IndexError or TypeError
+    out_file = tmp_path / "code.json"
+    _run(capsys, ["construct", ref_graph_file, "--p", "7", "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    if part == "k":
+        payload["k"] = value
+    elif part == "defining_set":
+        payload["defining_set"][1] = value
+    else:
+        payload[part][0][0] = value
+    out_file.write_text(json.dumps(payload))
+    for argv in (["encode", str(out_file), "1,0,0"],
+                 ["decode", str(out_file), "1,0,0,2,5,1,5"],
+                 ["verify", str(out_file), ref_graph_file]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "cannot read code file" in err and "Traceback" not in err
+
+
 def test_encode_decode_paths(ref_graph_file, tmp_path, capsys):
     out_file = tmp_path / "code.json"
     _run(capsys, ["construct", ref_graph_file, "--p", "7", "--alpha", "3",
@@ -253,10 +277,11 @@ def test_construct_defining_set_override(ref_graph_file, tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["distance"] == 4
 
-    code, _, err = _run(capsys, ["construct", ref_graph_file, "--p", "7",
-                                 "--defining-set", "0,1,2"])
-    assert code == 1
-    assert "7 elements" in err
+    for mode in MODES:
+        code, _, err = _run(capsys, ["construct", ref_graph_file, "--p", "7", "--mode", mode,
+                                     "--defining-set", "0,1,2"])
+        assert code == 1
+        assert "defining set must have 7 elements" in err
 
 
 def test_demo_reference(capsys):

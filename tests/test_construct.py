@@ -338,17 +338,28 @@ def valid_code_files():
 def test_code_file_load_checks_every_entry(data):
     d = json.loads(data.draw(st.sampled_from(valid_code_files())))
     gf = GF.from_dict(d["field"])
-    part = data.draw(st.sampled_from(("T", "G", "defining_set")))
-    row = d[part] if part == "defining_set" else d[part][data.draw(st.integers(0, len(d[part]) - 1))]
-    j = data.draw(st.integers(0, len(row) - 1))
-    old, row[j] = row[j], data.draw(st.integers(-2, gf.q + 1))
+    part = data.draw(st.sampled_from(("T", "G", "defining_set", "k")))
+    if part == "k":
+        row, j = d, "k"
+    else:
+        row = d[part] if part == "defining_set" else d[part][data.draw(st.integers(0, len(d[part]) - 1))]
+        j = data.draw(st.integers(0, len(row) - 1))
+    old = row[j]
+    row[j] = new = data.draw(st.one_of(st.integers(-2, gf.q + 1),
+                                       st.sampled_from((old + 0.5, float(old), str(old)))))
     try:
         spec = CodeSpec.from_dict(d)
-    except (ValueError, InconsistentCodeError):
+    except InconsistentCodeError:
+        # a float or a string is refused before G is compared with T . G_RS
+        assert type(new) is int
         return
+    except ValueError:
+        return
+    assert type(new) is int
     # G_RS has full row rank, so a changed T entry changes its row of T . G_RS,
-    # and G is compared entry by entry: only a moved node can still load
-    assert row[j] == old or part == "defining_set"
+    # G is compared entry by entry and T's rows have k entries: only a moved
+    # node can still load
+    assert new == old or part == "defining_set"
     assert spec.G == matmul(gf, spec.T, scalar_generator(gf, spec.rs.nodes, spec.rs.k))
 
 

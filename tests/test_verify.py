@@ -260,6 +260,77 @@ def test_subcode_encode(ref_graph, gf7):
         subcode_encode(spec, [1, 2])
 
 
+def _swap(seq, bad, bound):
+    """A list copy of seq with entry 1 replaced by bad(entry, bound)."""
+    out = list(seq)
+    out[1] = bad(out[1], bound)
+    return out
+
+
+def _swap_row(mat, bad, bound):
+    return [_swap(r, bad, bound) if i == 1 else list(r) for i, r in enumerate(mat)]
+
+
+def _load_with(spec, key, bad):
+    d = spec.to_dict()
+    if key == "k":
+        d["k"] = bad(d["k"], spec.n + 1)
+    elif key == "defining_set":
+        d[key] = _swap(d[key], bad, spec.gf.q)
+    else:
+        d[key] = _swap_row(d[key], bad, spec.gf.q)
+    return CodeSpec.from_dict(d)
+
+
+# Every public entry point that takes field symbols (or positions, checked
+# against n, or k, against n + 1), called with one entry changed by bad.
+SYMBOL_ENTRY_POINTS = {
+    "RSCode nodes": lambda spec, g, bad: RSCode(
+        spec.gf, tuple(_swap(spec.rs.nodes, bad, spec.gf.q)), spec.rs.k),
+    "RSCode k": lambda spec, g, bad: RSCode(spec.gf, spec.rs.nodes, bad(spec.rs.k, spec.n + 1)),
+    "rs.evaluate": lambda spec, g, bad: rs.evaluate(spec.rs, _swap_row(spec.T, bad, spec.gf.q)),
+    "rs.encode": lambda spec, g, bad: encode(spec.rs, _swap(spec.T[0], bad, spec.gf.q)),
+    "rs.decode word": lambda spec, g, bad: rs.decode(spec.rs, _swap(spec.G[0], bad, spec.gf.q)),
+    "rs.decode erasures": lambda spec, g, bad: rs.decode(
+        spec.rs, spec.G[0], _swap([0, 2], bad, spec.n)),
+    "CodeSpec.from_dict T": lambda spec, g, bad: _load_with(spec, "T", bad),
+    "CodeSpec.from_dict G": lambda spec, g, bad: _load_with(spec, "G", bad),
+    "CodeSpec.from_dict defining_set": lambda spec, g, bad: _load_with(spec, "defining_set", bad),
+    "CodeSpec.from_dict k": lambda spec, g, bad: _load_with(spec, "k", bad),
+    "subcode_encode": lambda spec, g, bad: subcode_encode(spec, _swap([1, 2, 3], bad, spec.gf.q)),
+    "subcode_decode word": lambda spec, g, bad: subcode_decode(
+        spec, _swap(spec.G[0], bad, spec.gf.q)),
+    "subcode_decode erasures": lambda spec, g, bad: subcode_decode(
+        spec, spec.G[0], _swap([0, 2], bad, spec.n)),
+    "systematic_fast_read": lambda spec, g, bad: systematic_fast_read(
+        spec, _swap(spec.G[0], bad, spec.gf.q)),
+    "min_distance_exhaustive": lambda spec, g, bad: min_distance_exhaustive(
+        _swap_row(spec.G, bad, spec.gf.q), spec.gf),
+    "mds_nullspace_construct": lambda spec, g, bad: construct.mds_nullspace_construct(
+        g, spec.gf, _swap_row(generator_matrix(spec.rs), bad, spec.gf.q)),
+    "rank_over_field": lambda spec, g, bad: rank_over_field(
+        _swap_row(spec.G, bad, spec.gf.q), spec.gf),
+}
+
+BAD_ENTRIES = {
+    "bound": lambda v, bound: bound,
+    "negative": lambda v, bound: -1,
+    "float": lambda v, bound: float(v),
+    "fraction": lambda v, bound: v + 0.5,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+@pytest.mark.parametrize("entry", sorted(SYMBOL_ENTRY_POINTS))
+def test_entry_points_refuse_entries_outside_the_field(ref_graph, entry, bad):
+    # over GF(11) the symbol bound q = 11 differs from the position bound n = 7;
+    # an integral float used to pass as its integer, and a negative generator
+    # entry or a rank_over_field entry of q used to be accepted
+    spec = systematic_dsys(ref_graph, GF(11))
+    with pytest.raises(ValueError, match="must lie in"):
+        SYMBOL_ENTRY_POINTS[entry](spec, ref_graph, BAD_ENTRIES[bad])
+
+
 @pytest.mark.parametrize("message", [[7, 0, 0], [-1, 0, 0]])
 def test_subcode_encode_rejects_out_of_range_symbols(ref_graph, gf7, message):
     # 7 used to raise IndexError; -1 was read from the end of the log table
