@@ -12,7 +12,9 @@ Two quantities drive everything downstream:
 Both searches are exponential by nature and carry size guards; ``k_sys``
 additionally has a greedy fallback that returns an upper bound flagged as
 inexact.  ``best_matching`` is the one place that chooses between the exact
-``k_sys`` search (within its guards) and that fallback (above them).
+``k_sys`` search (within its guards) and that fallback (above them).  Each
+graph runs each search at most once and keeps the result; the guards are
+still checked on every call, ahead of the stored result.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ def d_min_bound(g: ConstraintGraph, guard: int = SUBSET_GUARD):
     if g.s > guard:
         raise GuardExceededError(
             "bound enumerates 2^s subsets; s=%d exceeds the guard %d" % (g.s, guard))
+    return g._solve("d_min", lambda: _subset_sweep(g))
+
+
+def _subset_sweep(g: ConstraintGraph):
     unions = subset_union_masks(g)
     best_val = None
     best_subset = None
@@ -170,13 +176,13 @@ def k_sys_search(g: ConstraintGraph, exact: bool = True,
     """
     start = find_matching(g)  # raises NoMatchingError with a Hall witness
     if not exact:
-        k, match = _k_sys_heuristic(g, start)
+        k, match = g._solve("k_sys heuristic", lambda: _k_sys_heuristic(g, start))
         return k, match, False
     if g.s > guard:
         raise GuardExceededError(
             "exact search enumerates matchings; s=%d exceeds the guard %d" % (g.s, guard))
     k_floor = g.n - d_min_bound(g, subset_guard)[0] + 1
-    k, match = _k_sys_exact(g, k_floor)
+    k, match = g._solve("k_sys exact", lambda: _k_sys_exact(g, k_floor))
     return k, match, True
 
 

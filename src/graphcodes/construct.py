@@ -105,6 +105,10 @@ class CodeSpec:
             raise ValueError("G rows must have n columns")
         symbols(T, gf.q, "T entries", ndim=2)
         symbols(G, gf.q, "G entries", ndim=2)
+        # numpy reads a JSON true among integers as 1, so symbols cannot see it
+        for what, rows in (("defining set", [rs.nodes]), ("T entries", T), ("G entries", G)):
+            if any(isinstance(v, bool) for row in rows for v in row):
+                raise ValueError("%s must lie in [0, %d)" % (what, gf.q))
         mode = d["mode"]
         if mode not in MODES:
             raise ValueError("unknown mode %r" % (mode,))

@@ -141,7 +141,8 @@ class GF:
         if alpha is None:
             self.alpha = self._find_generator()
         else:
-            if not 0 <= alpha < q or not self._generates(alpha):
+            if (not isinstance(alpha, int) or isinstance(alpha, bool)
+                    or not 0 <= alpha < q or not self._generates(alpha)):
                 raise ValueError("%r is not a primitive element of GF(%d)" % (alpha, q))
             self.alpha = alpha
 

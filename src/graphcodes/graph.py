@@ -44,6 +44,9 @@ class ConstraintGraph:
                 raise ValueError("code column %d has no edges" % j)
         masks = tuple(sum(bit << j for j, bit in enumerate(r)) for r in rows)
         object.__setattr__(self, "_masks", masks)
+        # completed searches, by name; not a field, so equality, hashing and
+        # repr ignore it
+        object.__setattr__(self, "_solved", {})
 
     @property
     def s(self) -> int:
@@ -58,6 +61,16 @@ class ConstraintGraph:
 
     def support(self, i: int) -> tuple[int, ...]:
         return tuple(j for j, v in enumerate(self.adjacency[i]) if v)
+
+    def _solve(self, name: str, search):
+        """search(), run on the first call for this name only.  A search that
+        raises stores nothing, so the next call runs it again.  Callers check
+        their guards before calling this."""
+        try:
+            return self._solved[name]
+        except KeyError:
+            result = self._solved[name] = search()
+            return result
 
     @classmethod
     def from_rows(cls, rows) -> "ConstraintGraph":
@@ -145,7 +158,12 @@ def _augment(g: ConstraintGraph, i: int, owner: dict, match: list, seen: set) ->
 
 def find_matching(g: ConstraintGraph) -> tuple[int, ...]:
     """Matching covering every row, scanning rows in order and preferring the
-    smallest admissible column; raises NoMatchingError with a Hall witness."""
+    smallest admissible column; raises NoMatchingError with a Hall witness.
+    Found once per graph."""
+    return g._solve("matching", lambda: _hall_matching(g))
+
+
+def _hall_matching(g: ConstraintGraph) -> tuple[int, ...]:
     owner: dict[int, int] = {}
     match: list = [None] * g.s
     for i in range(g.s):

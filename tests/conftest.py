@@ -29,6 +29,12 @@ REF_G = (
     (0, 0, 1, 5, 5, 2, 1),
 )
 REF_NODES = (0, 1, 3, 2, 6, 4, 5)
+# four fully connected columns, so k_min = 3 >= r_M = 3 and every mode builds
+ALL_MODES_ROWS = (
+    (1, 0, 0, 1, 1, 1, 1),
+    (0, 1, 0, 1, 1, 1, 1),
+    (0, 0, 1, 1, 1, 1, 1),
+)
 
 
 @pytest.fixture

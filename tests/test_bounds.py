@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from conftest import REF_ROWS, random_dims, random_graph
-from graphcodes import cli
-from graphcodes.bounds import (bounds_report, d_min_bound, k_sys_search,
-                               matching_k)
-from graphcodes.construct import mds_nullspace_construct, systematic_dsys
+from conftest import ALL_MODES_ROWS, REF_ROWS, random_dims, random_graph
+from graphcodes import bounds, cli, graph
+from graphcodes.bounds import (best_matching, bounds_report, d_min_bound,
+                               k_sys_search, matching_k)
+from graphcodes.construct import (generic_subcode, mds_nullspace_construct,
+                                  rs_nullspace_construct, systematic_dmin,
+                                  systematic_dsys)
 from graphcodes.errors import GuardExceededError, NoMatchingError
 from graphcodes.field import GF
-from graphcodes.graph import load_graph, matched_adjacency, row_zero_stats
+from graphcodes.graph import (ConstraintGraph, find_matching, load_graph,
+                              matched_adjacency, row_zero_stats)
 from graphcodes.rs import RSCode, default_defining_set, generator_matrix
 
 
@@ -112,6 +115,8 @@ def test_d_min_guard():
     with pytest.raises(GuardExceededError):
         d_min_bound(g)
     assert d_min_bound(g, guard=22)[0] == 25 - 22 + 1
+    with pytest.raises(GuardExceededError):  # the stored sweep does not lift the guard
+        d_min_bound(g)
 
 
 def test_k_sys_guard_and_heuristic_fallback():
@@ -270,3 +275,95 @@ def test_dimension_chain_on_random_reports():
         assert g.s <= rep.k_min <= rep.k_sys <= g.n
         assert rep.d_sys <= rep.d_min
         assert rep.d_min <= g.n - g.s + 1  # Singleton via the full subset
+
+
+def test_guards_are_checked_ahead_of_stored_results():
+    g = load_graph(ALL_MODES_ROWS)  # s = 3
+    report = bounds_report(g)  # stores the sweep, the matching and the exact search
+    assert report.search_exact
+    with pytest.raises(GuardExceededError):
+        d_min_bound(g, guard=2)
+    with pytest.raises(GuardExceededError):
+        k_sys_search(g, exact=True, guard=2)
+    with pytest.raises(GuardExceededError):
+        k_sys_search(g, exact=True, subset_guard=2)
+    with pytest.raises(GuardExceededError):
+        bounds_report(g, subset_guard=2)
+    heuristic = k_sys_search(g, exact=False)
+    assert heuristic[2] is False
+    # subset_guard < s <= matching_guard: the heuristic, as on a fresh graph
+    assert best_matching(g, matching_guard=3, subset_guard=2) == heuristic
+    assert best_matching(g, matching_guard=2) == heuristic
+    assert bounds_report(g, matching_guard=2).search_exact is False
+    assert best_matching(g) == (report.k_sys, report.witness_matching, True)
+
+
+def test_stored_results_leave_equality_hash_and_repr_alone():
+    g, fresh = load_graph(REF_ROWS), load_graph(REF_ROWS)
+    before = (repr(g), hash(g))
+    bounds_report(g)
+    k_sys_search(g, exact=False)
+    assert g == fresh and len({g, fresh}) == 1
+    assert (repr(g), hash(g)) == before == (repr(fresh), hash(fresh))
+    assert g != load_graph(ALL_MODES_ROWS)
+
+
+SEARCHES = {
+    "matching": find_matching,
+    "d_min": d_min_bound,
+    "exact": k_sys_search,
+    "heuristic": lambda g: k_sys_search(g, exact=False),
+    "report": lambda g: bounds_report(g).to_dict(),
+}
+
+
+def answers(g, order):
+    """Each search's result on g, or its NoMatchingError witness."""
+    out = {}
+    for name in order:
+        try:
+            out[name] = SEARCHES[name](g)
+        except NoMatchingError as exc:
+            out[name] = ("no matching", exc.witness)
+    return out
+
+
+def test_stored_results_equal_a_fresh_search():
+    rng = random.Random(1013)
+    violators = 0
+    for _ in range(1000):
+        g = random_graph(rng, *random_dims(rng, 6, 8),
+                         density=rng.choice([0.2, 0.4, 0.7]))
+        order = rng.sample(sorted(SEARCHES), len(SEARCHES))
+        first, second = answers(g, order), answers(g, order[::-1])
+        assert first == second == answers(ConstraintGraph(g.adjacency), sorted(SEARCHES))
+        violators += first["matching"][0] == "no matching"
+    assert violators >= 50  # the NoMatchingError path is exercised, not just stated
+
+
+def test_one_graph_runs_each_search_once(monkeypatch):
+    searched = {}
+
+    def counting(module, name):
+        search = getattr(module, name)
+
+        def counted(g, *args):
+            searched.setdefault(name, []).append(g)
+            return search(g, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(graph, "_hall_matching")
+    counting(bounds, "_subset_sweep")
+    counting(bounds, "_k_sys_exact")
+    g, gf = load_graph(ALL_MODES_ROWS), GF(7)
+    report = bounds_report(g)
+    systematic_dsys(g, gf)
+    systematic_dmin(g, gf)  # also matches a graph of its own, with columns held back
+    generic_subcode(g, gf)
+    rs_nullspace_construct(g, gf)
+    gen = generator_matrix(RSCode(gf, default_defining_set(gf, g.n), report.k_sys))
+    mds_nullspace_construct(g, gf, gen)
+    assert searched["_subset_sweep"] == [g]
+    assert searched["_k_sys_exact"] == [g]
+    assert [h for h in searched["_hall_matching"] if h is g] == [g]

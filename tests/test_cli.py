@@ -239,6 +239,18 @@ def test_code_file_with_non_integer_entry_is_refused(ref_graph_file, tmp_path, c
         assert "cannot read code file" in err and "Traceback" not in err
 
 
+def test_code_file_with_float_alpha_is_refused(ref_graph_file, tmp_path, capsys):
+    out_file = tmp_path / "code.json"
+    _run(capsys, ["construct", ref_graph_file, "--p", "7", "--alpha", "3",
+                  "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    payload["field"]["alpha"] = 3.0
+    out_file.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, ["verify", str(out_file), ref_graph_file])
+    assert code == 1 and out == ""
+    assert "3.0 is not a primitive element of GF(7)" in err
+
+
 def test_encode_decode_paths(ref_graph_file, tmp_path, capsys):
     out_file = tmp_path / "code.json"
     _run(capsys, ["construct", ref_graph_file, "--p", "7", "--alpha", "3",

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (REF_G, REF_NODES, REF_ROWS, REF_T, random_dims,
-                      random_graph)
+from conftest import (ALL_MODES_ROWS, REF_G, REF_NODES, REF_ROWS, REF_T,
+                      random_dims, random_graph)
 from graphcodes.construct import (CodeSpec, generic_subcode,
                                   mds_nullspace_construct, rs_nullspace_construct,
                                   systematic_columns_ok, systematic_dmin,
@@ -26,12 +26,6 @@ BUILDERS = {
     "systematic-dsys": systematic_dsys,
     "mds-nullspace": rs_nullspace_construct,
 }
-# four fully connected columns, so k_min = 3 >= r_M = 3 and every mode builds
-ALL_MODES_ROWS = (
-    (1, 0, 0, 1, 1, 1, 1),
-    (0, 1, 0, 1, 1, 1, 1),
-    (0, 0, 1, 1, 1, 1, 1),
-)
 
 
 def scalar_generator(gf, nodes, k):
@@ -346,11 +340,12 @@ def test_code_file_load_checks_every_entry(data):
         j = data.draw(st.integers(0, len(row) - 1))
     old = row[j]
     row[j] = new = data.draw(st.one_of(st.integers(-2, gf.q + 1),
-                                       st.sampled_from((old + 0.5, float(old), str(old)))))
+                                       st.sampled_from((old + 0.5, float(old), str(old),
+                                                        old == 1, old != 0))))
     try:
         spec = CodeSpec.from_dict(d)
     except InconsistentCodeError:
-        # a float or a string is refused before G is compared with T . G_RS
+        # a float, a string or a bool is refused before G is compared with T . G_RS
         assert type(new) is int
         return
     except ValueError:
@@ -361,6 +356,19 @@ def test_code_file_load_checks_every_entry(data):
     # node can still load
     assert new == old or part == "defining_set"
     assert spec.G == matmul(gf, spec.T, scalar_generator(gf, spec.rs.nodes, spec.rs.k))
+
+
+@pytest.mark.parametrize("part, what", [
+    ("T", "T entries"), ("G", "G entries"), ("defining_set", "defining set"),
+])
+def test_code_file_with_json_true_is_refused(part, what):
+    # numpy reads a true among integers as 1: the row used to load and
+    # serialize back with the true in it
+    d = systematic_dsys(load_graph(REF_ROWS), GF(7)).to_dict()
+    row = d[part] if part == "defining_set" else d[part][0]
+    row[row.index(1)] = True
+    with pytest.raises(ValueError, match=r"^%s must lie in \[0, 7\)$" % what):
+        CodeSpec.from_dict(d)
 
 
 def test_constructions_respect_validity_on_random_graphs():

@@ -130,6 +130,16 @@ def test_constructor_rejections():
         GF(2, 4, reduction_poly=[1, 0, 0, 0, 1])  # x^4 + 1 = (x+1)^4
 
 
+@pytest.mark.parametrize("p, alpha", [(7, 3.0), (7, "3"), (2, True), (2, 1.0)])
+def test_alpha_must_be_an_integer(p, alpha):
+    # 3 generates GF(7) and 1 generates GF(2); 3.0 used to pass the range
+    # check and fail in the table build with a TypeError
+    with pytest.raises(ValueError, match="not a primitive element"):
+        GF(p, alpha=alpha)
+    with pytest.raises(ValueError, match="not a primitive element"):
+        GF.from_dict({"p": p, "m": 1, "alpha": alpha, "poly": None})
+
+
 def test_custom_alpha_and_serialization():
     gf = GF(7, alpha=5)
     assert gf.alpha == 5
