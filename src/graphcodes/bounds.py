@@ -9,6 +9,12 @@ Two quantities drive everything downstream:
   any row of the matched adjacency matrix plus one, minimized.  It caps what
   a systematic linear code can achieve at distance ``d_sys = n - k_sys + 1``.
 
+Row i of the matched adjacency keeps its own matched column and loses every
+other one, so a matching's score depends only on its set of matched columns,
+never on which row holds which column.  Both ``k_sys`` searches work on that
+set: the exact search visits each column set once, and the fallback scores a
+move of one row by the rows it raises and lowers.
+
 Both searches are exponential by nature and carry size guards; ``k_sys``
 additionally has a greedy fallback that returns an upper bound flagged as
 inexact.  ``best_matching`` is the one place that chooses between the exact
@@ -88,15 +94,18 @@ def matching_k(g: ConstraintGraph, matching) -> int:
 
 
 def _k_sys_exact(g: ConstraintGraph, k_floor: int):
-    adj = g.adjacency
     s, n = g.s, g.n
     supports = [g.support(i) for i in range(s)]
+    col_rows = [[r for r in range(s) if g.adjacency[r][c]] for c in range(n)]
     cur_zeros = [n - len(supports[i]) for i in range(s)]
-    used = [False] * n
     assign = [0] * s
     best: list = [None, None]  # k, matching
+    # Once rows 0..i-1 hold the columns of U, the zero counts depend on U
+    # alone, so a second visit to U, after its subtree was searched, cannot
+    # beat the best found since.
+    explored: set = set()
 
-    def dfs(i: int):
+    def dfs(i: int, used: int):
         if best[0] == k_floor:
             return
         if i == s:
@@ -106,61 +115,64 @@ def _k_sys_exact(g: ConstraintGraph, k_floor: int):
                 best[1] = tuple(assign)
             return
         for c in supports[i]:
-            if used[c]:
+            if used >> c & 1:
                 continue
-            touched = [r for r in range(s) if r != i and adj[r][c]]
-            for r in touched:
+            nxt = used | 1 << c
+            if nxt in explored:
+                continue
+            for r in col_rows[c]:
                 cur_zeros[r] += 1
+            cur_zeros[i] -= 1  # row i keeps its own column
             # zeros only grow as the matching extends, so this is a lower bound
             if best[0] is None or max(cur_zeros) + 1 < best[0]:
-                used[c] = True
+                if i + 1 < s:  # a reached leaf always improves, so it never recurs
+                    explored.add(nxt)
                 assign[i] = c
-                dfs(i + 1)
-                used[c] = False
-            for r in touched:
+                dfs(i + 1, nxt)
+            for r in col_rows[c]:
                 cur_zeros[r] -= 1
+            cur_zeros[i] += 1
 
-    dfs(0)
+    dfs(0, 0)
     return best[0], best[1]
 
 
 def _k_sys_heuristic(g: ConstraintGraph, start):
+    s = g.s
+    # rows[c]: the bitmask of the rows adjacent to column c
+    rows = [sum(1 << r for r in range(s) if g.adjacency[r][c]) for c in range(g.n)]
     match = list(start)
-    best_k = matching_k(g, match)
-    taken = set(match)
+    matched = sum(1 << c for c in match)
+    # counts[r]: columns of row r left to it by the matching; k = n - min(counts)
+    counts = [(g.row_mask(r) & ~matched).bit_count() for r in range(s)]
     improved = True
     while improved:
         improved = False
-        for i in range(g.s):
+        low = min(counts)
+        at_low = sum(1 << r for r in range(s) if counts[r] == low)
+        at_next = sum(1 << r for r in range(s) if counts[r] == low + 1)
+        for i in range(s):
+            # Moving row i from column a to c adds one to each row adjacent
+            # to a but not to c and takes one from each row adjacent to c but
+            # not to a.  The minimum rises iff every row at it gains and no
+            # row just above it loses.
+            a = match[i]
+            if at_low & ~rows[a]:
+                continue
+            blocked = at_low | at_next & ~rows[a]
             for c in g.support(i):
-                if c == match[i] or c in taken:
+                if matched >> c & 1 or rows[c] & blocked:
                     continue
-                trial = list(match)
-                trial[i] = c
-                k = matching_k(g, trial)
-                if k < best_k:
-                    taken.discard(match[i])
-                    taken.add(c)
-                    match, best_k, improved = trial, k, True
-                    break
+                gain, lose = rows[a] & ~rows[c], rows[c] & ~rows[a]
+                for r in range(s):
+                    counts[r] += (gain >> r & 1) - (lose >> r & 1)
+                matched ^= 1 << a | 1 << c
+                match[i] = c
+                improved = True
+                break
             if improved:
                 break
-        if improved:
-            continue
-        for i in range(g.s):
-            for r in range(i + 1, g.s):
-                ci, cr = match[i], match[r]
-                if g.adjacency[i][cr] != 1 or g.adjacency[r][ci] != 1:
-                    continue
-                trial = list(match)
-                trial[i], trial[r] = cr, ci
-                k = matching_k(g, trial)
-                if k < best_k:
-                    match, best_k, improved = trial, k, True
-                    break
-            if improved:
-                break
-    return best_k, tuple(match)
+    return g.n - min(counts), tuple(match)
 
 
 def k_sys_search(g: ConstraintGraph, exact: bool = True,
@@ -168,11 +180,14 @@ def k_sys_search(g: ConstraintGraph, exact: bool = True,
                  subset_guard: int = SUBSET_GUARD):
     """(k_sys, witness matching, exact flag).
 
-    Exact mode enumerates row-covering matchings depth-first, pruning any
-    partial assignment whose zero counts already rule out an improvement and
-    stopping early once the k_min floor is reached.  Heuristic mode improves
-    a greedy matching by single reassignments and pairwise swaps; its result
-    is only an upper bound.
+    A matching is scored by its set of matched columns alone.  Exact mode
+    assigns rows in order, depth-first, visiting each set of columns taken by
+    the rows so far once; it prunes any partial assignment whose zero counts
+    already rule out an improvement and stops early once the k_min floor is
+    reached.  Heuristic mode improves the Hall matching by moving one row at
+    a time to a free column, taking the first move that lowers k; a swap of
+    two rows' columns keeps the column set, so none is tried.  Its result is
+    only an upper bound.
     """
     start = find_matching(g)  # raises NoMatchingError with a Hall witness
     if not exact:

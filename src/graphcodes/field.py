@@ -53,6 +53,11 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _is_int(v) -> bool:
+    """A Python int that is not a bool: a JSON true or a float never passes."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _gf2_mul_mod(a: int, b: int, mod: int, deg: int) -> int:
     """Carry-less product of bit-encoded GF(2) polynomials, reduced mod `mod`."""
     top = 1 << deg
@@ -113,10 +118,10 @@ class GF:
 
     def __init__(self, p: int, m: int = 1, alpha: int | None = None,
                  reduction_poly=None):
-        if not is_prime(p):
-            raise ValueError("p must be prime, got %r" % (p,))
-        if m < 1:
-            raise ValueError("extension degree must be >= 1, got %r" % (m,))
+        if not _is_int(p) or not is_prime(p):
+            raise ValueError("p must be a prime integer, got %r" % (p,))
+        if not _is_int(m) or m < 1:
+            raise ValueError("extension degree must be an integer >= 1, got %r" % (m,))
         if m > 1 and p != 2:
             raise ValueError("extension fields are supported for p = 2 only")
         q = p ** m
@@ -141,8 +146,7 @@ class GF:
         if alpha is None:
             self.alpha = self._find_generator()
         else:
-            if (not isinstance(alpha, int) or isinstance(alpha, bool)
-                    or not 0 <= alpha < q or not self._generates(alpha)):
+            if not _is_int(alpha) or not 0 <= alpha < q or not self._generates(alpha):
                 raise ValueError("%r is not a primitive element of GF(%d)" % (alpha, q))
             self.alpha = alpha
 

@@ -65,6 +65,101 @@ def brute_k_sys(rows):
     return best[0]
 
 
+def reference_k_sys_exact(g, k_floor):
+    """The exact k_sys DFS over row-by-row column assignments, re-scoring
+    each permutation of a column set: the reference for bounds._k_sys_exact."""
+    adj = g.adjacency
+    s, n = g.s, g.n
+    supports = [g.support(i) for i in range(s)]
+    cur_zeros = [n - len(supports[i]) for i in range(s)]
+    used = [False] * n
+    assign = [0] * s
+    best: list = [None, None]  # k, matching
+
+    def dfs(i: int):
+        if best[0] == k_floor:
+            return
+        if i == s:
+            k_here = max(cur_zeros) + 1
+            if best[0] is None or k_here < best[0]:
+                best[0] = k_here
+                best[1] = tuple(assign)
+            return
+        for c in supports[i]:
+            if used[c]:
+                continue
+            touched = [r for r in range(s) if r != i and adj[r][c]]
+            for r in touched:
+                cur_zeros[r] += 1
+            # zeros only grow as the matching extends, so this is a lower bound
+            if best[0] is None or max(cur_zeros) + 1 < best[0]:
+                used[c] = True
+                assign[i] = c
+                dfs(i + 1)
+                used[c] = False
+            for r in touched:
+                cur_zeros[r] -= 1
+
+    dfs(0)
+    return best[0], best[1]
+
+
+def reference_k_sys_heuristic(g, start):
+    """First-improvement local search that re-scores the whole matching for
+    every single reassignment, then tries pairwise swaps: the reference for
+    bounds._k_sys_heuristic."""
+    match = list(start)
+    best_k = matching_k(g, match)
+    taken = set(match)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(g.s):
+            for c in g.support(i):
+                if c == match[i] or c in taken:
+                    continue
+                trial = list(match)
+                trial[i] = c
+                k = matching_k(g, trial)
+                if k < best_k:
+                    taken.discard(match[i])
+                    taken.add(c)
+                    match, best_k, improved = trial, k, True
+                    break
+            if improved:
+                break
+        if improved:
+            continue
+        for i in range(g.s):
+            for r in range(i + 1, g.s):
+                ci, cr = match[i], match[r]
+                if g.adjacency[i][cr] != 1 or g.adjacency[r][ci] != 1:
+                    continue
+                trial = list(match)
+                trial[i], trial[r] = cr, ci
+                k = matching_k(g, trial)
+                if k < best_k:
+                    match, best_k, improved = trial, k, True
+                    break
+            if improved:
+                break
+    return best_k, tuple(match)
+
+
+CORPUS_DENSITIES = (0.35, 0.55, 0.75, 0.9)
+# dense enough that every permutation of a good column set scores alike:
+# re-scoring each one took the DFS about 2 s
+DENSE_7X14 = (
+    (1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1),
+    (0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1),
+    (1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1),
+    (1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1),
+    (1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1),
+)
+
+
 def test_reference_graph_bounds(ref_graph):
     d_min, witness = d_min_bound(ref_graph)
     assert d_min == 5
@@ -261,6 +356,65 @@ def test_heuristic_upper_bounds_exact():
         assert exact is False
         assert k_heur >= k_exact
         assert matching_k(g, match) == k_heur
+
+
+def test_k_sys_searches_equal_the_reference_searches():
+    rng = random.Random(1117)
+    checked = 0
+    while checked < 1000:
+        g = random_graph(rng, *random_dims(rng, 8, 10),
+                         density=rng.choice(CORPUS_DENSITIES))
+        try:
+            start = find_matching(g)
+        except NoMatchingError:
+            continue
+        k_floor = g.n - d_min_bound(g)[0] + 1
+        assert bounds._k_sys_exact(g, k_floor) == reference_k_sys_exact(g, k_floor)
+        for begin in (start, random_matching(rng, g)):
+            if begin is not None:
+                assert (bounds._k_sys_heuristic(g, begin)
+                        == reference_k_sys_heuristic(g, begin))
+        checked += 1
+
+
+def test_heuristic_equals_the_reference_above_the_guard():
+    rng = random.Random(1213)
+    checked = 0
+    while checked < 100:
+        s = rng.randint(14, 18)
+        g = random_graph(rng, s, rng.randint(s, 3 * s), density=rng.choice(CORPUS_DENSITIES))
+        try:
+            start = find_matching(g)
+        except NoMatchingError:
+            continue
+        for begin in (start, random_matching(rng, g)):
+            if begin is not None:
+                assert (bounds._k_sys_heuristic(g, begin)
+                        == reference_k_sys_heuristic(g, begin))
+        checked += 1
+
+
+def test_dense_graph_exact_search():
+    assert k_sys_search(load_graph(DENSE_7X14)) == (8, (0, 1, 3, 2, 4, 5, 7), True)
+
+
+def test_matching_k_ignores_which_row_holds_which_column():
+    # why the heuristic tries no swaps: a swap keeps the set of matched columns
+    rng = random.Random(1319)
+    swaps = 0
+    while swaps < 500:
+        g = random_graph(rng, *random_dims(rng, 8, 14, s_min=2),
+                         density=rng.choice(CORPUS_DENSITIES))
+        match = random_matching(rng, g)
+        if match is None:
+            continue
+        i, r = rng.sample(range(g.s), 2)
+        if not (g.adjacency[i][match[r]] and g.adjacency[r][match[i]]):
+            continue
+        swapped = list(match)
+        swapped[i], swapped[r] = match[r], match[i]
+        assert matching_k(g, swapped) == matching_k(g, match)
+        swaps += 1
 
 
 def test_dimension_chain_on_random_reports():

@@ -251,6 +251,23 @@ def test_code_file_with_float_alpha_is_refused(ref_graph_file, tmp_path, capsys)
     assert "3.0 is not a primitive element of GF(7)" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("m", True, "extension degree must be an integer >= 1, got True"),
+    ("p", 7.0, "p must be a prime integer, got 7.0"),
+])
+def test_code_file_with_non_integer_field_is_refused(ref_graph_file, tmp_path, capsys,
+                                                     key, value, message):
+    out_file = tmp_path / "code.json"
+    _run(capsys, ["construct", ref_graph_file, "--p", "7", "--alpha", "3",
+                  "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    payload["field"][key] = value
+    out_file.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, ["verify", str(out_file), ref_graph_file])
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_encode_decode_paths(ref_graph_file, tmp_path, capsys):
     out_file = tmp_path / "code.json"
     _run(capsys, ["construct", ref_graph_file, "--p", "7", "--alpha", "3",

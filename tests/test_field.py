@@ -140,6 +140,18 @@ def test_alpha_must_be_an_integer(p, alpha):
         GF.from_dict({"p": p, "m": 1, "alpha": alpha, "poly": None})
 
 
+@pytest.mark.parametrize("p, m", [(7, True), (7, 1.0), (7.0, 1), (True, 1),
+                                  ("7", 1), (2, 4.0), (2, False)])
+def test_p_and_m_must_be_integers(p, m):
+    # GF(7, True) used to build GF(7) and write "m": true back; the floats
+    # failed with a TypeError
+    message = "p must be a prime integer|extension degree must be an integer"
+    with pytest.raises(ValueError, match=message):
+        GF(p, m)
+    with pytest.raises(ValueError, match=message):
+        GF.from_dict({"p": p, "m": m, "alpha": 3, "poly": None})
+
+
 def test_custom_alpha_and_serialization():
     gf = GF(7, alpha=5)
     assert gf.alpha == 5
