@@ -4,10 +4,15 @@ One table set per field, built on first use and shared by every caller.  A
 product is one gather with no mask: ``log[0]`` is 2(q - 1), beyond every
 nonzero log, and ``exp`` is alpha^i up to that index and zero from it on, so
 ``exp[log[a] + log[b]]`` is a * b for all a, b, zeros included.  Elements
-are held in the smallest dtype that holds a sum of two elements before
-reduction.  This is the only place that reads the kind of field for arrays:
-GF(p) adds mod p, GF(2^m) adds by XOR.  ``symbols`` is the one check of
-field symbols that arrive from outside the package.
+are held in the smallest unsigned dtype that holds 2q - 2, so a sum a + b
+and a difference a - b + p of two elements never wrap.  That makes GF(p)
+reduction a comparison, not a division: with t = a + b, t - p wraps above t
+exactly when t < p, so minimum(t, t - p) is t mod p; with t = a - b, t
+wraps exactly when a < b, and then t + p is a - b + p, below t.  Negation
+is one gather from a q-entry table.  This is the only place that reads the
+kind of field for arrays: GF(p) adds mod p, GF(2^m) adds by XOR.
+``symbols`` is the one check of field symbols that arrive from outside the
+package.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ class FieldArrays:
 
     ``log`` (int32) and ``exp`` are public so that callers can keep an
     operand in log form and multiply it by many others with one gather each.
+    Operands are elements held in ``dtype`` (arrays, 0-d arrays or numpy
+    scalars), and results keep it; Python ints give the same values.
     """
 
     def __init__(self, gf: GF):
@@ -40,12 +47,21 @@ class FieldArrays:
             self.neg = lambda a: a
             self.sum = lambda a, axis=0: np.bitwise_xor.reduce(a, axis=axis)
         else:
-            p = gf.p
-            # p - b lies in [1, p], so a + (p - b) stays below the dtype's limit
-            self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a + (p - b)) % p
-            self.neg = lambda a: (p - a) % p
-            self.sum = lambda a, axis=0: (a.sum(axis=axis) % p).astype(self.dtype)
+            p, dtype = gf.p, self.dtype
+            # every step is a ufunc with an explicit dtype: on numpy scalars
+            # the operator form would warn when t - p or t + p wraps
+
+            def add(a, b):
+                t = np.add(a, b, dtype=dtype)
+                return np.minimum(t, np.subtract(t, p, dtype=dtype))
+
+            def sub(a, b):
+                t = np.subtract(a, b, dtype=dtype)
+                return np.minimum(t, np.add(t, p, dtype=dtype))
+
+            self.add, self.sub = add, sub
+            self.neg = np.array([(p - a) % p for a in range(p)], dtype=dtype).take
+            self.sum = lambda a, axis=0: (a.sum(axis=axis) % p).astype(dtype)
 
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]

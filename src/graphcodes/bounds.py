@@ -12,8 +12,9 @@ Two quantities drive everything downstream:
 Row i of the matched adjacency keeps its own matched column and loses every
 other one, so a matching's score depends only on its set of matched columns,
 never on which row holds which column.  Both ``k_sys`` searches work on that
-set: the exact search visits each column set once, and the fallback scores a
-move of one row by the rows it raises and lowers.
+set: the exact search visits each column set once, remembering at most
+EXPLORED_CAP of them, and the fallback scores a move of one row by the rows
+it raises and lowers.
 
 Both searches are exponential by nature and carry size guards; ``k_sys``
 additionally has a greedy fallback that returns an upper bound flagged as
@@ -32,6 +33,9 @@ from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching, find_matching
                     subset_union_masks)
 
 MATCHING_GUARD = 12
+# Column sets the exact k_sys search remembers.  Past the cap it stops
+# remembering and may search a set again: it costs time, never the answer.
+EXPLORED_CAP = 1 << 16
 
 
 @dataclass
@@ -125,7 +129,8 @@ def _k_sys_exact(g: ConstraintGraph, k_floor: int):
             cur_zeros[i] -= 1  # row i keeps its own column
             # zeros only grow as the matching extends, so this is a lower bound
             if best[0] is None or max(cur_zeros) + 1 < best[0]:
-                if i + 1 < s:  # a reached leaf always improves, so it never recurs
+                # a reached leaf always improves, so it never recurs
+                if i + 1 < s and len(explored) < EXPLORED_CAP:
                     explored.add(nxt)
                 assign[i] = c
                 dfs(i + 1, nxt)

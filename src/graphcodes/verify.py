@@ -5,6 +5,8 @@ weight) encodes one message per scalar class: the (q^s - 1)/(q - 1) messages
 whose first nonzero symbol is 1.  It builds them in vectorized blocks from
 per-row tables of x . G[i], with no digit arithmetic, and its field
 arithmetic comes from ``arrays``.  Its guard still counts all q^s messages.
+It also counts the messages that encode to zero, which gives the rank of G,
+so ``verification_report`` runs one elimination, for T's rank, not two.
 Encoding, fast read and decoding run on field arrays against the spec's
 table set (``CodeSpec._tables``): the logs of G, of T and of a right inverse
 R of T, each built on first use.  Decoding runs the RS layer first, then
@@ -37,6 +39,7 @@ class DistanceReport:
     witness_message: tuple[int, ...]
     method: str = "exhaustive"
     weight_histogram: dict | None = None
+    rank: int | None = None
 
 
 def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
@@ -50,6 +53,10 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
     encoded, and histogram counts are scaled by q - 1.  The lex-smallest
     message of each scalar class is that one, so the witness is unchanged.
     The guard still counts all q^s messages.
+
+    The rank of G comes from the same enumeration: the kernel of m -> m . G
+    has q^(s - rank) - 1 nonzero messages, q - 1 per counted message that
+    encodes to zero.
     """
     if len(G) == 0 or len(G[0]) == 0 or any(len(r) != len(G[0]) for r in G):
         raise ValueError("generator must be a non-empty rectangular matrix")
@@ -106,21 +113,28 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
                        lambda j, head=head: head + digits(j, r))
 
     hist = np.zeros(n + 1, dtype=np.int64)
-    best_w, best_msg = n + 1, None
+    best_w, best_msg, zeros = n + 1, None, 0
     for w, message in blocks():  # ties keep the earlier (lex smaller) witness
         if with_histogram:
             hist += np.bincount(w, minlength=n + 1)
-        w[w == 0] = n + 1  # zero codewords never count
+        zero = w == 0
+        zeros += int(np.count_nonzero(zero))
+        w[zero] = n + 1  # zero codewords never count
         j = int(np.argmin(w))
         if w[j] < best_w:
             best_w, best_msg = int(w[j]), message(j)
 
     if best_w > n:
         raise ValueError("generator spans only the zero codeword")
+    kernel, rank_G = (q - 1) * zeros + 1, s  # kernel = q^(s - rank)
+    while kernel > 1:
+        kernel //= q
+        rank_G -= 1
     return DistanceReport(
         distance=best_w, witness_message=best_msg,
         weight_histogram={w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
-        if with_histogram else None)
+        if with_histogram else None,
+        rank=rank_G)
 
 
 def rank_over_field(mat, gf: GF) -> int:
@@ -179,13 +193,16 @@ def systematic_fast_read(spec: CodeSpec, received):
 
 
 def verification_report(spec: CodeSpec, g, guard: int = ENUM_GUARD) -> dict:
-    """Exhaustive audit of a spec against its graph (CLI `verify` payload)."""
+    """Exhaustive audit of a spec against its graph (CLI `verify` payload).
+
+    rank_G is read off the distance enumeration; rank_T runs one elimination.
+    """
     report = min_distance_exhaustive(spec.G, spec.gf, guard)
     systematic = spec.matching is not None and systematic_columns_ok(spec.G, spec.matching)
     return {
         "distance": report.distance,
         "witness_message": list(report.witness_message),
-        "rank_G": rank(spec.gf, spec.G),
+        "rank_G": report.rank,
         "rank_T": rank(spec.gf, spec.T),
         "valid_pattern": validity_check(g, spec.G),
         "systematic": systematic,

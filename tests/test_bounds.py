@@ -398,6 +398,27 @@ def test_dense_graph_exact_search():
     assert k_sys_search(load_graph(DENSE_7X14)) == (8, (0, 1, 3, 2, 4, 5, 7), True)
 
 
+@pytest.mark.parametrize("cap", [1, 2, 8])
+def test_explored_cap_changes_no_answer(monkeypatch, cap):
+    # the explored set only lets the exact search skip work; past the cap it
+    # searches a column set again and must return the same witness
+    rng = random.Random(1427)
+    rows_list = [REF_ROWS]
+    while len(rows_list) < 120:
+        g = random_graph(rng, *random_dims(rng, 9, 12, s_min=2),
+                         density=rng.choice(CORPUS_DENSITIES))
+        try:
+            find_matching(g)
+        except NoMatchingError:
+            continue
+        rows_list.append(g.adjacency)
+    monkeypatch.setattr(bounds, "EXPLORED_CAP", 1 << 62)
+    uncapped = [k_sys_search(load_graph(rows)) for rows in rows_list]
+    monkeypatch.setattr(bounds, "EXPLORED_CAP", cap)
+    assert [k_sys_search(load_graph(rows)) for rows in rows_list] == uncapped
+    assert uncapped[0] == (4, (0, 1, 2), True)  # the 3x7 reference
+
+
 def test_matching_k_ignores_which_row_holds_which_column():
     # why the heuristic tries no swaps: a swap keeps the set of matched columns
     rng = random.Random(1319)

@@ -249,6 +249,40 @@ def test_rank_g_equals_rank_t_on_random_specs():
         assert rank_over_field(spec.G, gf) == rank_over_field(spec.T, gf)
 
 
+@pytest.mark.parametrize("p, m, s_max", ORACLE_FIELDS)
+def test_distance_report_rank_matches_elimination(p, m, s_max):
+    gf = GF(p, m)
+    rng = random.Random(7000 + 100 * p + m)
+    for s in range(1, s_max + 1):
+        for deficiency in range(s):  # full rank, then fewer independent rows
+            n = rng.randint(s, s + 3)
+            G = [[rng.randrange(gf.q) for _ in range(n)] for _ in range(s - deficiency)]
+            for _ in range(deficiency):  # a combination of two earlier rows
+                a, b = rng.randrange(gf.q), rng.randrange(gf.q)
+                x, y = rng.choice(G), rng.choice(G)
+                G.insert(rng.randrange(len(G) + 1),
+                         [gf.add(gf.mul(a, u), gf.mul(b, v)) for u, v in zip(x, y)])
+            if not any(v for row in G for v in row):
+                continue
+            for block in (1, 16, verify.BLOCK):  # zeros counted across blocks
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(verify, "BLOCK", block)
+                    assert min_distance_exhaustive(G, gf).rank == linalg.rank(gf, G)
+
+
+def test_verification_report_runs_one_elimination(ref_graph, gf7, monkeypatch):
+    spec = systematic_dsys(ref_graph, gf7)
+    calls = []
+
+    def counted(gf, mat):
+        calls.append(mat)
+        return linalg.rank(gf, mat)
+
+    monkeypatch.setattr(verify, "rank", counted)
+    assert verification_report(spec, ref_graph)["rank_G"] == 3
+    assert calls == [spec.T]
+
+
 def test_subcode_encode(ref_graph, gf7):
     spec = systematic_dsys(ref_graph, gf7)
     for i in range(3):
