@@ -159,11 +159,11 @@ class SpecTables:
 
     @functools.cached_property
     def log_G(self) -> np.ndarray:
-        return self.fa.log[np.array(self._G)]
+        return self.fa.logs(self._G)
 
     @functools.cached_property
     def log_T(self) -> np.ndarray:
-        return self.fa.log[np.array(self._T)]
+        return self.fa.logs(self._T)
 
     @functools.cached_property
     def log_R(self) -> np.ndarray:
@@ -177,7 +177,7 @@ class SpecTables:
                 "transform matrix has rank %d < s=%d; decoding is ambiguous"
                 % (len(pivots), s))
         log_R = np.full((k, s), fa.zero_log, dtype=np.int32)
-        log_R[pivots] = fa.log[np.array(invert(self._gf, [[row[c] for c in pivots] for row in T]))]
+        log_R[pivots] = fa.logs(invert(self._gf, [[row[c] for c in pivots] for row in T]))
         return log_R
 
 

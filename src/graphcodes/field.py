@@ -251,7 +251,11 @@ class GF:
     @property
     def antilog_table(self):
         """alpha^i for i in [0, q-1)."""
-        return tuple(self._exp[: self.q - 1])
+        return self.antilogs(self.q - 1)
+
+    def antilogs(self, count: int) -> tuple:
+        """alpha^i for i in [0, count), count <= q - 1: reads only those entries."""
+        return tuple(self._exp[:count])
 
     def to_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "poly": self.reduction_poly,

@@ -57,7 +57,7 @@ class RSCode:
     def log_powers(self) -> np.ndarray:
         """k x n int32 logs of x_j^r, 0^0 = 1; not a field, so equality and hashing ignore it."""
         fa, order = field_arrays(self.gf), self.gf.q - 1
-        log_x = fa.log[np.array(self.nodes)]
+        log_x = fa.logs(self.nodes)
         powers = np.empty((self.k, self.n), dtype=np.int32)
         for rows in _row_blocks(self.k, self.n):  # r log x_j in int64, a block at a time
             powers[rows] = np.arange(rows.start, rows.stop)[:, None] * log_x % order
@@ -75,12 +75,12 @@ def default_defining_set(gf: GF, n: int) -> tuple[int, ...]:
     """{0, 1, alpha, alpha^2, ...} truncated to n elements."""
     if not 1 <= n <= gf.q:
         raise ValueError("cannot pick %d distinct nodes in GF(%d)" % (n, gf.q))
-    return (0,) + gf.antilog_table[:n - 1]
+    return (0,) + gf.antilogs(n - 1)
 
 
 def generator_matrix(code: RSCode):
     """k x n Vandermonde matrix, row r = nodes elementwise to the power r."""
-    return field_arrays(code.gf).exp[code.log_powers].tolist()
+    return field_arrays(code.gf).elements(code.log_powers).tolist()
 
 
 def evaluate(code: RSCode, messages) -> list:
@@ -89,7 +89,7 @@ def evaluate(code: RSCode, messages) -> list:
     if c.ndim != 2 or c.shape[1] != code.k:
         raise ValueError("each message must have k=%d symbols" % code.k)
     fa, powers = field_arrays(code.gf), code.log_powers
-    log_c = fa.log[c]
+    log_c = fa.logs(c)
     return [word for rows in _row_blocks(len(c), powers.size)
             for word in fa.vec_mat_logs(log_c[rows], powers).tolist()]
 
@@ -133,12 +133,12 @@ def decode(code: RSCode, received, erasures=()):
     if f:
         # log Gamma(x_j) at the unerased nodes; Gamma interpolates those
         # values and is zero at the erased nodes
-        log_gamma = fa.log[fa.sub(tables.x[kept, None], tables.x[erased])].sum(axis=1) % order
+        log_gamma = fa.logs(fa.sub(tables.x[kept, None], tables.x[erased])).sum(axis=1) % order
         gamma = _combine(fa, log_gamma, kept, tables.lagrange)[:f + 1]
     else:
         log_gamma = np.zeros(n, dtype=np.int32)
     nonzero = y[kept] != 0
-    h = _combine(fa, (fa.log[y[kept[nonzero]]] + log_gamma[nonzero]) % order,
+    h = _combine(fa, (fa.logs(y[kept[nonzero]]) + log_gamma[nonzero]) % order,
                  kept[nonzero], tables.lagrange)
 
     # a row holds r in [0, n] and v in [n + 1, 2n + 1], so one slice update
@@ -150,13 +150,13 @@ def decode(code: RSCode, received, erasures=()):
     d0, d1, dv1 = n, _degree(a1, n), 0  # deg r0, deg r1, deg v1
     while 2 * (d1 - f) >= n - f + k:
         width = n + 2 + dv1
-        log_a1 = fa.log[a1[:width]]
+        log_a1 = fa.logs(a1[:width])
         inv_lead = order - int(log_a1[d1])
         dv1 += d0 - d1  # the degree of v0 - quotient * v1
         while d0 >= d1:  # one quotient term at a time
             shift = d0 - d1
             c = (int(fa.log[a0[d0]]) + inv_lead) % order
-            a0[shift:shift + width] = fa.sub(a0[shift:shift + width], fa.exp[c + log_a1])
+            a0[shift:shift + width] = fa.sub(a0[shift:shift + width], fa.elements(c + log_a1))
             d0 = _degree(a0, d0 - 1)
         a0, a1, d0, d1 = a1, a0, d1, d0
     r1, v1 = a1[:d1 + 1], a1[n + 1:n + 2 + dv1]
@@ -167,17 +167,17 @@ def decode(code: RSCode, received, erasures=()):
         dw = len(divisor) - 1
         if not 0 <= d1 - dw < k:
             raise DecodingError("no codeword lies within the decoding radius")
-        rem, log_w = r1, fa.log[divisor]
+        rem, log_w = r1, fa.logs(divisor)
         inv_lead = order - int(log_w[-1])
         for i in range(d1, dw - 1, -1):
             if rem[i]:
                 c = (int(fa.log[rem[i]]) + inv_lead) % order
                 message[i - dw] = fa.exp[c]
-                rem[i - dw:i + 1] = fa.sub(rem[i - dw:i + 1], fa.exp[c + log_w])
+                rem[i - dw:i + 1] = fa.sub(rem[i - dw:i + 1], fa.elements(c + log_w))
         if rem[:dw].any():
             raise DecodingError("no codeword lies within the decoding radius")
 
-    values = _combine(fa, fa.log[message], np.arange(k), code.log_powers)
+    values = _combine(fa, fa.logs(message), np.arange(k), code.log_powers)
     positions = kept[values[kept] != y[kept]].tolist()
     # Cannot fire once v divides the remainder exactly: the message then
     # agrees with the received word wherever v is nonzero, so at most
@@ -227,10 +227,10 @@ class DecodeTables:
         self.lagrange = np.empty((n, n), dtype=np.int32)
         for rows in _row_blocks(n, n):
             # log g0'(x_j) = sum over i != j of log (x_j - x_i)
-            logs = fa.log[fa.sub(x[rows, None], x)]
+            logs = fa.logs(fa.sub(x[rows, None], x))
             np.fill_diagonal(logs[:, rows], 0)
-            scale = fa.inv(fa.exp[logs.sum(axis=1) % order])
-            self.lagrange[rows] = fa.log[fa.mul(quotients[:, rows].T, scale[:, None])]
+            scale = fa.inv(fa.elements(logs.sum(axis=1) % order))
+            self.lagrange[rows] = fa.logs(fa.mul(quotients[:, rows].T, scale[:, None]))
 
 
 def _row_blocks(count: int, width: int):
@@ -244,7 +244,7 @@ def _combine(fa: FieldArrays, log_coeffs, rows, table) -> np.ndarray:
     logs (the log of a nonzero c_r below q - 1): one gather per block of rows."""
     out = np.zeros(table.shape[1], dtype=fa.dtype)
     for block in _row_blocks(len(rows), table.shape[1]):
-        out = fa.add(out, fa.vec_mat_logs(log_coeffs[block], table[rows[block]]))
+        out = fa.add(out, fa.vec_mat_logs(log_coeffs[block], table.take(rows[block], axis=0)))
     return out
 
 
@@ -253,7 +253,7 @@ def _poly_mul(fa: FieldArrays, a, b) -> np.ndarray:
     with row i shifted i places to the right and summed down the columns."""
     la, lb = len(a), len(b)
     flat = np.zeros(la * (la + lb + 1), dtype=fa.dtype)
-    flat.reshape(la, la + lb + 1)[:, :lb] = fa.exp[fa.log[a][:, None] + fa.log[b]]
+    flat.reshape(la, la + lb + 1)[:, :lb] = fa.elements(fa.logs(a)[:, None] + fa.logs(b))
     return fa.sum(flat[:la * (la + lb)].reshape(la, la + lb), axis=0)[:la + lb - 1]
 
 

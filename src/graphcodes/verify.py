@@ -145,7 +145,7 @@ def rank_over_field(mat, gf: GF) -> int:
 
 def _encode(spec: CodeSpec, message: np.ndarray) -> np.ndarray:
     tables = spec._tables
-    return tables.fa.vec_mat_logs(tables.fa.log[message], tables.log_G)
+    return tables.fa.vec_mat_logs(tables.fa.logs(message), tables.log_G)
 
 
 def subcode_encode(spec: CodeSpec, message) -> list:
@@ -170,8 +170,8 @@ def subcode_decode(spec: CodeSpec, received, erasures=()) -> list:
     tables = spec._tables
     fa, log_R = tables.fa, tables.log_R
     u = np.array(u, dtype=fa.dtype)
-    m = fa.vec_mat_logs(fa.log[u], log_R)
-    if not np.array_equal(fa.vec_mat_logs(fa.log[m], tables.log_T), u):
+    m = fa.vec_mat_logs(fa.logs(u), log_R)
+    if not np.array_equal(fa.vec_mat_logs(fa.logs(m), tables.log_T), u):
         raise DecodingError(
             "decoded word lies outside the code (likely corruption beyond radius)")
     return m.tolist()

@@ -11,8 +11,10 @@ import random
 import numpy as np
 import pytest
 
+from graphcodes import rs
 from graphcodes.arrays import field_arrays
 from graphcodes.field import GF
+from graphcodes.polys import poly_mul
 
 KERNEL_FIELDS = [(2, 1), (3, 1), (31, 1), (127, 1), (131, 1), (2, 4), (2, 8)]
 
@@ -93,3 +95,103 @@ def test_sum_matches_a_scalar_fold_along_either_axis(p, m):
     assert down.dtype == across.dtype == fa.dtype
     assert down.tolist() == [fold(col) for col in zip(*rows)]
     assert across.tolist() == [fold(row) for row in rows]
+
+
+# -- the gather kernel: logs, elements and the helpers built on them ---------
+
+GATHER_FIELDS = [(7, 1), (31, 1), (2, 4), (2, 6)]
+
+
+def _random_elements(fa, rng, shape):
+    """Random elements with about a fifth of the entries zero."""
+    a = rng.integers(0, fa.q, size=shape)
+    a[rng.random(shape) < 0.2] = 0
+    return a.astype(fa.dtype)
+
+
+def _scalar_vec_mat(gf, v, mat):
+    out = [0] * len(mat[0])
+    for c, row in zip(v, mat):
+        for j, x in enumerate(row):
+            out[j] = gf.add(out[j], gf.mul(c, x))
+    return out
+
+
+@pytest.mark.parametrize("p, m", GATHER_FIELDS)
+def test_vec_mat_logs_matches_a_scalar_product(p, m):
+    gf = GF(p, m)
+    fa = field_arrays(gf)
+    rng = np.random.default_rng(fa.q)
+    mat = _random_elements(fa, rng, (6, 9))
+    vs = _random_elements(fa, rng, (5, 6))
+    vs[0] = 0
+    want = [_scalar_vec_mat(gf, v, mat.tolist()) for v in vs.tolist()]
+    log_mat = fa.logs(mat)
+    got = fa.vec_mat_logs(fa.logs(vs), log_mat)
+    assert got.dtype == fa.dtype and got.shape == (5, 9)
+    assert got.tolist() == want
+    for v, row in zip(vs, want):
+        one = fa.vec_mat_logs(fa.logs(v), log_mat)
+        assert one.dtype == fa.dtype and one.shape == (9,)
+        assert one.tolist() == row
+
+
+@pytest.mark.parametrize("p, m", GATHER_FIELDS)
+@pytest.mark.parametrize("block", [1, 7, 16, None])
+def test_combine_matches_a_scalar_sum_across_row_blocks(monkeypatch, p, m, block):
+    # BLOCK_ELEMENTS = 7 and 16 split the 9-column table into blocks of 1
+    # and 2 rows; None keeps the default, one block
+    if block is not None:
+        monkeypatch.setattr(rs, "BLOCK_ELEMENTS", block)
+    gf = GF(p, m)
+    fa = field_arrays(gf)
+    rng = np.random.default_rng(fa.q + 1)
+    table = _random_elements(fa, rng, (8, 9))
+    coeffs = _random_elements(fa, rng, 8)
+    coeffs[1:3] = [0, 1]
+    log_table = fa.logs(table)
+    rows_all = np.arange(8)
+    got = rs._combine(fa, fa.logs(coeffs), rows_all, log_table)
+    assert got.dtype == fa.dtype
+    assert got.tolist() == _scalar_vec_mat(gf, coeffs.tolist(), table.tolist())
+    subset = np.array([6, 0, 3, 5, 7])
+    got = rs._combine(fa, fa.logs(coeffs[:5]), subset, log_table)
+    assert got.tolist() == _scalar_vec_mat(gf, coeffs[:5].tolist(), table[subset].tolist())
+
+
+@pytest.mark.parametrize("p, m", GATHER_FIELDS)
+def test_poly_mul_matches_the_scalar_reference(p, m):
+    gf = GF(p, m)
+    fa = field_arrays(gf)
+    rng = np.random.default_rng(fa.q + 2)
+    for la, lb in [(1, 1), (1, 5), (4, 1), (3, 6), (7, 7), (12, 3)]:
+        a = _random_elements(fa, rng, la)
+        b = _random_elements(fa, rng, lb)
+        a[-1] = b[-1] = 1  # nonzero leads, as in the decoder
+        got = rs._poly_mul(fa, a, b)
+        assert got.dtype == fa.dtype
+        assert got.tolist() == poly_mul(gf, a.tolist(), b.tolist()), (la, lb)
+
+
+def _operand_forms(a):
+    """a 2-D array, a row, a 2-D view, a 0-d array and a numpy scalar."""
+    return [a, a[1], a[1:2, 2:3], np.array(a[2, 1]), a[2, 1]]
+
+
+@pytest.mark.parametrize("p, m", KERNEL_FIELDS)
+def test_gathers_keep_dtype_and_shape(p, m):
+    gf = GF(p, m)
+    fa = field_arrays(gf)
+    base = _random_elements(fa, np.random.default_rng(fa.q + 3), (3, 4))
+    base[0, 0] = base[2, 1] = 0
+    nonzero = np.where(base == 0, 1, base).astype(fa.dtype)
+    for a, b in zip(_operand_forms(base), _operand_forms(nonzero)):
+        logs = fa.logs(a)
+        assert logs.dtype == np.int32 and np.shape(logs) == np.shape(a)
+        back = fa.elements(logs)
+        assert back.dtype == fa.dtype and np.shape(back) == np.shape(a)
+        assert np.array_equal(back, a)
+        for got in (fa.mul(a, b), fa.inv(b)):
+            assert got.dtype == fa.dtype and np.shape(got) == np.shape(a)
+    assert fa.logs(base[0, 0]) == fa.zero_log
+    assert fa.elements(2 * fa.zero_log) == 0

@@ -83,6 +83,14 @@ def test_default_defining_set(gf7):
         default_defining_set(gf7, 8)
 
 
+@pytest.mark.parametrize("gf", [GF(7), GF(2, 8), GF(65521)], ids=repr)
+def test_default_defining_set_is_zero_then_powers_of_alpha(gf):
+    for n in sorted({1, 2, 7, min(gf.q, 40), min(gf.q, 256)}):
+        nodes = default_defining_set(gf, n)
+        assert nodes == (0,) + tuple(gf.pow(gf.alpha, i) for i in range(n - 1))
+        assert all(type(x) is int for x in nodes)
+
+
 def test_code_validation(gf7):
     nodes = default_defining_set(gf7, 7)
     with pytest.raises(ValueError):
@@ -409,6 +417,26 @@ def test_decode_full_length_code_matches_scalar_reference():
         received, erased = corrupted_word(rng, code, e, f)
         assert (outcome(decode, code, received, erased)
                 == outcome(scalar_decode, code, received, erased)), (e, f)
+
+
+# the three decode-stream codes: length, field and RS dimension
+STREAM_SHAPES = ((31, GF(31), 22), (63, GF(2, 6), 30), (255, GF(2, 8), 81))
+
+
+@pytest.mark.parametrize("n, gf, k", STREAM_SHAPES, ids=repr)
+def test_decode_matches_scalar_reference_on_stream_shapes(n, gf, k):
+    # clean words, t errors, n - k erasures, errors and erasures mixed
+    # within the radius, and t + 1 errors
+    rng = random.Random(n * 1000 + k)
+    code = RSCode(gf, default_defining_set(gf, n), k)
+    t = (n - k) // 2
+    for trial in range(6):
+        e = rng.randint(1, t)
+        for errors, erasures in ((0, 0), (t, 0), (0, n - k),
+                                 (e, rng.randint(0, n - k - 2 * e)), (t + 1, 0)):
+            received, erased = corrupted_word(rng, code, errors, erasures)
+            assert (outcome(decode, code, received, erased)
+                    == outcome(scalar_decode, code, received, erased)), (trial, errors, erasures)
 
 
 @st.composite
