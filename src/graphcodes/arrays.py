@@ -37,7 +37,10 @@ class FieldArrays:
     ``elements(l)`` maps logs in [0, 4(q - 1)] back, each one ``take`` that
     keeps the shape of its argument.  Operands are elements held in
     ``dtype`` (arrays, 0-d arrays or numpy scalars), and results keep it;
-    Python ints give the same values.
+    Python ints give the same values.  ``add`` and ``sub`` pass ``dtype`` to
+    every ufunc, over GF(p) and GF(2^m) alike, so both refuse an operand in
+    a signed integer dtype.  ``log_sub(a, b)`` is ``logs(sub(a, b))`` in one
+    ufunc and one gather.
     """
 
     def __init__(self, gf: GF):
@@ -50,12 +53,17 @@ class FieldArrays:
         self.exp = np.zeros(4 * (q - 1) + 1, dtype=self.dtype)
         self.exp[:2 * (q - 1)] = gf.antilog_table * 2
         self.logs, self.elements = self.log.take, self.exp.take
+        dtype = self.dtype
         if gf.p == 2:
-            self.add = self.sub = np.bitwise_xor
+            def xor(a, b):  # the explicit dtype refuses what GF(p) refuses
+                return np.bitwise_xor(a, b, dtype=dtype)
+
+            self.add = self.sub = xor
+            self.log_sub = lambda a, b: self.log.take(np.bitwise_xor(a, b, dtype=dtype))
             self.neg = lambda a: a
             self.sum = lambda a, axis=0: np.bitwise_xor.reduce(a, axis=axis)
         else:
-            p, dtype = gf.p, self.dtype
+            p = gf.p
             # every step is a ufunc with an explicit dtype: on numpy scalars
             # the operator form would warn when t - p or t + p wraps
 
@@ -68,8 +76,11 @@ class FieldArrays:
                 return np.minimum(t, np.add(t, p, dtype=dtype))
 
             self.add, self.sub = add, sub
+            # a - b lies in (-p, p) as a signed index, and take wraps it mod p
+            self.log_sub = lambda a, b: self.log.take(
+                np.subtract(a, b, dtype=np.intp), mode="wrap")
             self.neg = np.array([(p - a) % p for a in range(p)], dtype=dtype).take
-            self.sum = lambda a, axis=0: (a.sum(axis=axis) % p).astype(dtype)
+            self.sum = lambda a, axis=0: (np.add.reduce(a, axis=axis) % p).astype(dtype)
 
     def mul(self, a, b):
         return self.elements(self.logs(a) + self.logs(b))
@@ -95,7 +106,9 @@ def symbols(values, q: int, what: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values)
     if not arr.size:
         return arr.astype(np.int64)
-    if arr.ndim != ndim or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= q:
+    kind = arr.dtype.kind
+    if (arr.ndim != ndim or kind not in "iu" or (kind == "i" and arr.min() < 0)
+            or arr.max() >= q):
         raise ValueError("%s must lie in [0, %d)" % (what, q))
     return arr
 

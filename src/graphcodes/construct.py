@@ -4,7 +4,9 @@ All constructions extract the code as a subcode of an [n, k] Reed-Solomon
 code: per message row i, a transformation polynomial vanishing on the nodes
 where the row must be zero supplies row i of the generator as its vector of
 evaluations.  Stacking the coefficient vectors gives the transform matrix T
-with G = T . G_RS.
+with G = T . G_RS.  The polynomial modes build every row of T at once, on
+field arrays, from one batched product tree (``rs.vanishing``), which also
+scales each row to 1 at its matched node, and take G from ``rs.evaluate``.
 
 Modes:
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +37,7 @@ from .field import GF
 from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching,
                     find_matching, matched_adjacency, row_zero_stats)
 from .linalg import identity_matrix, invert, left_nullspace_basis, rref, vec_mat
-from .polys import poly_eval, poly_from_roots, poly_scale
-from .rs import RSCode, default_defining_set, evaluate, generator_matrix
+from .rs import RSCode, default_defining_set, evaluate, generator_matrix, vanishing
 
 MODES = ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace")
 
@@ -47,7 +48,12 @@ def _is_int(v) -> bool:
 
 @dataclass(eq=False)
 class CodeSpec:
-    """A constructed code: field, RS layer, transform T, generator G = T.G_RS."""
+    """A constructed code: field, RS layer, transform T, generator G = T.G_RS.
+
+    ``consistent`` marks a spec whose G is known to be T times an MDS
+    generator: the constructions set it, and ``from_dict`` sets it once G
+    has matched T . G_RS.  A spec built by hand leaves it False.
+    """
 
     gf: GF
     rs: RSCode | None
@@ -57,6 +63,7 @@ class CodeSpec:
     matching: tuple[int, ...] | None
     claimed_distance: int
     distance_exact: bool
+    consistent: bool = field(default=False, repr=False)
 
     @property
     def s(self) -> int:
@@ -130,6 +137,7 @@ class CodeSpec:
         bad = [i for i, row in enumerate(evaluate(rs, T)) if row != G[i]]
         if bad:
             raise InconsistentCodeError("G differs from T . G_RS in rows %s" % bad, spec)
+        spec.consistent = True
         return spec
 
     @classmethod
@@ -201,18 +209,18 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
     """The subcode of rs whose row i vanishes where rows[i] is zero: T holds
     the vanishing polynomials' coefficients (padded to k), each scaled to 1
     at node matching[i] when a matching is given, and G = T . G_RS."""
-    gf, T = rs.gf, []
-    for i, zs in enumerate(_zero_sets(rows)):
-        t = poly_from_roots(gf, [rs.nodes[j] for j in zs])
-        if len(t) > rs.k:
-            raise InfeasibleError(
-                "row %d needs %d zeros but the RS dimension is only %d" % (i, len(zs), rs.k))
-        if matching is not None:
-            pivot = poly_eval(gf, t, rs.nodes[matching[i]])
-            t = poly_scale(gf, t, gf.inv(pivot))
-        T.append(t + [0] * (rs.k - len(t)))
-    return CodeSpec(gf=gf, rs=rs, T=T, G=evaluate(rs, T), mode=mode, matching=matching,
-                    claimed_distance=claimed_distance, distance_exact=distance_exact)
+    fa, zero = field_arrays(rs.gf), np.asarray(rows) == 0
+    polys = vanishing(rs, zero, matching)
+    if polys.shape[1] > rs.k:
+        counts = zero.sum(axis=1)
+        i = int(np.argmax(counts >= rs.k))
+        raise InfeasibleError(
+            "row %d needs %d zeros but the RS dimension is only %d" % (i, counts[i], rs.k))
+    T = np.zeros((len(zero), rs.k), dtype=fa.dtype)
+    T[:, :polys.shape[1]] = polys
+    return CodeSpec(gf=rs.gf, rs=rs, T=T.tolist(), G=evaluate(rs, T), mode=mode,
+                    matching=matching, claimed_distance=claimed_distance,
+                    distance_exact=distance_exact, consistent=True)
 
 
 def generic_subcode(g: ConstraintGraph, gf: GF, nodes=None, k=None,
@@ -425,7 +433,7 @@ def _mds_nullspace(g: ConstraintGraph, gf: GF, mds_generator, target_distance: i
     rs = RSCode(gf, tuple(nodes), k) if nodes is not None else None
     return CodeSpec(gf=gf, rs=rs, T=T, G=G, mode="mds-nullspace",
                     matching=matching, claimed_distance=target_distance,
-                    distance_exact=exact)
+                    distance_exact=exact, consistent=True)
 
 
 def validity_check(g: ConstraintGraph, G) -> bool:

@@ -10,6 +10,9 @@ node product g0 and the Lagrange basis, as int32 logs (about 4 n^2 bytes).
 Interpolation is then one gather per block of basis rows, and erasures enter
 as the factor prod (x - x_e), which the Euclid steps carry along.  The code's
 node powers (``RSCode.log_powers``) serve the generator, ``evaluate`` and re-encode.
+``vanishing`` builds the polynomials that vanish on given nodes, every row
+at once, as one batched product tree: the constructions' transform rows and
+the decoder's node product g0.
 """
 
 from __future__ import annotations
@@ -57,11 +60,13 @@ class RSCode:
     def log_powers(self) -> np.ndarray:
         """k x n int32 logs of x_j^r, 0^0 = 1; not a field, so equality and hashing ignore it."""
         fa, order = field_arrays(self.gf), self.gf.q - 1
-        log_x = fa.logs(self.nodes)
+        log_x = _node_tables(self.gf, tuple(self.nodes))[1]
         powers = np.empty((self.k, self.n), dtype=np.int32)
         for rows in _row_blocks(self.k, self.n):  # r log x_j in int64, a block at a time
-            powers[rows] = np.arange(rows.start, rows.stop)[:, None] * log_x % order
-        powers[1:, log_x == fa.zero_log] = fa.zero_log
+            np.remainder(np.multiply.outer(np.arange(rows.start, rows.stop), log_x), order,
+                         out=powers[rows])
+        if 0 in self.nodes:
+            powers[1:, self.nodes.index(0)] = fa.zero_log
         return powers
 
     @functools.cached_property
@@ -133,7 +138,7 @@ def decode(code: RSCode, received, erasures=()):
     if f:
         # log Gamma(x_j) at the unerased nodes; Gamma interpolates those
         # values and is zero at the erased nodes
-        log_gamma = fa.logs(fa.sub(tables.x[kept, None], tables.x[erased])).sum(axis=1) % order
+        log_gamma = fa.log_sub(tables.x[kept, None], tables.x[erased]).sum(axis=1) % order
         gamma = _combine(fa, log_gamma, kept, tables.lagrange)[:f + 1]
     else:
         log_gamma = np.zeros(n, dtype=np.int32)
@@ -213,11 +218,7 @@ class DecodeTables:
                 "decode tables for n=%d need %d bytes, over the guard of %d"
                 % (n, needed, TABLE_BYTES_GUARD))
         x = self.x = np.array(code.nodes, dtype=fa.dtype)
-        g0 = self.g0 = np.zeros(n + 1, dtype=fa.dtype)
-        g0[0] = 1
-        for i, root in enumerate(fa.neg(x)):  # g0 <- g0 (x - x_i)
-            g0[1:i + 2] = fa.add(g0[:i + 1], fa.mul(root, g0[1:i + 2]))
-            g0[0] = fa.mul(root, g0[0])
+        g0 = self.g0 = vanishing(code, np.ones((1, n), dtype=bool))[0]
         # quotients[i, j] is coefficient i of g0 / (x - x_j): synthetic
         # division for every node at once
         quotients = np.empty((n, n), dtype=fa.dtype)
@@ -227,7 +228,7 @@ class DecodeTables:
         self.lagrange = np.empty((n, n), dtype=np.int32)
         for rows in _row_blocks(n, n):
             # log g0'(x_j) = sum over i != j of log (x_j - x_i)
-            logs = fa.logs(fa.sub(x[rows, None], x))
+            logs = fa.log_sub(x[rows, None], x)
             np.fill_diagonal(logs[:, rows], 0)
             scale = fa.inv(fa.elements(logs.sum(axis=1) % order))
             self.lagrange[rows] = fa.logs(fa.mul(quotients[:, rows].T, scale[:, None]))
@@ -255,6 +256,72 @@ def _poly_mul(fa: FieldArrays, a, b) -> np.ndarray:
     flat = np.zeros(la * (la + lb + 1), dtype=fa.dtype)
     flat.reshape(la, la + lb + 1)[:, :lb] = fa.elements(fa.logs(a)[:, None] + fa.logs(b))
     return fa.sum(flat[:la * (la + lb)].reshape(la, la + lb), axis=0)[:la + lb - 1]
+
+
+@functools.lru_cache(maxsize=64)
+def _node_tables(gf: GF, nodes: tuple[int, ...]):
+    """The nodes as field elements, their logs in int64 (for r log x_j) and
+    the (n + 1) x 2 leaf logs of ``vanishing``: row j the factor (-x_j, 1),
+    row n the padding (1, 0).  Kept per node set, since a design builds
+    many codes on one; about 17 n bytes each, read-only, as every caller
+    shares them."""
+    fa, n = field_arrays(gf), len(nodes)
+    x = np.array(nodes, dtype=fa.dtype)
+    table = np.zeros((n + 1, 2), dtype=np.int32)
+    table[:n, 0], table[n, 1] = fa.logs(fa.neg(x)), fa.zero_log
+    arrays = x, fa.logs(x).astype(np.int64), table
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def vanishing(code: RSCode, zero, at=None) -> np.ndarray:
+    """Row i holds the coefficients, ascending, of prod (X - x_j) over the
+    nodes x_j with zero[i, j], divided by its value at node at[i] when
+    ``at`` is given (no root of row i), so that it is 1 there; rows are
+    monic otherwise.  The rows have 1 + the largest zero count as their length.
+
+    A batched product tree on logs: each row's roots fill 2^L leaves, the
+    factors (-x_j, 1) and then padding factors (1, 0), and each of the L
+    levels multiplies adjacent pairs of leaves, across all rows at once,
+    with one outer product and ``_poly_mul``'s shifted-row sum.  The row
+    scale is a log added in the tree's last gather, so no pass of its own runs.
+    """
+    fa = field_arrays(code.gf)
+    x, _, table = _node_tables(code.gf, tuple(code.nodes))
+    zero = np.asarray(zero, dtype=bool)
+    rows, n = zero.shape
+    counts = np.add.reduce(zero, axis=1, dtype=np.intp)
+    top = int(np.maximum.reduce(counts))
+    if top == 0:  # no roots: every row is the empty product, 1 at every point
+        return np.ones((rows, 1), dtype=fa.dtype)
+    size = 1 << (top - 1).bit_length()
+    # leaf keys: row i's roots in node order, then the padding index n; the
+    # first counts[i] slots of row i take its roots, in np.nonzero's order
+    # (no np.sort, whose first call adds its code pages to peak RSS)
+    keys = np.full((rows, size), n)
+    keys[np.arange(size) < counts[:, None]] = np.nonzero(zero)[1]
+    logs = table.take(keys, axis=0).reshape(rows * size, 2)
+    while len(logs) > rows:  # pairs 2c, 2c + 1 lie in one row, as size is even
+        wa = logs.shape[1]
+        # the last product's right factor holds only the roots past size / 2;
+        # cutting it there keeps the n = 255 set-up's peak RSS about 0.5 MB lower
+        wb = wa if len(logs) > 2 * rows else top - size // 2 + 1
+        flat = np.zeros((len(logs) // 2, wa * (wa + wb + 1)), dtype=fa.dtype)
+        flat.reshape(-1, wa, wa + wb + 1)[..., :wb] = fa.elements(
+            logs[0::2, :, None] + logs[1::2, None, :wb])
+        products = fa.sum(flat[:, :wa * (wa + wb)].reshape(-1, wa, wa + wb), axis=1)
+        logs = fa.logs(products[:, :wa + wb - 1])
+    logs = logs[:, :top + 1]
+    if at is not None:
+        # minus the log of prod (x_at[i] - x_j) over row i's roots: a log in
+        # [1, q - 1] keeps a nonzero entry's log below 2(q - 1), and a zero
+        # entry's at or above it
+        order = fa.q - 1
+        log_diff = fa.log_sub(x.take(at)[:, None], x)
+        log_value = np.add.reduce(log_diff, axis=1, where=zero, dtype=np.int64) % order
+        logs = logs + (order - log_value)[:, None]
+    return fa.elements(logs)
 
 
 def _degree(a, d: int) -> int:

@@ -6,7 +6,8 @@ whose first nonzero symbol is 1.  It builds them in vectorized blocks from
 per-row tables of x . G[i], with no digit arithmetic, and its field
 arithmetic comes from ``arrays``.  Its guard still counts all q^s messages.
 It also counts the messages that encode to zero, which gives the rank of G,
-so ``verification_report`` runs one elimination, for T's rank, not two.
+so ``verification_report`` runs no elimination when a consistent spec's G
+has full rank and one, for T's rank, otherwise.
 Encoding, fast read and decoding run on field arrays against the spec's
 table set (``CodeSpec._tables``): the logs of G, of T and of a right inverse
 R of T, each built on first use.  Decoding runs the RS layer first, then
@@ -195,7 +196,9 @@ def systematic_fast_read(spec: CodeSpec, received):
 def verification_report(spec: CodeSpec, g, guard: int = ENUM_GUARD) -> dict:
     """Exhaustive audit of a spec against its graph (CLI `verify` payload).
 
-    rank_G is read off the distance enumeration; rank_T runs one elimination.
+    rank_G is read off the distance enumeration.  When G = T . M, as a
+    ``consistent`` spec guarantees, rank_G <= rank_T <= s, so rank_T is s
+    when G has full rank; otherwise one elimination runs, on T.
     """
     report = min_distance_exhaustive(spec.G, spec.gf, guard)
     systematic = spec.matching is not None and systematic_columns_ok(spec.G, spec.matching)
@@ -203,7 +206,8 @@ def verification_report(spec: CodeSpec, g, guard: int = ENUM_GUARD) -> dict:
         "distance": report.distance,
         "witness_message": list(report.witness_message),
         "rank_G": report.rank,
-        "rank_T": rank(spec.gf, spec.T),
+        "rank_T": (spec.s if spec.consistent and report.rank == spec.s
+                   else rank(spec.gf, spec.T)),
         "valid_pattern": validity_check(g, spec.G),
         "systematic": systematic,
     }

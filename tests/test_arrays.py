@@ -38,6 +38,21 @@ def test_binary_ops_match_the_scalar_field_on_every_pair(p, m):
 
 
 @pytest.mark.parametrize("p, m", KERNEL_FIELDS)
+def test_log_sub_is_the_log_of_the_difference_on_every_pair(p, m):
+    # one ufunc and one gather, a == b giving zero_log; as a 1-D pair list
+    # and broadcast as a column against a row
+    gf = GF(p, m)
+    fa = field_arrays(gf)
+    a, b = _all_pairs(fa)
+    want = [fa.zero_log if x == y else gf.log_table[gf.sub(x, y) - 1]
+            for x, y in zip(a.tolist(), b.tolist())]
+    got = fa.log_sub(a, b)
+    assert got.dtype == np.int32 and got.tolist() == want
+    column = np.arange(fa.q, dtype=fa.dtype)
+    assert fa.log_sub(column[:, None], column).ravel().tolist() == want
+
+
+@pytest.mark.parametrize("p, m", KERNEL_FIELDS)
 def test_unary_ops_match_the_scalar_field_on_every_element(p, m):
     gf = GF(p, m)
     fa = field_arrays(gf)
@@ -195,3 +210,20 @@ def test_gathers_keep_dtype_and_shape(p, m):
             assert got.dtype == fa.dtype and np.shape(got) == np.shape(a)
     assert fa.logs(base[0, 0]) == fa.zero_log
     assert fa.elements(2 * fa.zero_log) == 0
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (31, 1), (2, 4), (2, 8)])
+def test_add_and_sub_refuse_the_same_operands_over_both_field_kinds(p, m):
+    # every ufunc runs in fa.dtype, so a signed integer operand is refused
+    # over GF(p) and GF(2^m) alike, on either side and as an array or scalar
+    fa = field_arrays(GF(p, m))
+    a = np.arange(5, dtype=fa.dtype)
+    for name in ("add", "sub"):
+        op = getattr(fa, name)
+        for bad in (a.astype(np.int64), a.astype(np.int32), np.int64(3)):
+            with pytest.raises(TypeError, match="Cannot cast ufunc"):
+                op(a, bad)
+            with pytest.raises(TypeError, match="Cannot cast ufunc"):
+                op(bad, a)
+        for good in (a, a[::-1].copy(), fa.dtype.type(3), 3):
+            assert op(a, good).dtype == fa.dtype

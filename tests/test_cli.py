@@ -202,6 +202,21 @@ def test_code_file_with_g_rescaled_from_t_is_refused(ref_graph_file, tmp_path, c
     assert "MISMATCH: G differs from T . G_RS" in err
 
 
+def test_verify_of_a_mismatched_file_reports_the_rank_of_its_own_t(
+        ref_graph_file, tmp_path, capsys):
+    # G keeps full rank, but T repeats a row: only T's elimination can tell
+    out_file = tmp_path / "code.json"
+    _run(capsys, ["construct", ref_graph_file, "--p", "7", "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    payload["T"][1] = payload["T"][0]
+    out_file.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, ["verify", str(out_file), ref_graph_file])
+    assert code == 4
+    assert "MISMATCH: G differs from T . G_RS in rows [1]" in err
+    report = json.loads(out)
+    assert (report["rank_G"], report["rank_T"]) == (3, 2)
+
+
 def test_code_file_with_bad_matching_is_refused(ref_graph_file, tmp_path, capsys):
     out_file = tmp_path / "code.json"
     _run(capsys, ["construct", ref_graph_file, "--p", "7", "--out", str(out_file)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (ALL_MODES_ROWS, REF_G, REF_NODES, REF_ROWS, REF_T,
                       random_dims, random_graph)
+from graphcodes import construct, polys
 from graphcodes.construct import (CodeSpec, generic_subcode,
                                   mds_nullspace_construct, rs_nullspace_construct,
                                   systematic_columns_ok, systematic_dmin,
@@ -16,7 +17,8 @@ from graphcodes.errors import (InconsistentCodeError, InfeasibleError,
 from graphcodes.field import GF
 from graphcodes.graph import load_graph
 from graphcodes.linalg import matmul, rank
-from graphcodes.rs import RSCode, default_defining_set, encode, generator_matrix
+from graphcodes.rs import (RSCode, default_defining_set, encode, evaluate,
+                           generator_matrix)
 from graphcodes.verify import min_distance_exhaustive
 
 
@@ -390,3 +392,72 @@ def test_constructions_respect_validity_on_random_graphs():
         # generator rows really are the RS encodings of the transform rows
         for trow, grow in zip(sys_spec.T, sys_spec.G):
             assert encode(sys_spec.rs, trow) == grow
+
+
+# -- transform rows: the vanishing polynomials of _subcode ---------------------
+
+def scalar_transform(rs, rows, matching):
+    """T row by row, one field element at a time (poly_from_roots, poly_eval,
+    poly_scale): the reference for _subcode, raising its InfeasibleError."""
+    gf, T = rs.gf, []
+    for i, row in enumerate(rows):
+        zs = [j for j, v in enumerate(row) if v == 0]
+        t = polys.poly_from_roots(gf, [rs.nodes[j] for j in zs])
+        if len(t) > rs.k:
+            raise InfeasibleError(
+                "row %d needs %d zeros but the RS dimension is only %d" % (i, len(zs), rs.k))
+        if matching is not None:
+            t = polys.poly_scale(gf, t, gf.inv(polys.poly_eval(gf, t, rs.nodes[matching[i]])))
+        T.append(t + [0] * (rs.k - len(t)))
+    return T
+
+
+@st.composite
+def subcode_cases(draw):
+    """(rs, rows, matching or None) over GF(2), GF(7), GF(31), GF(2^4) and
+    GF(2^8): rows with no zeros, with k - 1 zeros (the most a row may have),
+    with k or more (infeasible) and in between; s = 1 to 5."""
+    gf = GF(*draw(st.sampled_from(((2, 1), (7, 1), (31, 1), (2, 4), (2, 8)))))
+    n = draw(st.integers(1, min(gf.q, 24)))
+    nodes = tuple(draw(st.permutations(range(gf.q)))[:n])
+    k = draw(st.integers(1, n))
+    s = draw(st.integers(1, 5))
+    systematic = draw(st.booleans())
+    rows, matching = [], []
+    for _ in range(s):
+        zeros = draw(st.sampled_from((0, k - 1, k, draw(st.integers(0, n)))))
+        zeros = min(zeros, n - 1 if systematic else n)  # a matched column is no zero
+        zs = set(draw(st.permutations(range(n)))[:zeros])
+        rows.append(tuple(0 if j in zs else 1 for j in range(n)))
+        matching.append(draw(st.sampled_from([j for j in range(n) if j not in zs] or [0])))
+    return RSCode(gf, nodes, k), tuple(rows), tuple(matching) if systematic else None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(subcode_cases())
+def test_subcode_transform_matches_the_scalar_reference(case):
+    rs, rows, matching = case
+    try:
+        want = scalar_transform(rs, rows, matching)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as got:
+            construct._subcode(rs, rows, "generic", matching, 1, False)
+        assert str(got.value) == str(exc)
+        return
+    spec = construct._subcode(rs, rows, "generic", matching, 1, False)
+    assert spec.T == want and all(type(v) is int for row in spec.T for v in row)
+    assert spec.G == evaluate(rs, want)
+
+
+def test_subcode_modes_run_without_the_scalar_polynomials(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar polynomial arithmetic called")
+
+    for name in ("poly_from_roots", "poly_eval", "poly_scale"):
+        monkeypatch.setattr(polys, name, refuse)
+        monkeypatch.setattr(construct, name, refuse, raising=False)
+    g = load_graph(ALL_MODES_ROWS)
+    for p, m in ((7, 1), (2, 3)):
+        for mode in ("generic", "systematic-dmin", "systematic-dsys"):
+            spec = BUILDERS[mode](g, GF(p, m))
+            assert spec.mode == mode and validity_check(g, spec.G)

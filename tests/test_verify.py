@@ -10,7 +10,7 @@ from conftest import REF_G, random_dims, random_graph
 from graphcodes import construct, linalg, rs, verify
 from graphcodes.construct import (CodeSpec, generic_subcode, rs_nullspace_construct,
                                   systematic_columns_ok, systematic_dmin, systematic_dsys)
-from graphcodes.errors import DecodingError, GuardExceededError
+from graphcodes.errors import DecodingError, GuardExceededError, InconsistentCodeError
 from graphcodes.field import GF
 from graphcodes.graph import ConstraintGraph, load_graph
 from graphcodes.linalg import invert, matmul, rref, vec_mat
@@ -271,7 +271,8 @@ def test_distance_report_rank_matches_elimination(p, m, s_max):
 
 
 def test_verification_report_runs_one_elimination(ref_graph, gf7, monkeypatch):
-    spec = systematic_dsys(ref_graph, gf7)
+    """A constructed spec has rank_G <= rank_T <= s, so a full-rank G runs
+    no elimination; a rank-deficient one runs one, on T."""
     calls = []
 
     def counted(gf, mat):
@@ -279,8 +280,37 @@ def test_verification_report_runs_one_elimination(ref_graph, gf7, monkeypatch):
         return linalg.rank(gf, mat)
 
     monkeypatch.setattr(verify, "rank", counted)
-    assert verification_report(spec, ref_graph)["rank_G"] == 3
+    spec = systematic_dsys(ref_graph, gf7)
+    report = verification_report(spec, ref_graph)
+    assert (report["rank_G"], report["rank_T"]) == (3, 3)
+    assert calls == []
+
+    rows = [[1 if j == i or j >= 7 or j == (i + 1) % 7 else 0 for j in range(10)]
+            for i in range(7)]
+    g = ConstraintGraph.from_rows(rows)
+    spec = generic_subcode(g, GF(11))
+    report = verification_report(spec, g, guard=11 ** 7)
+    assert (report["rank_G"], report["rank_T"]) == (6, 6)
     assert calls == [spec.T]
+
+
+def test_verification_report_reads_rank_t_only_off_a_consistent_spec(ref_graph, gf7):
+    # a hand-built spec whose T repeats a row under a full-rank G: nothing
+    # ties G to T, so rank_T comes from T's own elimination
+    built = systematic_dsys(ref_graph, gf7)
+    assert built.consistent
+    T = [built.T[0], built.T[0], built.T[2]]
+    spec = CodeSpec(gf=gf7, rs=built.rs, T=T, G=built.G, mode=built.mode,
+                    matching=built.matching, claimed_distance=built.claimed_distance,
+                    distance_exact=built.distance_exact)
+    assert not spec.consistent
+    report = verification_report(spec, ref_graph)
+    assert (report["rank_G"], report["rank_T"]) == (3, 2)
+    assert CodeSpec.from_dict(built.to_dict()).consistent
+    with pytest.raises(InconsistentCodeError) as exc:
+        CodeSpec.from_dict(dict(built.to_dict(), T=T))
+    assert not exc.value.spec.consistent
+    assert verification_report(exc.value.spec, ref_graph)["rank_T"] == 2
 
 
 def test_subcode_encode(ref_graph, gf7):
