@@ -17,9 +17,16 @@ Modes:
                      them out of the matching.
 * ``systematic-dsys`` achieves the systematic ceiling d_sys via the matching
                      that minimizes the worst row-zero count.
-* ``mds-nullspace``  same codes built from any MDS generator instead of
-                     polynomial evaluation: each row is a left-nullspace
-                     combination of the columns that must vanish.
+* ``mds-nullspace``  the ``systematic-dsys`` code at a chosen dimension k,
+                     built by the same polynomial route.
+
+Every spec with an RS layer comes from ``_subcode``.  The library's
+general-MDS path, ``mds_nullspace_construct`` without ``nodes``, builds each
+row from any MDS generator instead: a left-nullspace combination of the
+columns that must vanish.  Over an RS generator the two agree: the zero
+columns Z of the Vandermonde generator have the monic prod_{j in Z} (X - x_j)
+as their first canonical left-nullspace vector, and its codeword is nonzero
+off Z.
 """
 
 from __future__ import annotations
@@ -200,10 +207,6 @@ def _check_field_and_nodes(g: ConstraintGraph, gf: GF, nodes):
     return nodes
 
 
-def _zero_sets(rows):
-    return [tuple(j for j, v in enumerate(r) if v == 0) for r in rows]
-
-
 def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
              distance_exact: bool) -> CodeSpec:
     """The subcode of rs whose row i vanishes where rows[i] is zero: T holds
@@ -287,11 +290,24 @@ def systematic_dsys(g: ConstraintGraph, gf: GF, nodes=None,
     search guard the greedy matching is used instead and the claimed distance
     (still a valid lower bound) is flagged inexact.
     """
+    return _matched_subcode(g, gf, nodes, None, "systematic-dsys",
+                            matching_guard, subset_guard)
+
+
+def _matched_subcode(g: ConstraintGraph, gf: GF, nodes, k, mode: str,
+                     matching_guard: int, subset_guard: int) -> CodeSpec:
+    """The subcode of the [n, k] RS code (k None meaning k_sys) on the
+    matching that minimizes the worst row-zero count.  The claimed distance
+    n - k + 1 is exact when the matching search was and k = k_sys."""
     nodes = _check_field_and_nodes(g, gf, nodes)
-    k, matching, exact = best_matching(g, matching_guard, subset_guard)
+    k_sys, matching, exact = best_matching(g, matching_guard, subset_guard)
+    k = k_sys if k is None else k
+    if k < k_sys:
+        raise InfeasibleError(
+            "k=%d is below the systematic minimum %d for this graph" % (k, k_sys))
     return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, matching).rows,
-                    "systematic-dsys", matching,
-                    claimed_distance=g.n - k + 1, distance_exact=exact)
+                    mode, matching, claimed_distance=g.n - k + 1,
+                    distance_exact=exact and k == k_sys)
 
 
 def _pick_covering_combination(gf: GF, basis, gen, zero_cols):
@@ -337,59 +353,29 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
                             subset_guard: int = SUBSET_GUARD) -> CodeSpec:
     """Build the code from an arbitrary [n, k] MDS generator matrix.
 
-    Row i of the output is h_i . mds_generator where h_i lies in the left
-    nullspace of the columns that row i must zero out (from the matched
-    adjacency in systematic mode, the raw adjacency otherwise).  Non-MDS
-    input is detected lazily through a wrong nullspace dimension.  ``nodes``
-    optionally records the defining set when the generator came from an RS
-    code, which keeps the constructed code decodable.
+    The rows that must vanish come from the matched adjacency in systematic
+    mode and from the raw adjacency otherwise.  With ``nodes``, the generator
+    must be the RS generator on those nodes (ValueError otherwise), and the
+    code is the polynomial route's subcode, which keeps it decodable.
+    Without, row i of the output is h_i . mds_generator where h_i lies in the
+    left nullspace of the columns that row i must zero out; non-MDS input is
+    detected lazily through a wrong nullspace dimension.
     """
-    symbols(mds_generator, gf.q, "generator entries", ndim=2)
-    target_distance = _mds_target_distance(g, mds_generator, target_distance)
-    search = best_matching(g, matching_guard, subset_guard) if systematic else None
-    return _mds_nullspace(g, gf, mds_generator, target_distance, search, matching, nodes)
-
-
-def rs_nullspace_construct(g: ConstraintGraph, gf: GF, k: int | None = None, nodes=None,
-                           matching_guard: int = MATCHING_GUARD,
-                           subset_guard: int = SUBSET_GUARD) -> CodeSpec:
-    """The systematic ``mds-nullspace`` code on the [n, k] RS generator,
-    k defaulting to k_sys.  One matching search gives k_sys, the matching
-    and whether the claimed distance is exact."""
-    nodes = _check_field_and_nodes(g, gf, nodes)
-    search = best_matching(g, matching_guard, subset_guard)
-    k_sys = search[0]
-    k = k_sys if k is None else k
-    if k < k_sys:
-        raise InfeasibleError(
-            "k=%d is below the systematic minimum %d for this graph" % (k, k_sys))
-    generator = generator_matrix(RSCode(gf, nodes, k))
-    target_distance = _mds_target_distance(g, generator, g.n - k + 1)
-    return _mds_nullspace(g, gf, generator, target_distance, search, None, nodes)
-
-
-def _mds_target_distance(g: ConstraintGraph, mds_generator, target_distance):
-    k = len(mds_generator)
-    n = len(mds_generator[0])
+    gen = symbols(mds_generator, gf.q, "generator entries", ndim=2)
+    k, n = len(mds_generator), len(mds_generator[0])
     if n != g.n:
         raise ValueError("generator has %d columns but the graph has %d" % (n, g.n))
-    if target_distance is None:
-        return n - k + 1
-    if k != n - target_distance + 1:
+    if target_distance is not None and k != n - target_distance + 1:
         raise ValueError("target distance %d needs an [%d, %d] MDS generator"
                          % (target_distance, n, n - target_distance + 1))
-    return target_distance
-
-
-def _mds_nullspace(g: ConstraintGraph, gf: GF, mds_generator, target_distance: int,
-                   search, matching, nodes) -> CodeSpec:
-    """``search`` is best_matching's (k_sys, matching, exact) for a
-    systematic code and None otherwise."""
-    k = len(mds_generator)
-    n = len(mds_generator[0])
+    rs = None
+    if nodes is not None:
+        rs = RSCode(gf, tuple(nodes), k)
+        if generator_matrix(rs) != gen.tolist():
+            raise ValueError("generator is not the RS generator on the given nodes")
     exact = False
-    if search is not None:
-        k_sys, best, found_exact = search
+    if systematic:
+        k_sys, best, found_exact = best_matching(g, matching_guard, subset_guard)
         if matching is None:
             if k < k_sys:
                 raise InfeasibleError(
@@ -398,17 +384,17 @@ def _mds_nullspace(g: ConstraintGraph, gf: GF, mds_generator, target_distance: i
             matching = best
         else:
             matching = check_matching(g, matching)
-        exact = found_exact and target_distance == n - k_sys + 1
+        exact = found_exact and k == k_sys
         rows = matched_adjacency(g, matching).rows
     else:
-        matching = None
-        rows = g.adjacency
+        matching, rows = None, g.adjacency
+    if rs is not None:
+        return _subcode(rs, rows, "mds-nullspace", matching, n - k + 1, exact)
 
-    zero_sets = _zero_sets(rows)
+    zero_sets = [tuple(j for j, v in enumerate(r) if v == 0) for r in rows]
     if any(len(zs) > k - 1 for zs in zero_sets):
         raise InfeasibleError(
             "a row needs more zeros than the MDS dimension %d allows" % k)
-
     T = []
     G = []
     for i, zs in enumerate(zero_sets):
@@ -420,7 +406,7 @@ def _mds_nullspace(g: ConstraintGraph, gf: GF, mds_generator, target_distance: i
         if len(basis) != k - len(zs):
             raise ValueError("nullspace dimension is off; generator is not MDS")
         h, row = _pick_covering_combination(gf, basis, mds_generator, set(zs))
-        if search is not None:
+        if matching is not None:
             pivot = row[matching[i]]
             if pivot == 0:
                 raise ValueError("could not hit the systematic pivot; generator is not MDS")
@@ -429,11 +415,18 @@ def _mds_nullspace(g: ConstraintGraph, gf: GF, mds_generator, target_distance: i
             row = [gf.mul(scale, v) for v in row]
         T.append(h)
         G.append(row)
-
-    rs = RSCode(gf, tuple(nodes), k) if nodes is not None else None
-    return CodeSpec(gf=gf, rs=rs, T=T, G=G, mode="mds-nullspace",
-                    matching=matching, claimed_distance=target_distance,
+    return CodeSpec(gf=gf, rs=None, T=T, G=G, mode="mds-nullspace",
+                    matching=matching, claimed_distance=n - k + 1,
                     distance_exact=exact, consistent=True)
+
+
+def rs_nullspace_construct(g: ConstraintGraph, gf: GF, k: int | None = None, nodes=None,
+                           matching_guard: int = MATCHING_GUARD,
+                           subset_guard: int = SUBSET_GUARD) -> CodeSpec:
+    """The ``mds-nullspace`` code on the [n, k] RS code, k defaulting to k_sys:
+    the ``systematic-dsys`` matching and subcode at dimension k."""
+    return _matched_subcode(g, gf, nodes, k, "mds-nullspace",
+                            matching_guard, subset_guard)
 
 
 def validity_check(g: ConstraintGraph, G) -> bool:

@@ -82,8 +82,7 @@ def corpus():
             entry["dsys_distance"] = _distance(dsys.G, gf)
             gen = generator_matrix(RSCode(gf, dsys.rs.nodes, dsys.rs.k))
             mds = mds_nullspace_construct(g, gf, gen, systematic=True,
-                                          matching=dsys.matching,
-                                          nodes=dsys.rs.nodes)
+                                          matching=dsys.matching)
             entry["mds"] = mds
             entry["mds_distance"] = _distance(mds.G, gf)
             if entry["report"].thm2_feasible:

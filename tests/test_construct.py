@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (ALL_MODES_ROWS, REF_G, REF_NODES, REF_ROWS, REF_T,
                       random_dims, random_graph)
 from graphcodes import construct, polys
+from graphcodes.bounds import best_matching
 from graphcodes.construct import (CodeSpec, generic_subcode,
                                   mds_nullspace_construct, rs_nullspace_construct,
                                   systematic_columns_ok, systematic_dmin,
@@ -162,18 +163,48 @@ def test_transform_degrees_bounded(ref_graph, gf7):
             assert len(row) == k
 
 
-def test_mds_backend_matches_polynomial_route(ref_graph, gf7):
-    base = systematic_dsys(ref_graph, gf7)
-    nodes = base.rs.nodes
-    gen = generator_matrix(RSCode(gf7, nodes, base.rs.k))
-    spec = mds_nullspace_construct(ref_graph, gf7, gen, systematic=True,
-                                   matching=base.matching, nodes=nodes)
-    assert _zero_pattern(spec.G) == _zero_pattern(base.G)
-    assert rank(gf7, spec.G) == rank(gf7, base.G) == 3
-    assert systematic_columns_ok(spec.G, spec.matching)
-    assert spec.matching == base.matching
-    assert (min_distance_exhaustive(spec.G, gf7).distance
-            == min_distance_exhaustive(base.G, gf7).distance == 4)
+def _spec_parts(spec):
+    return spec.T, spec.G, spec.matching, spec.claimed_distance, spec.distance_exact
+
+
+def _nullspace_cases():
+    """Seeded (graph, field, nodes) cases: GF(p) and GF(2^m), default and
+    random node sets, and one s = 16, n = 63 graph over GF(2^6)."""
+    rng = random.Random(1409)
+    for case in range(24):
+        gf = GF(*rng.choice(((7, 1), (11, 1), (13, 1), (2, 3), (2, 4))))
+        s = rng.randint(2, 5)
+        n = rng.randint(s + 2, min(gf.q, 10))
+        g = random_graph(rng, s, n, rng.choice((0.5, 0.7, 0.9)))
+        nodes = (default_defining_set(gf, n) if case % 2
+                 else tuple(rng.sample(range(gf.q), n)))
+        yield g, gf, nodes
+    gf = GF(2, 6)
+    yield random_graph(rng, 16, 63, 0.85), gf, tuple(rng.sample(range(gf.q), 63))
+
+
+def test_mds_backend_matches_polynomial_route():
+    # over an RS generator, the scalar left-nullspace loop (no nodes) builds
+    # the polynomial route's code: the zero columns' first nullspace vector
+    # is the monic vanishing polynomial, already nonzero off them
+    built = 0
+    for g, gf, nodes in _nullspace_cases():
+        try:
+            k_sys = best_matching(g)[0]
+        except NoMatchingError:
+            continue
+        for k in range(k_sys, min(k_sys + 2, g.n) + 1):
+            gen = generator_matrix(RSCode(gf, nodes, k))
+            want = _spec_parts(mds_nullspace_construct(g, gf, gen))
+            assert k == k_sys or not want[4]  # exact only at k_sys
+            for spec in (rs_nullspace_construct(g, gf, k=k, nodes=nodes),
+                         mds_nullspace_construct(g, gf, gen, nodes=nodes)):
+                assert _spec_parts(spec) == want and spec.rs.nodes == nodes
+            want = _spec_parts(mds_nullspace_construct(g, gf, gen, systematic=False))
+            spec = mds_nullspace_construct(g, gf, gen, systematic=False, nodes=nodes)
+            assert _spec_parts(spec) == want and spec.matching is None
+            built += 1
+    assert built >= 40
 
 
 def test_mds_backend_unique_row_when_nullspace_is_one_dim(gf7):
@@ -182,11 +213,21 @@ def test_mds_backend_unique_row_when_nullspace_is_one_dim(gf7):
                     [0, 0, 1, 1, 1, 1, 1]])
     base = systematic_dsys(g, gf7)
     gen = generator_matrix(RSCode(gf7, base.rs.nodes, base.rs.k))
-    spec = mds_nullspace_construct(g, gf7, gen, systematic=True,
-                                   matching=base.matching, nodes=base.rs.nodes)
-    # row 1 has k-1 = 3 zeros: must equal the polynomial row exactly after
-    # the shared systematic normalization
+    # the nullspace loop (no nodes): row 1 has k-1 = 3 zeros, so it must
+    # equal the polynomial row exactly after the shared systematic scale
+    spec = mds_nullspace_construct(g, gf7, gen, systematic=True, matching=base.matching)
     assert spec.G[1] == base.G[1]
+
+
+def test_mds_backend_refuses_a_generator_on_other_nodes(ref_graph, gf7):
+    # a generator on the default nodes, filed under other nodes, used to give
+    # a spec marked consistent whose file failed its G = T . G_RS check
+    gen = generator_matrix(RSCode(gf7, REF_NODES, 4))
+    for nodes in ((0, 1, 3, 2, 4, 5, 6), REF_NODES[:6]):
+        with pytest.raises(ValueError, match="not the RS generator"):
+            mds_nullspace_construct(ref_graph, gf7, gen, nodes=nodes)
+    spec = mds_nullspace_construct(ref_graph, gf7, gen, nodes=REF_NODES)
+    assert CodeSpec.from_dict(spec.to_dict()).G == spec.G
 
 
 def test_mds_backend_nonsystematic():
@@ -194,8 +235,7 @@ def test_mds_backend_nonsystematic():
     gf = GF(5)
     nodes = default_defining_set(gf, 5)
     gen = generator_matrix(RSCode(gf, nodes, 3))
-    spec = mds_nullspace_construct(g, gf, gen, target_distance=3,
-                                   systematic=False, nodes=nodes)
+    spec = mds_nullspace_construct(g, gf, gen, target_distance=3, systematic=False)
     assert spec.matching is None
     assert validity_check(g, spec.G)
     assert all(any(v for v in row) for row in spec.G)
@@ -208,8 +248,9 @@ def test_mds_backend_rejects_overloaded_rows():
     gf = GF(5)
     nodes = default_defining_set(gf, 4)
     gen = generator_matrix(RSCode(gf, nodes, 2))
-    with pytest.raises(InfeasibleError):
-        mds_nullspace_construct(g, gf, gen, systematic=False, nodes=nodes)
+    for route in (nodes, None):  # the polynomial route and the nullspace loop
+        with pytest.raises(InfeasibleError):
+            mds_nullspace_construct(g, gf, gen, systematic=False, nodes=route)
 
 
 def test_mds_backend_detects_non_mds():
@@ -451,13 +492,16 @@ def test_subcode_transform_matches_the_scalar_reference(case):
 
 def test_subcode_modes_run_without_the_scalar_polynomials(monkeypatch):
     def refuse(*args):
-        raise AssertionError("scalar polynomial arithmetic called")
+        raise AssertionError("scalar polynomial or matrix arithmetic called")
 
     for name in ("poly_from_roots", "poly_eval", "poly_scale"):
         monkeypatch.setattr(polys, name, refuse)
         monkeypatch.setattr(construct, name, refuse, raising=False)
+    # nor the scalar elimination of the general-MDS path
+    for name in ("left_nullspace_basis", "vec_mat", "rref"):
+        monkeypatch.setattr(construct, name, refuse)
     g = load_graph(ALL_MODES_ROWS)
     for p, m in ((7, 1), (2, 3)):
-        for mode in ("generic", "systematic-dmin", "systematic-dsys"):
+        for mode in ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace"):
             spec = BUILDERS[mode](g, GF(p, m))
             assert spec.mode == mode and validity_check(g, spec.G)
