@@ -21,12 +21,14 @@ Modes:
                      built by the same polynomial route.
 
 Every spec with an RS layer comes from ``_subcode``.  The library's
-general-MDS path, ``mds_nullspace_construct`` without ``nodes``, builds each
-row from any MDS generator instead: a left-nullspace combination of the
-columns that must vanish.  Over an RS generator the two agree: the zero
-columns Z of the Vandermonde generator have the monic prod_{j in Z} (X - x_j)
-as their first canonical left-nullspace vector, and its codeword is nonzero
-off Z.
+general-MDS path, ``mds_nullspace_construct``, builds each row from any MDS
+generator instead, as a spec with no RS layer: a left-nullspace combination
+of the columns that must vanish, mixed and scaled on field arrays.  Over an
+RS generator the two agree: the zero columns Z of the Vandermonde generator
+have the monic prod_{j in Z} (X - x_j) as their first canonical
+left-nullspace vector, and its codeword is nonzero off Z.  The one
+elimination left here is the decoder's, of [T | I_s], for a spec that is
+not systematic.
 """
 
 from __future__ import annotations
@@ -40,17 +42,13 @@ import numpy as np
 from .arrays import field_arrays, symbols
 from .bounds import MATCHING_GUARD, best_matching, d_min_bound, fully_connected_columns
 from .errors import DecodingError, InconsistentCodeError, InfeasibleError
-from .field import GF
+from .field import GF, _is_int
 from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching,
                     find_matching, matched_adjacency, row_zero_stats)
-from .linalg import identity_matrix, invert, left_nullspace_basis, rref, vec_mat
-from .rs import RSCode, default_defining_set, evaluate, generator_matrix, vanishing
+from .linalg import left_nullspace_basis, rref
+from .rs import RSCode, default_defining_set, evaluate, vanishing
 
 MODES = ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(eq=False)
@@ -162,8 +160,10 @@ class SpecTables:
     m T = u.  For a systematic spec, G = T V with V the RS generator and the
     matched columns of G unit columns, so T V_M = I: R is V_M, the matched
     columns of the code's node-power table, and no elimination runs.
-    Otherwise R holds the inverse of T's pivot columns in their rows and
-    zeros elsewhere.
+    Otherwise R holds the inverse of T's pivot columns P in their rows and
+    zeros elsewhere, read off one elimination of [T | I_s]: while T has rank
+    s, every pivot lies in T, and the rows E of the I_s block satisfy
+    E . T[:, P] = I.
     """
 
     def __init__(self, spec: CodeSpec):
@@ -186,13 +186,13 @@ class SpecTables:
         s, k = len(T), len(T[0])
         if self._matching is not None and systematic_columns_ok(self._G, self._matching):
             return self._rs.log_powers[:, list(self._matching)]
-        _, pivots = rref(self._gf, T)
-        if len(pivots) < s:
+        rows, pivots = rref(self._gf, np.hstack((T, np.eye(s, dtype=fa.dtype))))
+        rank = sum(c < k for c in pivots)
+        if rank < s:
             raise DecodingError(
-                "transform matrix has rank %d < s=%d; decoding is ambiguous"
-                % (len(pivots), s))
+                "transform matrix has rank %d < s=%d; decoding is ambiguous" % (rank, s))
         log_R = np.full((k, s), fa.zero_log, dtype=np.int32)
-        log_R[pivots] = fa.logs(invert(self._gf, [[row[c] for c in pivots] for row in T]))
+        log_R[pivots] = fa.logs(rows)[:, k:]
         return log_R
 
 
@@ -310,8 +310,8 @@ def _matched_subcode(g: ConstraintGraph, gf: GF, nodes, k, mode: str,
                     distance_exact=exact and k == k_sys)
 
 
-def _pick_covering_combination(gf: GF, basis, gen, zero_cols):
-    """Left-nullspace element whose codeword vanishes exactly on zero_cols.
+def _pick_covering_combination(fa, basis, log_gen, outside):
+    """Left-nullspace element whose codeword vanishes exactly off ``outside``.
 
     Starts from the first basis vector and greedily mixes in further basis
     codewords to clear spurious zeros, choosing at each step the smallest
@@ -319,60 +319,50 @@ def _pick_covering_combination(gf: GF, basis, gen, zero_cols):
     already-nonzero one.  Falls back to the current best effort if some
     position cannot be fixed (possible only at the very edge q == n).
     """
-    n = len(gen[0])
-    outside = [j for j in range(n) if j not in zero_cols]
-    basis_rows = [vec_mat(gf, b, gen) for b in basis]
-    h, row = list(basis[0]), basis_rows[0]
-    for j in outside:
-        if row[j] != 0:
+    basis_rows = fa.vec_mat_logs(fa.logs(basis), log_gen)
+    h, row = basis[0], basis_rows[0]
+    for j in np.flatnonzero(outside):
+        if row[j]:
             continue
-        fixed = False
         for b, b_row in zip(basis, basis_rows):
-            if b_row[j] == 0:
+            if not b_row[j]:
                 continue
-            forbidden = {0}
-            for j2 in outside:
-                if j2 != j and row[j2] != 0 and b_row[j2] != 0:
-                    forbidden.add(gf.neg(gf.div(row[j2], b_row[j2])))
-            c = next((v for v in range(1, gf.q) if v not in forbidden), None)
-            if c is None:
+            # c clears position m exactly when c = -row[m] / b_row[m]
+            both = outside & (row != 0) & (b_row != 0)
+            forbidden = np.zeros(fa.q, dtype=bool)
+            forbidden[0] = True
+            forbidden[fa.neg(fa.mul(row[both], fa.inv(b_row[both])))] = True
+            c = np.argmin(forbidden)
+            if forbidden[c]:
                 continue
-            h = [gf.add(hv, gf.mul(c, bv)) for hv, bv in zip(h, b)]
-            row = [gf.add(rv, gf.mul(c, bv)) for rv, bv in zip(row, b_row)]
-            fixed = True
+            h, row = fa.add(h, fa.mul(c, b)), fa.add(row, fa.mul(c, b_row))
             break
-        if not fixed:
+        else:
             break
     return h, row
 
 
 def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
                             target_distance: int | None = None,
-                            systematic: bool = True, matching=None, nodes=None,
+                            systematic: bool = True, matching=None,
                             matching_guard: int = MATCHING_GUARD,
                             subset_guard: int = SUBSET_GUARD) -> CodeSpec:
     """Build the code from an arbitrary [n, k] MDS generator matrix.
 
     The rows that must vanish come from the matched adjacency in systematic
-    mode and from the raw adjacency otherwise.  With ``nodes``, the generator
-    must be the RS generator on those nodes (ValueError otherwise), and the
-    code is the polynomial route's subcode, which keeps it decodable.
-    Without, row i of the output is h_i . mds_generator where h_i lies in the
-    left nullspace of the columns that row i must zero out; non-MDS input is
-    detected lazily through a wrong nullspace dimension.
+    mode and from the raw adjacency otherwise.  Row i of the output is
+    h_i . mds_generator where h_i lies in the left nullspace of the columns
+    that row i must zero out; non-MDS input is detected lazily through a
+    wrong nullspace dimension.  The spec has no RS layer (``rs`` None): RS
+    callers use ``rs_nullspace_construct``.
     """
     gen = symbols(mds_generator, gf.q, "generator entries", ndim=2)
-    k, n = len(mds_generator), len(mds_generator[0])
+    k, n = gen.shape
     if n != g.n:
         raise ValueError("generator has %d columns but the graph has %d" % (n, g.n))
     if target_distance is not None and k != n - target_distance + 1:
         raise ValueError("target distance %d needs an [%d, %d] MDS generator"
                          % (target_distance, n, n - target_distance + 1))
-    rs = None
-    if nodes is not None:
-        rs = RSCode(gf, tuple(nodes), k)
-        if generator_matrix(rs) != gen.tolist():
-            raise ValueError("generator is not the RS generator on the given nodes")
     exact = False
     if systematic:
         k_sys, best, found_exact = best_matching(g, matching_guard, subset_guard)
@@ -388,35 +378,31 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
         rows = matched_adjacency(g, matching).rows
     else:
         matching, rows = None, g.adjacency
-    if rs is not None:
-        return _subcode(rs, rows, "mds-nullspace", matching, n - k + 1, exact)
-
-    zero_sets = [tuple(j for j, v in enumerate(r) if v == 0) for r in rows]
-    if any(len(zs) > k - 1 for zs in zero_sets):
+    zero = np.asarray(rows) == 0
+    if (zero.sum(axis=1) > k - 1).any():
         raise InfeasibleError(
             "a row needs more zeros than the MDS dimension %d allows" % k)
-    T = []
-    G = []
-    for i, zs in enumerate(zero_sets):
-        if zs:
-            cols = [[grow[j] for j in zs] for grow in mds_generator]
-            basis = left_nullspace_basis(gf, cols)
+    fa = field_arrays(gf)
+    log_gen = fa.logs(gen)
+    T, G = [], []
+    for i, zs in enumerate(zero):
+        if zs.any():
+            basis = np.array(left_nullspace_basis(gf, gen[:, zs]), dtype=fa.dtype)
         else:
-            basis = identity_matrix(k)  # no constraint: whole row space
-        if len(basis) != k - len(zs):
+            basis = np.eye(k, dtype=fa.dtype)  # no constraint: whole row space
+        if len(basis) != k - zs.sum():
             raise ValueError("nullspace dimension is off; generator is not MDS")
-        h, row = _pick_covering_combination(gf, basis, mds_generator, set(zs))
+        h, row = _pick_covering_combination(fa, basis, log_gen, ~zs)
         if matching is not None:
             pivot = row[matching[i]]
-            if pivot == 0:
+            if not pivot:
                 raise ValueError("could not hit the systematic pivot; generator is not MDS")
-            scale = gf.inv(pivot)
-            h = [gf.mul(scale, v) for v in h]
-            row = [gf.mul(scale, v) for v in row]
+            scale = fa.inv(pivot)
+            h, row = fa.mul(h, scale), fa.mul(row, scale)
         T.append(h)
         G.append(row)
-    return CodeSpec(gf=gf, rs=None, T=T, G=G, mode="mds-nullspace",
-                    matching=matching, claimed_distance=n - k + 1,
+    return CodeSpec(gf=gf, rs=None, T=np.array(T).tolist(), G=np.array(G).tolist(),
+                    mode="mds-nullspace", matching=matching, claimed_distance=n - k + 1,
                     distance_exact=exact, consistent=True)
 
 

@@ -10,29 +10,42 @@ depending on nothing has no defined semantics here.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, NoMatchingError
+from .field import _is_int
 
 SUBSET_GUARD = 20
 
 
+def _bit(v) -> int:
+    """An adjacency entry as the int 0 or 1.  Python and numpy integers pass;
+    a bool, a float or a string raises ValueError."""
+    if not isinstance(v, bool):
+        try:
+            if operator.index(v) in (0, 1):
+                return int(v)
+        except TypeError:
+            pass
+    raise ValueError("adjacency entries must be 0 or 1, got %r" % (v,))
+
+
 @dataclass(frozen=True)
 class ConstraintGraph:
-    """Validated s x n binary adjacency matrix, s <= n."""
+    """Validated s x n binary adjacency matrix, s <= n, held as tuples of the
+    ints 0 and 1 whatever integer type the entries came in."""
 
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = self.adjacency
+        rows = tuple(tuple(map(_bit, r)) for r in self.adjacency)
+        object.__setattr__(self, "adjacency", rows)
         if not rows or not rows[0]:
             raise ValueError("adjacency matrix must be non-empty")
         n = len(rows[0])
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("ragged adjacency rows")
-            if any(v not in (0, 1) for v in r):
-                raise ValueError("adjacency entries must be 0 or 1")
+        if any(len(r) != n for r in rows):
+            raise ValueError("ragged adjacency rows")
         s = len(rows)
         if s > n:
             raise ValueError("more message symbols than code symbols (s=%d > n=%d)" % (s, n))
@@ -74,15 +87,15 @@ class ConstraintGraph:
 
     @classmethod
     def from_rows(cls, rows) -> "ConstraintGraph":
-        return cls(tuple(tuple(int(v) for v in r) for r in rows))
+        return cls(rows)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConstraintGraph":
         g = cls.from_rows(d["adjacency"])
-        if "s" in d and d["s"] != g.s:
-            raise ValueError("declared s=%r does not match %d adjacency rows" % (d["s"], g.s))
-        if "n" in d and d["n"] != g.n:
-            raise ValueError("declared n=%r does not match %d adjacency columns" % (d["n"], g.n))
+        for key, size, what in (("s", g.s, "rows"), ("n", g.n, "columns")):
+            if key in d and not (_is_int(d[key]) and d[key] == size):
+                raise ValueError("declared %s=%r does not match %d adjacency %s"
+                                 % (key, d[key], size, what))
         return g
 
     def to_dict(self) -> dict:

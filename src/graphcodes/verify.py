@@ -13,7 +13,8 @@ table set (``CodeSpec._tables``): the logs of G, of T and of a right inverse
 R of T, each built on first use.  Decoding runs the RS layer first, then
 takes m = u . R and keeps m only if m . T = u.  For a systematic spec R is
 the RS generator's matched columns, the node powers x_{M_i}^r, so no
-elimination runs; other specs invert T's pivot columns once.
+elimination runs; other specs run one, of [T | I_s].  Every elimination here
+is ``linalg``'s, on field arrays.
 """
 
 from __future__ import annotations

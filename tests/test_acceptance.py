@@ -20,11 +20,11 @@ from graphcodes.construct import (generic_subcode, mds_nullspace_construct,
 from graphcodes.errors import NoMatchingError
 from graphcodes.field import GF, smallest_prime_at_least
 from graphcodes.graph import load_graph, matched_adjacency
-from graphcodes.linalg import rank
 from graphcodes.rs import (RSCode, decode, default_defining_set, encode,
                            generator_matrix)
 from graphcodes.verify import (min_distance_exhaustive, subcode_decode,
                                subcode_encode)
+from scalar_linalg import rank
 
 
 def criterion(name, limit=None):

@@ -46,6 +46,19 @@ def test_bounds_malformed_json(tmp_path, capsys):
     assert "cannot read graph file" in err
 
 
+@pytest.mark.parametrize("adjacency", [[[0.6, 1, 1], [1, 1, 0.2]], [[1, 1, 1], [1, 1, 1.0]],
+                                       [[1, 1, 1], [1, 1, "1"]], [[1, 1, 1], [1, 1, True]]],
+                         ids=["0.6", "1.0", "string", "true"])
+def test_graph_file_with_non_integer_entry_is_refused(tmp_path, capsys, adjacency):
+    # int() used to read 0.6 as 0 and "1" or a true as 1, and print the
+    # bounds of another graph
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"adjacency": adjacency}))
+    code, out, err = _run(capsys, ["bounds", str(path)])
+    assert code == 1 and out == ""
+    assert "cannot read graph file" in err and "must be 0 or 1" in err
+
+
 def test_bounds_guard_exceeded(tmp_path, capsys):
     rows = [[1] * 21 for _ in range(21)]
     code, _, err = _run(capsys, ["bounds", _write_graph(tmp_path, rows)])

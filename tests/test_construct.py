@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (ALL_MODES_ROWS, REF_G, REF_NODES, REF_ROWS, REF_T,
                       random_dims, random_graph)
-from graphcodes import construct, polys
+from graphcodes import construct, linalg, polys
 from graphcodes.bounds import best_matching
 from graphcodes.construct import (CodeSpec, generic_subcode,
                                   mds_nullspace_construct, rs_nullspace_construct,
@@ -17,10 +17,10 @@ from graphcodes.errors import (InconsistentCodeError, InfeasibleError,
                                NoMatchingError)
 from graphcodes.field import GF
 from graphcodes.graph import load_graph
-from graphcodes.linalg import matmul, rank
 from graphcodes.rs import (RSCode, default_defining_set, encode, evaluate,
                            generator_matrix)
 from graphcodes.verify import min_distance_exhaustive
+from scalar_linalg import matmul, rank
 
 
 BUILDERS = {
@@ -184,9 +184,9 @@ def _nullspace_cases():
 
 
 def test_mds_backend_matches_polynomial_route():
-    # over an RS generator, the scalar left-nullspace loop (no nodes) builds
-    # the polynomial route's code: the zero columns' first nullspace vector
-    # is the monic vanishing polynomial, already nonzero off them
+    # over an RS generator, the general-MDS left-nullspace loop builds the
+    # polynomial route's code: the zero columns' first nullspace vector is
+    # the monic vanishing polynomial, already nonzero off them
     built = 0
     for g, gf, nodes in _nullspace_cases():
         try:
@@ -194,15 +194,16 @@ def test_mds_backend_matches_polynomial_route():
         except NoMatchingError:
             continue
         for k in range(k_sys, min(k_sys + 2, g.n) + 1):
-            gen = generator_matrix(RSCode(gf, nodes, k))
-            want = _spec_parts(mds_nullspace_construct(g, gf, gen))
-            assert k == k_sys or not want[4]  # exact only at k_sys
-            for spec in (rs_nullspace_construct(g, gf, k=k, nodes=nodes),
-                         mds_nullspace_construct(g, gf, gen, nodes=nodes)):
-                assert _spec_parts(spec) == want and spec.rs.nodes == nodes
-            want = _spec_parts(mds_nullspace_construct(g, gf, gen, systematic=False))
-            spec = mds_nullspace_construct(g, gf, gen, systematic=False, nodes=nodes)
-            assert _spec_parts(spec) == want and spec.matching is None
+            rs = RSCode(gf, nodes, k)
+            gen = generator_matrix(rs)
+            spec = mds_nullspace_construct(g, gf, gen)
+            assert spec.rs is None and (k == k_sys or not spec.distance_exact)
+            want = rs_nullspace_construct(g, gf, k=k, nodes=nodes)
+            assert _spec_parts(spec) == _spec_parts(want) and want.rs.nodes == nodes
+            spec = mds_nullspace_construct(g, gf, gen, systematic=False)
+            want = construct._subcode(rs, g.adjacency, "mds-nullspace", None, g.n - k + 1,
+                                      False)
+            assert _spec_parts(spec) == _spec_parts(want) and spec.matching is None
             built += 1
     assert built >= 40
 
@@ -219,17 +220,6 @@ def test_mds_backend_unique_row_when_nullspace_is_one_dim(gf7):
     assert spec.G[1] == base.G[1]
 
 
-def test_mds_backend_refuses_a_generator_on_other_nodes(ref_graph, gf7):
-    # a generator on the default nodes, filed under other nodes, used to give
-    # a spec marked consistent whose file failed its G = T . G_RS check
-    gen = generator_matrix(RSCode(gf7, REF_NODES, 4))
-    for nodes in ((0, 1, 3, 2, 4, 5, 6), REF_NODES[:6]):
-        with pytest.raises(ValueError, match="not the RS generator"):
-            mds_nullspace_construct(ref_graph, gf7, gen, nodes=nodes)
-    spec = mds_nullspace_construct(ref_graph, gf7, gen, nodes=REF_NODES)
-    assert CodeSpec.from_dict(spec.to_dict()).G == spec.G
-
-
 def test_mds_backend_nonsystematic():
     g = load_graph([[1] * 5, [1, 1, 0, 1, 1]])
     gf = GF(5)
@@ -243,14 +233,28 @@ def test_mds_backend_nonsystematic():
     assert all(v != 0 for v in spec.G[0])
 
 
+def test_mds_backend_runs_no_scalar_field_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar field arithmetic called")
+
+    g = load_graph(REF_ROWS)
+    cases = [(gf, generator_matrix(RSCode(gf, default_defining_set(gf, 7), 4)))
+             for gf in (GF(7), GF(2, 3))]
+    for name in ("add", "sub", "mul", "div", "inv", "neg", "pow"):
+        monkeypatch.setattr(GF, name, refuse)
+    for gf, gen in cases:
+        for systematic in (True, False):
+            spec = mds_nullspace_construct(g, gf, gen, systematic=systematic)
+            assert validity_check(g, spec.G)
+
+
 def test_mds_backend_rejects_overloaded_rows():
     g = load_graph([[1, 0, 0, 1], [1, 1, 1, 1]])
     gf = GF(5)
     nodes = default_defining_set(gf, 4)
     gen = generator_matrix(RSCode(gf, nodes, 2))
-    for route in (nodes, None):  # the polynomial route and the nullspace loop
-        with pytest.raises(InfeasibleError):
-            mds_nullspace_construct(g, gf, gen, systematic=False, nodes=route)
+    with pytest.raises(InfeasibleError):
+        mds_nullspace_construct(g, gf, gen, systematic=False)
 
 
 def test_mds_backend_detects_non_mds():
@@ -497,11 +501,16 @@ def test_subcode_modes_run_without_the_scalar_polynomials(monkeypatch):
     for name in ("poly_from_roots", "poly_eval", "poly_scale"):
         monkeypatch.setattr(polys, name, refuse)
         monkeypatch.setattr(construct, name, refuse, raising=False)
-    # nor the scalar elimination of the general-MDS path
-    for name in ("left_nullspace_basis", "vec_mat", "rref"):
+    # nor any elimination: the RS subcodes run none
+    for name in ("left_nullspace_basis", "rref"):
         monkeypatch.setattr(construct, name, refuse)
-    g = load_graph(ALL_MODES_ROWS)
-    for p, m in ((7, 1), (2, 3)):
+    monkeypatch.setattr(linalg, "_rref", refuse)
+    assert not hasattr(construct, "vec_mat") and not hasattr(construct, "invert")
+    g, fields = load_graph(ALL_MODES_ROWS), (GF(7), GF(2, 3))
+    # nor one scalar field operation
+    for name in ("add", "sub", "mul", "div", "inv", "neg", "pow"):
+        monkeypatch.setattr(GF, name, refuse)
+    for gf in fields:
         for mode in ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace"):
-            spec = BUILDERS[mode](g, GF(p, m))
+            spec = BUILDERS[mode](g, gf)
             assert spec.mode == mode and validity_check(g, spec.G)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import REF_MATCHED, REF_ROWS, random_dims, random_graph
@@ -39,12 +40,41 @@ def test_load_and_validation():
         load_graph([[1, 2]])  # non-binary
 
 
+@pytest.mark.parametrize("bad", [0.6, 0.2, 1.0, 0.0, "1", "0", True, False, None,
+                                 np.True_, np.float64(1.0)])
+def test_entries_must_be_the_integers_0_and_1(bad):
+    # int() used to read 0.6 as 0 and "1" or a JSON true as 1
+    rows = [[1, 1, 1], [1, 1, 1]]
+    rows[1][2] = bad
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        ConstraintGraph.from_rows(rows)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        ConstraintGraph.from_dict({"adjacency": rows})
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        ConstraintGraph(tuple(tuple(r) for r in rows))
+
+
+def test_numpy_integer_entries_are_read_as_ints(ref_graph):
+    for rows in (np.array(REF_ROWS), np.array(REF_ROWS, dtype=np.uint8),
+                 [[np.int64(v) for v in r] for r in REF_ROWS], [list(r) for r in REF_ROWS]):
+        g = ConstraintGraph.from_rows(rows)
+        assert g == ref_graph and hash(g) == hash(ref_graph)
+        assert all(type(v) is int for r in g.adjacency for v in r)
+        assert g.to_dict() == ref_graph.to_dict()
+
+
 def test_dict_roundtrip_and_mismatch(ref_graph):
     d = ref_graph.to_dict()
     assert ConstraintGraph.from_dict(d) == ref_graph
     d["s"] = 4
     with pytest.raises(ValueError):
         ConstraintGraph.from_dict(d)
+    # a declared size must be an integer too: 3.0 == 3 and true == 1 in Python
+    for key, bad in (("s", 3.0), ("n", "7")):
+        with pytest.raises(ValueError, match="declared %s" % key):
+            ConstraintGraph.from_dict(dict(ref_graph.to_dict(), **{key: bad}))
+    with pytest.raises(ValueError, match="declared n"):
+        ConstraintGraph.from_dict({"s": 1, "n": True, "adjacency": [[1]]})
 
 
 def test_neighborhood_size(ref_graph):

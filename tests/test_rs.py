@@ -9,11 +9,11 @@ from graphcodes import rs
 from graphcodes.arrays import field_arrays
 from graphcodes.errors import DecodingError, GuardExceededError
 from graphcodes.field import GF
-from graphcodes.linalg import rank
 from graphcodes.polys import (poly_deg, poly_divmod, poly_eval, poly_from_roots,
                               poly_interpolate, poly_mul, poly_scale, poly_sub)
 from graphcodes.rs import (RSCode, decode, default_defining_set, encode,
                            erasure_decode, evaluate, generator_matrix)
+from scalar_linalg import rank
 
 # prime and binary-extension fields; at n = 64 over GF(256), nine messages
 # split evaluate's gather over several blocks of BLOCK_ELEMENTS, and a

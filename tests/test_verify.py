@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_linalg
 from conftest import REF_G, random_dims, random_graph
 from graphcodes import construct, linalg, rs, verify
 from graphcodes.construct import (CodeSpec, generic_subcode, rs_nullspace_construct,
@@ -13,11 +14,11 @@ from graphcodes.construct import (CodeSpec, generic_subcode, rs_nullspace_constr
 from graphcodes.errors import DecodingError, GuardExceededError, InconsistentCodeError
 from graphcodes.field import GF
 from graphcodes.graph import ConstraintGraph, load_graph
-from graphcodes.linalg import invert, matmul, rref, vec_mat
 from graphcodes.rs import RSCode, default_defining_set, encode, generator_matrix
 from graphcodes.verify import (min_distance_exhaustive, rank_over_field,
                                subcode_decode, subcode_encode,
                                systematic_fast_read, verification_report)
+from scalar_linalg import invert, matmul, rref, vec_mat
 
 
 def brute_pairwise_distance(G, gf):
@@ -267,7 +268,7 @@ def test_distance_report_rank_matches_elimination(p, m, s_max):
             for block in (1, 16, verify.BLOCK):  # zeros counted across blocks
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(verify, "BLOCK", block)
-                    assert min_distance_exhaustive(G, gf).rank == linalg.rank(gf, G)
+                    assert min_distance_exhaustive(G, gf).rank == scalar_linalg.rank(gf, G)
 
 
 def test_verification_report_runs_one_elimination(ref_graph, gf7, monkeypatch):
@@ -438,9 +439,8 @@ def test_subcode_decode_rejects_foreign_codewords(ref_graph, gf7):
     # an RS codeword outside the transform row space: T has rank 3 < k = 4
     rs_msgs = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     foreign = None
-    from graphcodes.linalg import rank as _rank
     for extra in rs_msgs:
-        if _rank(gf7, spec.T + [extra]) == 4:
+        if scalar_linalg.rank(gf7, spec.T + [extra]) == 4:
             foreign = encode(spec.rs, extra)
             break
     assert foreign is not None
@@ -565,7 +565,7 @@ def solve_spec(p, m, mode, index):
 def test_solve_spec_modes_take_both_routes(p, m):
     for index in range(3):
         deficient = solve_spec(p, m, "generic-deficient", index)
-        assert linalg.rank(deficient.gf, deficient.T) < deficient.s
+        assert scalar_linalg.rank(deficient.gf, deficient.T) < deficient.s
         loaded = solve_spec(p, m, "loaded", index)
         assert not systematic_columns_ok(loaded.G, loaded.matching)
         for mode in ("systematic-dmin", "systematic-dsys", "mds-nullspace"):
@@ -615,13 +615,41 @@ def test_array_paths_match_scalar_reference(case):
             == outcome(scalar_subcode_decode, spec, received, erasures))
 
 
+@pytest.mark.parametrize("p, m", SOLVE_FIELDS)
+def test_non_systematic_specs_decode_as_the_scalar_solve(p, m):
+    """Specs whose decode runs the [T | I] elimination: generic codes of full
+    rank and of rank below s, and loaded row-mixed codes.  The message or
+    the DecodingError text equals scalar_solve's on clean words, words with
+    one error and random words."""
+    rng = random.Random("non-systematic/%d/%d" % (p, m))
+    seen = Counter()
+    for mode in ("generic", "generic-deficient", "loaded"):
+        for index in range(3):
+            spec = solve_spec(p, m, mode, index)
+            gf, full = spec.gf, scalar_linalg.rank(spec.gf, spec.T) == spec.s
+            for delivery in ("clean", "error", "random"):
+                message = [rng.randrange(gf.q) for _ in range(spec.s)]
+                received = vec_mat(gf, message, spec.G)
+                if delivery == "error":
+                    j = rng.randrange(spec.n)
+                    received[j] = gf.add(received[j], rng.randrange(1, gf.q))
+                elif delivery == "random":
+                    received = [rng.randrange(gf.q) for _ in range(spec.n)]
+                got = outcome(subcode_decode, spec, received)
+                assert got == outcome(scalar_subcode_decode, spec, received)
+                seen[full, type(got) is list] += 1
+    # decoded and refused words on full-rank T; every word refused on deficient T
+    assert seen[True, True] and seen[True, False] and seen[False, False]
+    assert not seen[False, True]
+
+
 def refuse_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("elimination ran")
 
     for module in (construct, linalg):
         monkeypatch.setattr(module, "rref", refuse)
-        monkeypatch.setattr(module, "invert", refuse)
+    monkeypatch.setattr(linalg, "_rref", refuse)  # the row reduction behind them all
 
 
 @pytest.mark.parametrize("p, m", SOLVE_FIELDS)
