@@ -36,6 +36,9 @@ MATCHING_GUARD = 12
 # Column sets the exact k_sys search remembers.  Past the cap it stops
 # remembering and may search a set again: it costs time, never the answer.
 EXPLORED_CAP = 1 << 16
+# The construction modes ``construct`` builds.  They are held here, with no
+# numpy behind them, so the CLI can offer them without loading ``construct``.
+MODES = ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace")
 
 
 @dataclass

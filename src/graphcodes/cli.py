@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 usage/parse error, 2 infeasible construction,
 3 search guard exceeded, 4 verification mismatch or decoding failure.
 All artifacts are JSON; field elements are serialized as plain ints in
 [0, q) next to the field descriptor.
+
+Every command but ``bounds`` imports numpy: ``construct`` and ``verify``
+are imported inside the commands that use them, so ``bounds`` loads only
+the pure-Python layers.
 """
 
 from __future__ import annotations
@@ -13,15 +17,11 @@ import argparse
 import json
 import sys
 
-from .bounds import MATCHING_GUARD, bounds_report
-from .construct import (CodeSpec, MODES, generic_subcode, rs_nullspace_construct,
-                        systematic_dmin, systematic_dsys)
+from .bounds import MATCHING_GUARD, MODES, bounds_report
 from .errors import (DecodingError, GuardExceededError, InconsistentCodeError,
                      InfeasibleError)
 from .field import GF, smallest_prime_at_least
 from .graph import SUBSET_GUARD, ConstraintGraph, matched_adjacency
-from .verify import (min_distance_exhaustive, subcode_decode, subcode_encode,
-                     verification_report)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,6 +76,8 @@ def _load_graph(path) -> ConstraintGraph:
 
 
 def _load_spec(path) -> CodeSpec:
+    from .construct import CodeSpec
+
     try:
         return CodeSpec.load(path)
     except InconsistentCodeError:
@@ -117,6 +119,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .construct import (generic_subcode, rs_nullspace_construct, systematic_dmin,
+                            systematic_dsys)
+
     g = _load_graph(args.graph)
     gf = _field_for(args, g.n)
     nodes = tuple(_csv_ints(args.defining_set)) if args.defining_set else None
@@ -143,6 +148,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import verification_report
+
     problems = []
     try:
         spec = _load_spec(args.code)
@@ -170,12 +177,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from .verify import subcode_encode
+
     spec = _load_spec(args.code)
     _emit(subcode_encode(spec, _csv_ints(args.message)), args.out)
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
+    from .verify import subcode_decode
+
     spec = _load_spec(args.code)
     erasures = _csv_ints(args.erasures) if args.erasures else []
     _emit(subcode_decode(spec, _csv_ints(args.received), erasures), args.out)
@@ -183,6 +194,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .construct import systematic_dsys
+    from .verify import min_distance_exhaustive
+
     g = ConstraintGraph.from_rows(DEMO_ADJACENCY)
     p = args.p if args.p is not None else 7
     gf = GF(p, args.m, alpha=args.alpha)

@@ -40,15 +40,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import field_arrays, symbols
-from .bounds import MATCHING_GUARD, best_matching, d_min_bound, fully_connected_columns
+from .bounds import (MATCHING_GUARD, MODES, best_matching, d_min_bound,
+                     fully_connected_columns)
 from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF, _is_int
 from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching,
                     find_matching, matched_adjacency, row_zero_stats)
 from .linalg import left_nullspace_basis, rref
 from .rs import RSCode, default_defining_set, evaluate, vanishing
-
-MODES = ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace")
 
 
 @dataclass(eq=False)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import REF_G, REF_ROWS
+import graphcodes
 from graphcodes import bounds, cli, rs
 from graphcodes.construct import MODES, systematic_dsys
 from graphcodes.field import GF
@@ -363,3 +368,82 @@ def test_demo_other_field_skips_comparison(capsys):
 def test_seed_flag_accepted(ref_graph_file, capsys):
     code, _, _ = _run(capsys, ["--seed", "7", "bounds", ref_graph_file])
     assert code == 0
+
+
+def _fresh_python(script, *args):
+    """Run `script` in a new interpreter that imports this copy of graphcodes;
+    return its stdout and stderr."""
+    env = dict(os.environ)
+    src = str(Path(graphcodes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
+# the last stderr line of a script that ends with it: the array packages loaded
+_REPORT_LOADED = """
+import json, sys
+print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)), file=sys.stderr)
+"""
+
+
+def _loaded(stderr):
+    return json.loads(stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("statement", ["import graphcodes", "import graphcodes.bounds"])
+def test_package_import_loads_no_numpy(statement):
+    # the bounds layers are pure Python; numpy loads with the first
+    # construction, verification or decode
+    _, err = _fresh_python(statement + _REPORT_LOADED)
+    assert _loaded(err) == []
+
+
+def test_bounds_command_loads_no_numpy_and_construct_no_scipy(ref_graph_file, capsys):
+    run_main = "import sys\nfrom graphcodes.cli import main\nassert main(sys.argv[1:]) == 0\n"
+    for argv, absent in ((["bounds", ref_graph_file], ["numpy", "scipy"]),
+                         (["construct", ref_graph_file], ["scipy"])):
+        code, want, _ = _run(capsys, argv)
+        assert code == 0
+        out, err = _fresh_python(run_main + _REPORT_LOADED, *argv)
+        assert out == want
+        assert not set(absent) & set(_loaded(err)), argv[0]
+
+
+_NAMESPACE_FACTS = """
+import json, sys, types
+import graphcodes
+facts = {"unlisted_by_dir": sorted(set(graphcodes.__all__) - set(dir(graphcodes))),
+         "held_before_use": sorted(n for n in ("CodeSpec", "RSCode", "subcode_decode")
+                                   if n in vars(graphcodes))}
+facts["not_home_object"] = sorted(
+    n for n in graphcodes.__all__
+    if getattr(sys.modules[getattr(graphcodes, n).__module__], n) is not getattr(graphcodes, n))
+facts["not_held_after_use"] = sorted(n for n in graphcodes.__all__ if n not in vars(graphcodes))
+star = {}
+exec("from graphcodes import *", star)
+facts["unbound_by_star"] = sorted(n for n in graphcodes.__all__
+                                  if star.get(n) is not getattr(graphcodes, n))
+from graphcodes import cli, rs
+facts["submodules"] = [cli is sys.modules["graphcodes.cli"], rs is sys.modules["graphcodes.rs"]]
+facts["unknown"] = "no error"
+try:
+    graphcodes.no_such_name
+except AttributeError as exc:
+    facts["unknown"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+def test_package_namespace_resolves_every_name_on_first_use():
+    out, _ = _fresh_python(_NAMESPACE_FACTS)
+    facts = json.loads(out)
+    assert facts["unlisted_by_dir"] == []
+    assert facts["held_before_use"] == []
+    assert facts["not_home_object"] == []
+    assert facts["not_held_after_use"] == []
+    assert facts["unbound_by_star"] == []
+    assert facts["submodules"] == [True, True]
+    assert "no_such_name" in facts["unknown"]
