@@ -13,8 +13,9 @@ and a difference a - b + p of two elements never wrap.  That makes GF(p)
 reduction a comparison, not a division: with t = a + b, t - p wraps above t
 exactly when t < p, so minimum(t, t - p) is t mod p; with t = a - b, t
 wraps exactly when a < b, and then t + p is a - b + p, below t.  Negation
-is one gather from a q-entry table.  This is the only place that reads the
-kind of field for arrays: GF(p) adds mod p, GF(2^m) adds by XOR.
+needs no table: t = p - a is reduced as a sum is.  This is the only place
+that reads the kind of field for arrays: GF(p) adds mod p, GF(2^m) adds by
+XOR.
 ``symbols`` is the one check of field symbols that arrive from outside the
 package.
 """
@@ -75,11 +76,14 @@ class FieldArrays:
                 t = np.subtract(a, b, dtype=dtype)
                 return np.minimum(t, np.add(t, p, dtype=dtype))
 
-            self.add, self.sub = add, sub
+            def neg(a):  # t = p - a lies in [1, p], reduced as a sum is
+                t = np.subtract(p, a, dtype=dtype)
+                return np.minimum(t, np.subtract(t, p, dtype=dtype))
+
+            self.add, self.sub, self.neg = add, sub, neg
             # a - b lies in (-p, p) as a signed index, and take wraps it mod p
             self.log_sub = lambda a, b: self.log.take(
                 np.subtract(a, b, dtype=np.intp), mode="wrap")
-            self.neg = np.array([(p - a) % p for a in range(p)], dtype=dtype).take
             self.sum = lambda a, axis=0: (np.add.reduce(a, axis=axis) % p).astype(dtype)
 
     def mul(self, a, b):

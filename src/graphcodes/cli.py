@@ -96,10 +96,9 @@ def _emit(payload, out=None):
 
 
 def _guards(args):
-    limit = args.max_exact_s
-    subset = limit if limit is not None else SUBSET_GUARD
-    matching = limit if limit is not None else MATCHING_GUARD
-    return subset, matching
+    """(subset guard, matching guard): --max-exact-s raises each, never lowers it."""
+    limit = args.max_exact_s or 0
+    return max(limit, SUBSET_GUARD), max(limit, MATCHING_GUARD)
 
 
 def _field_for(args, n: int) -> GF:
@@ -198,10 +197,7 @@ def cmd_demo(args) -> int:
     from .verify import min_distance_exhaustive
 
     g = ConstraintGraph.from_rows(DEMO_ADJACENCY)
-    p = args.p if args.p is not None else 7
-    gf = GF(p, args.m, alpha=args.alpha)
-    if gf.q < g.n:
-        raise _UsageError("field order %d is smaller than the demo length %d" % (gf.q, g.n))
+    gf = _field_for(args, g.n)
     # Comparable whenever the field itself is the bundled GF(7) with default
     # nodes; a non-canonical alpha still compares and reports the mismatch.
     reference = gf.p == 7 and gf.m == 1 and not args.defining_set
@@ -256,8 +252,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="graphcodes",
                      description="Distance bounds and Reed-Solomon subcode "
                                  "constructions for encoding-constraint graphs.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for randomized fallbacks; current modes are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field_opts(p):

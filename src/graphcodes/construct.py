@@ -26,9 +26,12 @@ generator instead, as a spec with no RS layer: a left-nullspace combination
 of the columns that must vanish, mixed and scaled on field arrays.  Over an
 RS generator the two agree: the zero columns Z of the Vandermonde generator
 have the monic prod_{j in Z} (X - x_j) as their first canonical
-left-nullspace vector, and its codeword is nonzero off Z.  The one
-elimination left here is the decoder's, of [T | I_s], for a spec that is
-not systematic.
+left-nullspace vector, and its codeword is nonzero off Z.
+
+A ``CodeSpec`` keeps the logs of its matrices for encode, fast read and
+decode as members built on first use: ``log_G``, ``log_T`` and ``log_R``,
+the last a right inverse of T.  The one elimination left here builds
+``log_R``, of [T | I_s], for a spec that is not systematic.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ class CodeSpec:
     ``consistent`` marks a spec whose G is known to be T times an MDS
     generator: the constructions set it, and ``from_dict`` sets it once G
     has matched T . G_RS.  A spec built by hand leaves it False.
+
+    ``log_G``, ``log_T`` and ``log_R`` hold the spec's matrices as int32
+    logs on field arrays (``arrays``) for encode, fast read and decode,
+    each built on its first use.  They are not fields, so they never enter
+    repr or ``to_dict``, and the spec compares by identity.
     """
 
     gf: GF
@@ -82,10 +90,40 @@ class CodeSpec:
         return len(self.T[0])
 
     @functools.cached_property
-    def _tables(self) -> "SpecTables":
-        """Array tables for encode, fast read and decode, each built on its
-        first use; not a field, so it never enters repr or to_dict."""
-        return SpecTables(self)
+    def log_G(self) -> np.ndarray:
+        """G (s x n) as int32 logs, built on the first encode or fast read."""
+        return field_arrays(self.gf).logs(self.G)
+
+    @functools.cached_property
+    def log_T(self) -> np.ndarray:
+        """T (s x k) as int32 logs, built on the first decode."""
+        return field_arrays(self.gf).logs(self.T)
+
+    @functools.cached_property
+    def log_R(self) -> np.ndarray:
+        """The logs of a k x s right inverse R of T (T R = I), built on the
+        first decode, so that m = u R solves m T = u.
+
+        For a systematic spec, G = T V with V the RS generator and the
+        matched columns of G unit columns, so T V_M = I: R is V_M, the
+        matched columns of the code's node-power table, and no elimination
+        runs.  Otherwise R holds the inverse of T's pivot columns P in their
+        rows and zeros elsewhere, read off one elimination of [T | I_s]:
+        while T has rank s, every pivot lies in T, and the rows E of the I_s
+        block satisfy E . T[:, P] = I.
+        """
+        fa, T = field_arrays(self.gf), self.T
+        s, k = len(T), len(T[0])
+        if self.matching is not None and systematic_columns_ok(self.G, self.matching):
+            return self.rs.log_powers[:, list(self.matching)]
+        rows, pivots = rref(self.gf, np.hstack((T, np.eye(s, dtype=fa.dtype))))
+        rank = sum(c < k for c in pivots)
+        if rank < s:
+            raise DecodingError(
+                "transform matrix has rank %d < s=%d; decoding is ambiguous" % (rank, s))
+        log_R = np.full((k, s), fa.zero_log, dtype=np.int32)
+        log_R[pivots] = fa.logs(rows)[:, k:]
+        return log_R
 
     def to_dict(self) -> dict:
         if self.rs is None:
@@ -148,51 +186,6 @@ class CodeSpec:
     def load(cls, path) -> "CodeSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-class SpecTables:
-    """One spec's matrices as int32 logs on field arrays (``arrays``).
-
-    ``log_G`` (s x n) is built on the first encode or fast read.
-    ``log_T`` (s x k) and ``log_R``, the logs of a k x s right inverse R of T
-    (T R = I), are built on the first decode only, so that m = u R solves
-    m T = u.  For a systematic spec, G = T V with V the RS generator and the
-    matched columns of G unit columns, so T V_M = I: R is V_M, the matched
-    columns of the code's node-power table, and no elimination runs.
-    Otherwise R holds the inverse of T's pivot columns P in their rows and
-    zeros elsewhere, read off one elimination of [T | I_s]: while T has rank
-    s, every pivot lies in T, and the rows E of the I_s block satisfy
-    E . T[:, P] = I.
-    """
-
-    def __init__(self, spec: CodeSpec):
-        # the spec's parts, not the spec: the spec holds this object
-        self.fa = field_arrays(spec.gf)
-        self._gf, self._rs, self._T, self._G = spec.gf, spec.rs, spec.T, spec.G
-        self._matching = spec.matching
-
-    @functools.cached_property
-    def log_G(self) -> np.ndarray:
-        return self.fa.logs(self._G)
-
-    @functools.cached_property
-    def log_T(self) -> np.ndarray:
-        return self.fa.logs(self._T)
-
-    @functools.cached_property
-    def log_R(self) -> np.ndarray:
-        fa, T = self.fa, self._T
-        s, k = len(T), len(T[0])
-        if self._matching is not None and systematic_columns_ok(self._G, self._matching):
-            return self._rs.log_powers[:, list(self._matching)]
-        rows, pivots = rref(self._gf, np.hstack((T, np.eye(s, dtype=fa.dtype))))
-        rank = sum(c < k for c in pivots)
-        if rank < s:
-            raise DecodingError(
-                "transform matrix has rank %d < s=%d; decoding is ambiguous" % (rank, s))
-        log_R = np.full((k, s), fa.zero_log, dtype=np.int32)
-        log_R[pivots] = fa.logs(rows)[:, k:]
-        return log_R
 
 
 def _check_field_and_nodes(g: ConstraintGraph, gf: GF, nodes):

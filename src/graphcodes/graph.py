@@ -143,10 +143,20 @@ def subset_union_masks(g: ConstraintGraph):
 
 def hall_check(g: ConstraintGraph, guard: int = SUBSET_GUARD):
     """(True, None) if every row subset has a neighborhood at least as large,
-    else (False, lexicographically smallest violating subset)."""
+    else (False, lexicographically smallest violating subset).
+
+    By Hall's theorem that holds exactly when a matching covers every row,
+    so the 2^s sweep runs only when ``find_matching`` finds none, to name
+    the smallest violator.  The guard still bounds the sweep's s.
+    """
     if g.s > guard:
         raise GuardExceededError(
             "Hall check enumerates 2^s subsets; s=%d exceeds the guard %d" % (g.s, guard))
+    try:
+        find_matching(g)
+        return True, None
+    except NoMatchingError:
+        pass
     unions = subset_union_masks(g)
     worst = None
     for m in range(1, 1 << g.s):

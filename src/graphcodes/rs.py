@@ -5,11 +5,12 @@ less than k at n distinct field elements (the defining set).  One decoder,
 Gao's interpolate / partial extended Euclid / divide algorithm, corrects
 errors and erasures together: e errors and f erasures whenever
 2e + f <= n - k, in O(n^2) field operations.  It runs on numpy field arrays
-(``arrays``) against tables built once per code on its first decode: the
-node product g0 and the Lagrange basis, as int32 logs (about 4 n^2 bytes).
-Interpolation is then one gather per block of basis rows, and erasures enter
-as the factor prod (x - x_e), which the Euclid steps carry along.  The code's
-node powers (``RSCode.log_powers``) serve the generator, ``evaluate`` and re-encode.
+(``arrays``) against two members of the code built on its first decode:
+``RSCode.g0``, the node product, and ``RSCode.lagrange``, the Lagrange basis
+as int32 logs (about 4 n^2 bytes).  Interpolation is then one gather per
+block of basis rows, and erasures enter as the factor prod (x - x_e), which
+the Euclid steps carry along.  The code's node powers (``RSCode.log_powers``)
+serve the generator, ``evaluate`` and re-encode.
 ``vanishing`` builds the polynomials that vanish on given nodes, every row
 at once, as one batched product tree: the constructions' transform rows and
 the decoder's node product g0.
@@ -70,10 +71,38 @@ class RSCode:
         return powers
 
     @functools.cached_property
-    def _tables(self) -> "DecodeTables":
-        """The decoder's constants, built on the first decode; not a field,
-        so equality and hashing ignore it."""
-        return DecodeTables(self)
+    def g0(self) -> np.ndarray:
+        """The coefficients of prod (x - x_j) over all nodes."""
+        return vanishing(self, np.ones((1, self.n), dtype=bool))[0]
+
+    @functools.cached_property
+    def lagrange(self) -> np.ndarray:
+        """n x n int32 logs: row j the coefficients of the Lagrange basis
+        polynomial L_j = g0 / ((x - x_j) g0'(x_j)), built in row blocks, so
+        no n x n int64 temporary exists.  Raises GuardExceededError before
+        allocating when it and the node powers exceed TABLE_BYTES_GUARD."""
+        fa, n, order = field_arrays(self.gf), self.n, self.gf.q - 1
+        # int32 Lagrange logs and node powers, plus the n x n quotients while building
+        needed = 4 * n * (n + self.k) + n * n * fa.dtype.itemsize
+        if needed > TABLE_BYTES_GUARD:
+            raise GuardExceededError(
+                "decode tables for n=%d need %d bytes, over the guard of %d"
+                % (n, needed, TABLE_BYTES_GUARD))
+        x, g0 = _node_tables(self.gf, tuple(self.nodes))[0], self.g0
+        # quotients[i, j] is coefficient i of g0 / (x - x_j): synthetic
+        # division for every node at once
+        quotients = np.empty((n, n), dtype=fa.dtype)
+        quotients[n - 1] = 1
+        for i in range(n - 1, 0, -1):
+            quotients[i - 1] = fa.add(g0[i], fa.mul(x, quotients[i]))
+        lagrange = np.empty((n, n), dtype=np.int32)
+        for rows in _row_blocks(n, n):
+            # log g0'(x_j) = sum over i != j of log (x_j - x_i)
+            logs = fa.log_sub(x[rows, None], x)
+            np.fill_diagonal(logs[:, rows], 0)
+            scale = fa.inv(fa.elements(logs.sum(axis=1) % order))
+            lagrange[rows] = fa.logs(fa.mul(quotients[:, rows].T, scale[:, None]))
+        return lagrange
 
 
 def default_defining_set(gf: GF, n: int) -> tuple[int, ...]:
@@ -132,24 +161,24 @@ def decode(code: RSCode, received, erasures=()):
     if n - f < k:
         raise DecodingError("only %d unerased symbols, need %d" % (n - f, k))
 
-    tables = code._tables
-    fa, order = tables.fa, gf.q - 1
+    fa, order, lagrange = field_arrays(gf), gf.q - 1, code.lagrange
     y = word.astype(fa.dtype)
     if f:
         # log Gamma(x_j) at the unerased nodes; Gamma interpolates those
         # values and is zero at the erased nodes
-        log_gamma = fa.log_sub(tables.x[kept, None], tables.x[erased]).sum(axis=1) % order
-        gamma = _combine(fa, log_gamma, kept, tables.lagrange)[:f + 1]
+        x = _node_tables(gf, tuple(code.nodes))[0]
+        log_gamma = fa.log_sub(x[kept, None], x[erased]).sum(axis=1) % order
+        gamma = _combine(fa, log_gamma, kept, lagrange)[:f + 1]
     else:
         log_gamma = np.zeros(n, dtype=np.int32)
     nonzero = y[kept] != 0
     h = _combine(fa, (fa.logs(y[kept[nonzero]]) + log_gamma[nonzero]) % order,
-                 kept[nonzero], tables.lagrange)
+                 kept[nonzero], lagrange)
 
     # a row holds r in [0, n] and v in [n + 1, 2n + 1], so one slice update
     # subtracts c x^s times one row from the other in both halves at once
     a0, a1 = np.zeros((2, 2 * n + 2), dtype=fa.dtype)
-    a0[:n + 1] = tables.g0
+    a0[:n + 1] = code.g0
     a1[:n] = h
     a1[n + 1] = 1
     d0, d1, dv1 = n, _degree(a1, n), 0  # deg r0, deg r1, deg v1
@@ -196,42 +225,6 @@ def decode(code: RSCode, received, erasures=()):
 def erasure_decode(code: RSCode, received, erased=()) -> list:
     """The message of ``decode(code, received, erased)``."""
     return decode(code, received, erased)[0]
-
-
-class DecodeTables:
-    """Constants of one code for ``decode``, on field arrays.
-
-    ``x`` holds the nodes and ``g0`` the coefficients of prod (x - x_j).
-    ``lagrange[j]`` holds the logs of the coefficients of the Lagrange basis
-    polynomial L_j = g0 / ((x - x_j) g0'(x_j)), int32 and built in row
-    blocks, so no n x n int64 temporary exists.  Raises GuardExceededError
-    before allocating when they and the node powers exceed TABLE_BYTES_GUARD.
-    """
-
-    def __init__(self, code: RSCode):
-        fa = self.fa = field_arrays(code.gf)
-        n, order = code.n, code.gf.q - 1
-        # int32 Lagrange logs and node powers, plus the n x n quotients while building
-        needed = 4 * n * (n + code.k) + n * n * fa.dtype.itemsize
-        if needed > TABLE_BYTES_GUARD:
-            raise GuardExceededError(
-                "decode tables for n=%d need %d bytes, over the guard of %d"
-                % (n, needed, TABLE_BYTES_GUARD))
-        x = self.x = np.array(code.nodes, dtype=fa.dtype)
-        g0 = self.g0 = vanishing(code, np.ones((1, n), dtype=bool))[0]
-        # quotients[i, j] is coefficient i of g0 / (x - x_j): synthetic
-        # division for every node at once
-        quotients = np.empty((n, n), dtype=fa.dtype)
-        quotients[n - 1] = 1
-        for i in range(n - 1, 0, -1):
-            quotients[i - 1] = fa.add(g0[i], fa.mul(x, quotients[i]))
-        self.lagrange = np.empty((n, n), dtype=np.int32)
-        for rows in _row_blocks(n, n):
-            # log g0'(x_j) = sum over i != j of log (x_j - x_i)
-            logs = fa.log_sub(x[rows, None], x)
-            np.fill_diagonal(logs[:, rows], 0)
-            scale = fa.inv(fa.elements(logs.sum(axis=1) % order))
-            self.lagrange[rows] = fa.logs(fa.mul(quotients[:, rows].T, scale[:, None]))
 
 
 def _row_blocks(count: int, width: int):

@@ -9,12 +9,12 @@ It also counts the messages that encode to zero, which gives the rank of G,
 so ``verification_report`` runs no elimination when a consistent spec's G
 has full rank and one, for T's rank, otherwise.
 Encoding, fast read and decoding run on field arrays against the spec's
-table set (``CodeSpec._tables``): the logs of G, of T and of a right inverse
-R of T, each built on first use.  Decoding runs the RS layer first, then
-takes m = u . R and keeps m only if m . T = u.  For a systematic spec R is
-the RS generator's matched columns, the node powers x_{M_i}^r, so no
-elimination runs; other specs run one, of [T | I_s].  Every elimination here
-is ``linalg``'s, on field arrays.
+own log tables, ``CodeSpec.log_G``, ``log_T`` and ``log_R``: the logs of G,
+of T and of a right inverse R of T, each built on first use.  Decoding runs
+the RS layer (``rs.decode``) first, then takes m = u . R and keeps m only if
+m . T = u.  For a systematic spec R is the RS generator's matched columns,
+the node powers x_{M_i}^r, so no elimination runs; other specs run one, of
+[T | I_s].  Every elimination here is ``linalg``'s, on field arrays.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ def rank_over_field(mat, gf: GF) -> int:
 
 
 def _encode(spec: CodeSpec, message: np.ndarray) -> np.ndarray:
-    tables = spec._tables
-    return tables.fa.vec_mat_logs(tables.fa.logs(message), tables.log_G)
+    fa = field_arrays(spec.gf)
+    return fa.vec_mat_logs(fa.logs(message), spec.log_G)
 
 
 def subcode_encode(spec: CodeSpec, message) -> list:
@@ -169,11 +169,10 @@ def subcode_decode(spec: CodeSpec, received, erasures=()) -> list:
     if spec.rs is None:
         raise ValueError("spec carries no defining set; cannot decode")
     u, _ = rs.decode(spec.rs, received, erasures)
-    tables = spec._tables
-    fa, log_R = tables.fa, tables.log_R
+    fa = field_arrays(spec.gf)
     u = np.array(u, dtype=fa.dtype)
-    m = fa.vec_mat_logs(fa.logs(u), log_R)
-    if not np.array_equal(fa.vec_mat_logs(fa.logs(m), tables.log_T), u):
+    m = fa.vec_mat_logs(fa.logs(u), spec.log_R)
+    if not np.array_equal(fa.vec_mat_logs(fa.logs(m), spec.log_T), u):
         raise DecodingError(
             "decoded word lies outside the code (likely corruption beyond radius)")
     return m.tolist()

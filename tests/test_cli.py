@@ -365,9 +365,13 @@ def test_demo_other_field_skips_comparison(capsys):
     assert "reference comparison skipped" in out
 
 
-def test_seed_flag_accepted(ref_graph_file, capsys):
-    code, _, _ = _run(capsys, ["--seed", "7", "bounds", ref_graph_file])
-    assert code == 0
+def test_max_exact_s_never_lowers_a_guard(ref_graph_file, capsys):
+    # below the defaults (20 subsets, 12 matchings) the flag changes nothing:
+    # bounds stays within its guard and construct keeps its exact claim
+    for command in ("bounds", "construct"):
+        plain = _run(capsys, [command, ref_graph_file])
+        assert plain[0] == 0
+        assert _run(capsys, [command, ref_graph_file, "--max-exact-s", "2"]) == plain
 
 
 def _fresh_python(script, *args):

@@ -462,15 +462,16 @@ def test_decode_tables_are_built_once_and_stay_out_of_equality():
     gf = GF(2, 6)
     nodes = default_defining_set(gf, 40)
     code, twin = RSCode(gf, nodes, 12), RSCode(gf, nodes, 12)
-    assert "_tables" not in vars(code)
+    assert not {"g0", "lagrange"} & set(vars(code))
     msg = list(range(12))
     word = encode(code, msg)
     word[3] ^= 5
     assert decode(code, word) == (msg, [3])
-    tables = vars(code)["_tables"]
+    g0, lagrange = vars(code)["g0"], vars(code)["lagrange"]
     assert decode(code, word, (7,)) == (msg, [3])
-    assert code._tables is tables
-    assert code == twin and hash(code) == hash(twin) and "_tables" not in vars(twin)
+    assert code.g0 is g0 and code.lagrange is lagrange
+    assert code == twin and hash(code) == hash(twin) and repr(code) == repr(twin)
+    assert not {"g0", "lagrange"} & set(vars(twin))
     assert {code: 1}[twin] == 1
 
 
@@ -482,7 +483,7 @@ def test_decode_tables_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(rs, "TABLE_BYTES_GUARD", needed - 1)
     with pytest.raises(GuardExceededError, match="n=31 need %d bytes" % needed):
         decode(code, [0] * 31)
-    assert "_tables" not in vars(code)
+    assert not {"g0", "lagrange"} & set(vars(code))
     monkeypatch.setattr(rs, "TABLE_BYTES_GUARD", needed)
     assert decode(code, [0] * 31) == ([0] * 11, [])
 
@@ -539,6 +540,6 @@ def test_vanishing_matches_the_scalar_reference(case):
 def test_decode_tables_node_product_is_the_monic_vanishing_polynomial(p, m, n):
     gf = GF(p, m)
     code = RSCode(gf, default_defining_set(gf, n), n // 3)
-    g0 = rs.DecodeTables(code).g0
+    g0 = code.g0
     assert g0.dtype == field_arrays(gf).dtype
     assert g0.tolist() == poly_from_roots(gf, code.nodes)

@@ -679,11 +679,14 @@ def test_unit_columns_decide_the_route(monkeypatch):
 
 def test_spec_tables_are_built_once_and_decode_tables_only_on_decode(ref_graph, gf7):
     spec = systematic_dsys(ref_graph, gf7)
+    tables = {"log_G", "log_T", "log_R"}
+    assert not tables & set(vars(spec))
     codeword = subcode_encode(spec, [2, 5, 1])
-    tables = spec._tables
+    log_G = vars(spec)["log_G"]
     assert systematic_fast_read(spec, codeword) == ([2, 5, 1], True)
-    assert spec._tables is tables
-    assert "log_G" in vars(tables) and "log_R" not in vars(tables)
+    assert spec.log_G is log_G and not {"log_T", "log_R"} & set(vars(spec))
     assert subcode_decode(spec, codeword) == [2, 5, 1]
-    assert "log_R" in vars(tables) and spec._tables is tables
-    assert "_tables" not in spec.to_dict() and "_tables" not in repr(spec)
+    log_T, log_R = vars(spec)["log_T"], vars(spec)["log_R"]
+    assert subcode_decode(spec, codeword) == [2, 5, 1]
+    assert spec.log_G is log_G and spec.log_T is log_T and spec.log_R is log_R
+    assert not tables & set(spec.to_dict()) and "log_" not in repr(spec)
