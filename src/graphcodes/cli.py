@@ -121,6 +121,8 @@ def cmd_construct(args) -> int:
     from .construct import (generic_subcode, rs_nullspace_construct, systematic_dmin,
                             systematic_dsys)
 
+    if args.k is not None and args.mode not in ("generic", "mds-nullspace"):
+        raise _UsageError("--k applies only to --mode generic and --mode mds-nullspace")
     g = _load_graph(args.graph)
     gf = _field_for(args, g.n)
     nodes = tuple(_csv_ints(args.defining_set)) if args.defining_set else None
@@ -276,7 +278,8 @@ def build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("--mode", choices=MODES, default="systematic-dsys")
     add_field_opts(p)
-    p.add_argument("--k", type=int, default=None, help="RS dimension override")
+    p.add_argument("--k", type=int, default=None,
+                   help="RS dimension override (generic and mds-nullspace only)")
     add_guard_opt(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)

@@ -20,13 +20,16 @@ Modes:
 * ``mds-nullspace``  the ``systematic-dsys`` code at a chosen dimension k,
                      built by the same polynomial route.
 
-Every spec with an RS layer comes from ``_subcode``.  The library's
+Every spec with an RS layer comes from ``_subcode``, and ``_subcode`` alone
+decides whether a dimension k fits: row i of T has degree below k, so a
+code exists exactly when every row has fewer than k zeros.  The library's
 general-MDS path, ``mds_nullspace_construct``, builds each row from any MDS
 generator instead, as a spec with no RS layer: a left-nullspace combination
-of the columns that must vanish, mixed and scaled on field arrays.  Over an
-RS generator the two agree: the zero columns Z of the Vandermonde generator
-have the monic prod_{j in Z} (X - x_j) as their first canonical
-left-nullspace vector, and its codeword is nonzero off Z.
+of the columns that must vanish, mixed and scaled on field arrays.  Its k is
+the generator's row count, and its row loop makes the same zero-count check
+once.  Over an RS generator the two agree: the zero columns Z of the
+Vandermonde generator have the monic prod_{j in Z} (X - x_j) as their first
+canonical left-nullspace vector, and its codeword is nonzero off Z.
 
 A ``CodeSpec`` keeps the logs of its matrices for encode, fast read and
 decode as members built on first use: ``log_G``, ``log_T`` and ``log_R``,
@@ -47,8 +50,7 @@ from .bounds import (MATCHING_GUARD, MODES, best_matching, d_min_bound,
                      fully_connected_columns)
 from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF, _is_int
-from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching,
-                    find_matching, matched_adjacency, row_zero_stats)
+from .graph import ConstraintGraph, SUBSET_GUARD, find_matching, matched_adjacency
 from .linalg import left_nullspace_basis, rref
 from .rs import RSCode, default_defining_set, evaluate, vanishing
 
@@ -188,9 +190,7 @@ class CodeSpec:
             return cls.from_dict(json.load(fh))
 
 
-def _check_field_and_nodes(g: ConstraintGraph, gf: GF, nodes):
-    if gf.q < g.n:
-        raise ValueError("field order %d is below the code length %d" % (gf.q, g.n))
+def _defining_set(g: ConstraintGraph, gf: GF, nodes):
     if nodes is None:
         return default_defining_set(gf, g.n)
     nodes = tuple(nodes)
@@ -203,7 +203,10 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
              distance_exact: bool) -> CodeSpec:
     """The subcode of rs whose row i vanishes where rows[i] is zero: T holds
     the vanishing polynomials' coefficients (padded to k), each scaled to 1
-    at node matching[i] when a matching is given, and G = T . G_RS."""
+    at node matching[i] when a matching is given, and G = T . G_RS.
+
+    The one check that the rows fit the RS dimension: a row with k or more
+    zeros raises ``InfeasibleError``."""
     fa, zero = field_arrays(rs.gf), np.asarray(rows) == 0
     polys = vanishing(rs, zero, matching)
     if polys.shape[1] > rs.k:
@@ -225,17 +228,14 @@ def generic_subcode(g: ConstraintGraph, gf: GF, nodes=None, k=None,
     Rows are left monic; equal zero patterns give equal rows, so the rank can
     drop below s.  Claimed distance n - k + 1 is the RS floor, not exact.
     Defaults k to n - d_min + 1, the largest dimension whose floor matches
-    the subset bound.
+    the subset bound.  ``RSCode`` refuses a k outside [1, n], and
+    ``_subcode`` one at or below the largest row zero count.
     """
-    nodes = _check_field_and_nodes(g, gf, nodes)
-    max_zeros = row_zero_stats(g)[0]
+    nodes = _defining_set(g, gf, nodes)
     if k is None:
         # the bound collapses to <= 0 on Hall-violating graphs; distance of a
         # real code is always >= 1, so cap the default at the full dimension
         k = g.n - max(d_min_bound(g, subset_guard)[0], 1) + 1
-    if not max_zeros < k <= g.n:
-        raise ValueError(
-            "need RS dimension in (%d, %d], got k=%d" % (max_zeros, g.n, k))
     return _subcode(RSCode(gf, nodes, k), g.adjacency, "generic", None,
                     claimed_distance=g.n - k + 1, distance_exact=False)
 
@@ -249,7 +249,7 @@ def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
     the matching so that every matched-adjacency row retains at least d_min
     ones, then runs the usual RS-subcode extraction at k = n - d_min + 1.
     """
-    nodes = _check_field_and_nodes(g, gf, nodes)
+    nodes = _defining_set(g, gf, nodes)
     d_min, _ = d_min_bound(g, subset_guard)
     k = g.n - d_min + 1
     full_cols = fully_connected_columns(g)
@@ -267,10 +267,8 @@ def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
     sub_matching = find_matching(sub)
     matching = tuple(cols[c] for c in sub_matching)
 
-    matched = matched_adjacency(g, matching)
-    assert row_zero_stats(matched)[0] <= g.n - d_min
-    return _subcode(RSCode(gf, nodes, k), matched.rows, "systematic-dmin", matching,
-                    claimed_distance=d_min, distance_exact=True)
+    return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, matching).rows,
+                    "systematic-dmin", matching, claimed_distance=d_min, distance_exact=True)
 
 
 def systematic_dsys(g: ConstraintGraph, gf: GF, nodes=None,
@@ -290,13 +288,12 @@ def _matched_subcode(g: ConstraintGraph, gf: GF, nodes, k, mode: str,
                      matching_guard: int, subset_guard: int) -> CodeSpec:
     """The subcode of the [n, k] RS code (k None meaning k_sys) on the
     matching that minimizes the worst row-zero count.  The claimed distance
-    n - k + 1 is exact when the matching search was and k = k_sys."""
-    nodes = _check_field_and_nodes(g, gf, nodes)
+    n - k + 1 is exact when the matching search was and k = k_sys.  The
+    matched rows have k_sys - 1 zeros at most, so ``_subcode`` refuses
+    exactly the k below k_sys."""
+    nodes = _defining_set(g, gf, nodes)
     k_sys, matching, exact = best_matching(g, matching_guard, subset_guard)
     k = k_sys if k is None else k
-    if k < k_sys:
-        raise InfeasibleError(
-            "k=%d is below the systematic minimum %d for this graph" % (k, k_sys))
     return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, matching).rows,
                     mode, matching, claimed_distance=g.n - k + 1,
                     distance_exact=exact and k == k_sys)
@@ -335,7 +332,6 @@ def _pick_covering_combination(fa, basis, log_gen, outside):
 
 
 def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
-                            target_distance: int | None = None,
                             systematic: bool = True, matching=None,
                             matching_guard: int = MATCHING_GUARD,
                             subset_guard: int = SUBSET_GUARD) -> CodeSpec:
@@ -345,29 +341,20 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
     mode and from the raw adjacency otherwise.  Row i of the output is
     h_i . mds_generator where h_i lies in the left nullspace of the columns
     that row i must zero out; non-MDS input is detected lazily through a
-    wrong nullspace dimension.  The spec has no RS layer (``rs`` None): RS
-    callers use ``rs_nullspace_construct``.
+    wrong nullspace dimension.  k is the generator's row count, and the one
+    check that the rows fit it is the zero count below.  The spec has no RS
+    layer (``rs`` None): RS callers use ``rs_nullspace_construct``.
     """
     gen = symbols(mds_generator, gf.q, "generator entries", ndim=2)
     k, n = gen.shape
     if n != g.n:
         raise ValueError("generator has %d columns but the graph has %d" % (n, g.n))
-    if target_distance is not None and k != n - target_distance + 1:
-        raise ValueError("target distance %d needs an [%d, %d] MDS generator"
-                         % (target_distance, n, n - target_distance + 1))
     exact = False
     if systematic:
         k_sys, best, found_exact = best_matching(g, matching_guard, subset_guard)
-        if matching is None:
-            if k < k_sys:
-                raise InfeasibleError(
-                    "dimension %d cannot host a systematic code (needs >= %d)"
-                    % (k, k_sys))
-            matching = best
-        else:
-            matching = check_matching(g, matching)
         exact = found_exact and k == k_sys
-        rows = matched_adjacency(g, matching).rows
+        matched = matched_adjacency(g, best if matching is None else matching)
+        matching, rows = matched.matching, matched.rows
     else:
         matching, rows = None, g.adjacency
     zero = np.asarray(rows) == 0

@@ -89,34 +89,31 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
                            + [add(tables[s - 1 - r][:, 1:2], span)], axis=1)
     weight_dtype = np.min_scalar_type(n + 1)
 
-    def digits(j, width):
-        return tuple(int(d) for d in np.unravel_index(j, (q,) * width))
-
     def lead1_message(j):
-        k = 0  # lead1 holds q^k messages with their leading 1 at row s-1-k
+        """The j-th message whose first nonzero symbol is 1, in lex order."""
+        k = 0  # q^k such messages have their leading 1 at row s-1-k
         while j >= q ** k:
             j -= q ** k
             k += 1
-        return (0,) * (s - 1 - k) + (1,) + digits(j, k)
+        return (0,) * (s - 1 - k) + (1,) + tuple(
+            int(d) for d in np.unravel_index(j, (q,) * k))
 
     def blocks():
-        """(weights, column -> message) for each block, in lex order of the
-        messages: lead1, then a leading 1 further left, one block per choice
-        of the digits between it and the span's rows."""
-        yield (lead1 != 0).sum(axis=0, dtype=weight_dtype), lead1_message
+        """The weights of those messages' codewords, a block at a time, in
+        lex order of the messages: lead1, then a leading 1 further left, one
+        block per choice of the digits between it and the span's rows."""
+        yield (lead1 != 0).sum(axis=0, dtype=weight_dtype)
         for lead in range(s - 2 - r, -1, -1):
             for middle in itertools.product(range(q), repeat=s - 1 - r - lead):
                 prefix = tables[lead][:, 1]
                 for i, x in enumerate(middle, lead + 1):
                     prefix = add(prefix, tables[i][:, x])
-                head = (0,) * lead + (1,) + middle
                 # prefix + span[:, j] is nonzero exactly where span[:, j] != -prefix
-                yield ((span != neg(prefix)[:, None]).sum(axis=0, dtype=weight_dtype),
-                       lambda j, head=head: head + digits(j, r))
+                yield (span != neg(prefix)[:, None]).sum(axis=0, dtype=weight_dtype)
 
     hist = np.zeros(n + 1, dtype=np.int64)
-    best_w, best_msg, zeros = n + 1, None, 0
-    for w, message in blocks():  # ties keep the earlier (lex smaller) witness
+    best_w, best_j, zeros, offset = n + 1, None, 0, 0
+    for w in blocks():  # ties keep the earlier (lex smaller) witness
         if with_histogram:
             hist += np.bincount(w, minlength=n + 1)
         zero = w == 0
@@ -124,7 +121,8 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
         w[zero] = n + 1  # zero codewords never count
         j = int(np.argmin(w))
         if w[j] < best_w:
-            best_w, best_msg = int(w[j]), message(j)
+            best_w, best_j = int(w[j]), offset + j
+        offset += len(w)
 
     if best_w > n:
         raise ValueError("generator spans only the zero codeword")
@@ -133,7 +131,7 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
         kernel //= q
         rank_G -= 1
     return DistanceReport(
-        distance=best_w, witness_message=best_msg,
+        distance=best_w, witness_message=lead1_message(best_j),
         weight_histogram={w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
         if with_histogram else None,
         rank=rank_G)

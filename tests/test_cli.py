@@ -136,6 +136,31 @@ def test_construct_field_too_small(ref_graph_file, capsys):
     assert "smaller than" in err
 
 
+@pytest.mark.parametrize("argv, exit_code, message", [
+    (["--mode", "generic", "--k", "2"], 2, "RS dimension is only 2"),
+    (["--mode", "mds-nullspace", "--k", "3"], 2, "RS dimension is only 3"),
+    (["--mode", "generic", "--k", "8"], 1, "k must lie in"),
+    (["--p", "5"], 1, "smaller than"),
+])
+def test_construct_refuses_what_the_rows_or_field_cannot_hold(ref_graph_file, capsys, argv,
+                                                              exit_code, message):
+    # a k at or below a row's zero count is an infeasible construction (2) in
+    # every mode that takes --k; a k above n or a field below n is a usage error
+    code, out, err = _run(capsys, ["construct", ref_graph_file] + argv)
+    assert code == exit_code and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "systematic-dsys"],
+                                  ["--mode", "systematic-dmin"]])
+def test_construct_refuses_k_for_modes_that_fix_it(ref_graph_file, tmp_path, capsys, mode):
+    out_file = tmp_path / "code.json"
+    code, _, err = _run(capsys, ["construct", ref_graph_file, "--k", "6",
+                                 "--out", str(out_file)] + mode)
+    assert code == 1 and not out_file.exists()
+    assert "--mode generic" in err and "--mode mds-nullspace" in err
+
+
 def test_construct_generic_and_verify_floor(ref_graph_file, tmp_path, capsys):
     out_file = tmp_path / "generic.json"
     code, _, _ = _run(capsys, ["construct", ref_graph_file, "--mode", "generic",

@@ -225,7 +225,7 @@ def test_mds_backend_nonsystematic():
     gf = GF(5)
     nodes = default_defining_set(gf, 5)
     gen = generator_matrix(RSCode(gf, nodes, 3))
-    spec = mds_nullspace_construct(g, gf, gen, target_distance=3, systematic=False)
+    spec = mds_nullspace_construct(g, gf, gen, systematic=False)
     assert spec.matching is None
     assert validity_check(g, spec.G)
     assert all(any(v for v in row) for row in spec.G)
@@ -265,12 +265,43 @@ def test_mds_backend_detects_non_mds():
         mds_nullspace_construct(g, gf, bad_gen, systematic=False)
 
 
-def test_mds_backend_dimension_mismatch():
-    g = load_graph([[1, 1, 1], [1, 1, 1]])
-    gf = GF(5)
-    gen = generator_matrix(RSCode(gf, default_defining_set(gf, 3), 2))
-    with pytest.raises(ValueError):
-        mds_nullspace_construct(g, gf, gen, target_distance=3)  # k != n-d*+1
+@st.composite
+def covered_graphs(draw):
+    """(graph, field): up to 4 x 9 graphs with a covering matching and no
+    empty column, over a field that holds n nodes."""
+    gf = GF(*draw(st.sampled_from(((5, 1), (7, 1), (2, 3), (11, 1)))))
+    n = draw(st.integers(1, min(gf.q, 9)))
+    s = draw(st.integers(1, min(n, 4)))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(s)]
+    for i, c in enumerate(draw(st.permutations(range(n)))):
+        rows[i % s][c] = 1  # the first s columns match rows 0..s-1; no column is empty
+    return load_graph(rows), gf
+
+
+def _refuses(build, *args, **kwargs) -> bool:
+    try:
+        build(*args, **kwargs)
+    except InfeasibleError:
+        return True
+    return False
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(covered_graphs())
+def test_a_dimension_is_refused_exactly_when_the_rows_zeros_do_not_fit(case):
+    # a row of T has degree below k, so k fits exactly when every row it
+    # builds has fewer than k zeros: the raw rows for generic, the matched
+    # rows (k_sys - 1 zeros at most) for the systematic modes
+    g, gf = case
+    max_zeros = max(row.count(0) for row in g.adjacency)
+    k_sys, _, exact = best_matching(g)
+    assert exact
+    nodes = default_defining_set(gf, g.n)
+    for k in range(1, g.n + 1):
+        gen = generator_matrix(RSCode(gf, nodes, k))
+        assert _refuses(generic_subcode, g, gf, k=k) == (k <= max_zeros)
+        assert _refuses(rs_nullspace_construct, g, gf, k=k) == (k < k_sys)
+        assert _refuses(mds_nullspace_construct, g, gf, gen) == (k < k_sys)
 
 
 def test_validity_check(ref_graph, gf7):
