@@ -3,8 +3,8 @@
 Two quantities drive everything downstream:
 
 * ``d_min``: over every nonempty row subset, the neighborhood size minus the
-  subset size plus one, minimized.  No code valid for the graph (with a full
-  q^s message space) can beat it.
+  subset size plus one, minimized (``graph.min_surplus`` plus one).  No code
+  valid for the graph (with a full q^s message space) can beat it.
 * ``k_sys``: over every row-covering matching, the maximum number of zeros in
   any row of the matched adjacency matrix plus one, minimized.  It caps what
   a systematic linear code can achieve at distance ``d_sys = n - k_sys + 1``.
@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GuardExceededError
-from .graph import (ConstraintGraph, SUBSET_GUARD, check_matching, find_matching,
-                    subset_union_masks)
+from .graph import ConstraintGraph, SUBSET_GUARD, check_matching, find_matching, min_surplus
 
 MATCHING_GUARD = 12
 # Column sets the exact k_sys search remembers.  Past the cap it stops
@@ -75,23 +74,8 @@ def d_min_bound(g: ConstraintGraph, guard: int = SUBSET_GUARD):
     if g.s > guard:
         raise GuardExceededError(
             "bound enumerates 2^s subsets; s=%d exceeds the guard %d" % (g.s, guard))
-    return g._solve("d_min", lambda: _subset_sweep(g))
-
-
-def _subset_sweep(g: ConstraintGraph):
-    unions = subset_union_masks(g)
-    best_val = None
-    best_subset = None
-    for m in range(1, 1 << g.s):
-        val = unions[m].bit_count() - m.bit_count() + 1
-        if best_val is None or val < best_val:
-            best_val = val
-            best_subset = tuple(i for i in range(g.s) if m >> i & 1)
-        elif val == best_val:
-            subset = tuple(i for i in range(g.s) if m >> i & 1)
-            if subset < best_subset:
-                best_subset = subset
-    return best_val, best_subset
+    surplus, witness = g._solve("d_min", lambda: min_surplus(g))
+    return surplus + 1, witness
 
 
 def matching_k(g: ConstraintGraph, matching) -> int:

@@ -91,6 +91,11 @@ class CodeSpec:
     def k(self) -> int:
         return len(self.T[0])
 
+    @property
+    def systematic(self) -> bool:
+        """A matching is set and its columns of G form a permuted identity."""
+        return self.matching is not None and systematic_columns_ok(self.G, self.matching)
+
     @functools.cached_property
     def log_G(self) -> np.ndarray:
         """G (s x n) as int32 logs, built on the first encode or fast read."""
@@ -116,7 +121,7 @@ class CodeSpec:
         """
         fa, T = field_arrays(self.gf), self.T
         s, k = len(T), len(T[0])
-        if self.matching is not None and systematic_columns_ok(self.G, self.matching):
+        if self.systematic:
             return self.rs.log_powers[:, list(self.matching)]
         rows, pivots = rref(self.gf, np.hstack((T, np.eye(s, dtype=fa.dtype))))
         rank = sum(c < k for c in pivots)

@@ -14,6 +14,8 @@ encoding of its coefficient bits).
 
 from __future__ import annotations
 
+import operator
+
 MAX_ORDER = 1 << 16
 
 
@@ -56,6 +58,14 @@ def _prime_factors(n: int) -> list[int]:
 def _is_int(v) -> bool:
     """A Python int that is not a bool: a JSON true or a float never passes."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _as_int(v):
+    """v as an int if it is a Python or numpy integer other than a bool, else None."""
+    try:
+        return None if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        return None
 
 
 def _gf2_mul_mod(a: int, b: int, mod: int, deg: int) -> int:

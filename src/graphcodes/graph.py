@@ -4,17 +4,17 @@ The graph has s message vertices (rows) and n code vertices (columns),
 stored as an s x n binary adjacency matrix: entry (i, j) is 1 iff code
 symbol j may depend on message symbol i.  Rows and columns with no edges
 are rejected: an unseen message symbol cannot be encoded, and a code symbol
-depending on nothing has no defined semantics here.
+depending on nothing has no defined semantics here.  ``min_surplus`` is the
+one walk over row subsets: it yields the ``d_min`` bound and Hall violators.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, NoMatchingError
-from .field import _is_int
+from .field import _as_int, _is_int
 
 SUBSET_GUARD = 20
 
@@ -22,12 +22,8 @@ SUBSET_GUARD = 20
 def _bit(v) -> int:
     """An adjacency entry as the int 0 or 1.  Python and numpy integers pass;
     a bool, a float or a string raises ValueError."""
-    if not isinstance(v, bool):
-        try:
-            if operator.index(v) in (0, 1):
-                return int(v)
-        except TypeError:
-            pass
+    if _as_int(v) in (0, 1):
+        return int(v)
     raise ValueError("adjacency entries must be 0 or 1, got %r" % (v,))
 
 
@@ -131,24 +127,37 @@ def neighborhood_size(g: ConstraintGraph, subset) -> int:
     return mask.bit_count()
 
 
-def subset_union_masks(g: ConstraintGraph):
-    """Neighborhood bitmask for every subset of rows, indexed by subset bitmask."""
-    s = g.s
-    table = [0] * (1 << s)
-    for m in range(1, 1 << s):
-        low = m & -m
-        table[m] = table[m ^ low] | g.row_mask(low.bit_length() - 1)
-    return table
+def min_surplus(g: ConstraintGraph, stop=None):
+    """(|N(S)| - |S|, S) minimized over nonempty row sets S, S the
+    lexicographically smallest minimizer; with ``stop``, the first S whose
+    surplus is at most ``stop``.  Walks the sets depth first in lexicographic
+    order, keeps a set only when it strictly beats the best so far, and skips
+    a branch that cannot: r more rows lower the surplus by at most r."""
+    masks, s = g._masks, g.s
+    best = [g.n, None]  # every nonempty set has a surplus below n
+
+    def walk(prefix: tuple, union: int, start: int) -> bool:
+        for i in range(start, s):
+            subset, u = prefix + (i,), union | masks[i]
+            val = u.bit_count() - len(subset)
+            if val < best[0]:
+                best[:] = val, subset
+                if stop is not None and val <= stop:
+                    return True
+            if val - (s - 1 - i) < best[0] and walk(subset, u, i + 1):
+                return True
+        return False
+
+    walk((), 0, 0)
+    return tuple(best)
 
 
 def hall_check(g: ConstraintGraph, guard: int = SUBSET_GUARD):
     """(True, None) if every row subset has a neighborhood at least as large,
-    else (False, lexicographically smallest violating subset).
-
-    By Hall's theorem that holds exactly when a matching covers every row,
-    so the 2^s sweep runs only when ``find_matching`` finds none, to name
-    the smallest violator.  The guard still bounds the sweep's s.
-    """
+    else (False, lexicographically smallest violating subset).  By Hall's
+    theorem that holds exactly when a matching covers every row, so the
+    subset walk runs only when ``find_matching`` finds none; the guard still
+    bounds its s."""
     if g.s > guard:
         raise GuardExceededError(
             "Hall check enumerates 2^s subsets; s=%d exceeds the guard %d" % (g.s, guard))
@@ -156,15 +165,7 @@ def hall_check(g: ConstraintGraph, guard: int = SUBSET_GUARD):
         find_matching(g)
         return True, None
     except NoMatchingError:
-        pass
-    unions = subset_union_masks(g)
-    worst = None
-    for m in range(1, 1 << g.s):
-        if m.bit_count() > unions[m].bit_count():
-            subset = tuple(i for i in range(g.s) if m >> i & 1)
-            if worst is None or subset < worst:
-                worst = subset
-    return worst is None, worst
+        return False, min_surplus(g, stop=-1)[1]
 
 
 def _augment(g: ConstraintGraph, i: int, owner: dict, match: list, seen: set) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .arrays import FieldArrays, field_arrays, symbols
 from .errors import DecodingError, GuardExceededError
-from .field import GF
+from .field import GF, _as_int
 
 # elements gathered per block of table rows: bounds the decoder's temporaries
 BLOCK_ELEMENTS = 1 << 14
@@ -49,9 +49,9 @@ class RSCode:
         symbols(self.nodes, self.gf.q, "defining set")
         if len(set(self.nodes)) != n:
             raise ValueError("defining set elements must be distinct")
-        symbols(self.k, n + 1, "k", ndim=0)  # an integer before it sizes a table
-        if not 1 <= self.k <= n:
-            raise ValueError("need 1 <= k <= n, got k=%d, n=%d" % (self.k, n))
+        k = _as_int(self.k)  # an integer before it sizes a table
+        if k is None or not 1 <= k <= n:
+            raise ValueError("k must lie in [1, %d] and be an integer, got %r" % (n, self.k))
 
     @property
     def n(self) -> int:

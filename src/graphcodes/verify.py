@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rs
 from .arrays import field_arrays, symbols
-from .construct import CodeSpec, systematic_columns_ok, validity_check
+from .construct import CodeSpec, validity_check
 from .errors import DecodingError, GuardExceededError
 from .field import GF
 from .linalg import rank
@@ -199,7 +199,6 @@ def verification_report(spec: CodeSpec, g, guard: int = ENUM_GUARD) -> dict:
     when G has full rank; otherwise one elimination runs, on T.
     """
     report = min_distance_exhaustive(spec.G, spec.gf, guard)
-    systematic = spec.matching is not None and systematic_columns_ok(spec.G, spec.matching)
     return {
         "distance": report.distance,
         "witness_message": list(report.witness_message),
@@ -207,5 +206,5 @@ def verification_report(spec: CodeSpec, g, guard: int = ENUM_GUARD) -> dict:
         "rank_T": (spec.s if spec.consistent and report.rank == spec.s
                    else rank(spec.gf, spec.T)),
         "valid_pattern": validity_check(g, spec.G),
-        "systematic": systematic,
+        "systematic": spec.systematic,
     }

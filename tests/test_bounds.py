@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -214,6 +215,24 @@ def test_d_min_guard():
         d_min_bound(g)
 
 
+def test_subset_searches_keep_no_table_of_subsets():
+    # both walks at the default guard s = 20 hold one subset per level, not
+    # one entry per subset (a 2^20 table of ints peaks near 40 MB)
+    rng = random.Random(2020)
+    dense = random_graph(rng, 20, 50)
+    crowded = ConstraintGraph([list(r) for r in random_graph(rng, 17, 40).adjacency]
+                              + [[1, 1] + [0] * 38] * 3)  # three rows share two columns
+    for search, g in ((d_min_bound, dense), (graph.hall_check, crowded)):
+        tracemalloc.start()
+        try:
+            result = search(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (search.__name__, peak)
+    assert result[0] is False  # no matching, so the Hall check walked
+
+
 def test_k_sys_guard_and_heuristic_fallback():
     rows = [[1] * 14 for _ in range(13)]
     g = load_graph(rows)
@@ -266,7 +285,7 @@ def test_d_min_matches_brute_oracle():
 def test_d_min_witness_is_lex_smallest_minimizer():
     rng = random.Random(414)
     for _ in range(80):
-        g = random_graph(rng, *random_dims(rng, 5, 7),
+        g = random_graph(rng, *random_dims(rng, 9, 12),
                          density=rng.choice([0.3, 0.6]))
         value, witness = d_min_bound(g)
         minimizers = []
@@ -529,7 +548,7 @@ def test_one_graph_runs_each_search_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(graph, "_hall_matching")
-    counting(bounds, "_subset_sweep")
+    counting(bounds, "min_surplus")
     counting(bounds, "_k_sys_exact")
     g, gf = load_graph(ALL_MODES_ROWS), GF(7)
     report = bounds_report(g)
@@ -539,6 +558,6 @@ def test_one_graph_runs_each_search_once(monkeypatch):
     rs_nullspace_construct(g, gf)
     gen = generator_matrix(RSCode(gf, default_defining_set(gf, g.n), report.k_sys))
     mds_nullspace_construct(g, gf, gen)
-    assert searched["_subset_sweep"] == [g]
+    assert searched["min_surplus"] == [g]
     assert searched["_k_sys_exact"] == [g]
     assert [h for h in searched["_hall_matching"] if h is g] == [g]

@@ -177,7 +177,7 @@ def test_hall_witness_is_lex_smallest_violator():
     rng = random.Random(212)
     found = 0
     while found < 30:
-        g = random_graph(rng, *random_dims(rng, 4, 5), density=0.25)
+        g = random_graph(rng, *random_dims(rng, 9, 10), density=0.25)
         ok, witness = hall_check(g)
         if ok:
             continue

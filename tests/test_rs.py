@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -95,10 +96,11 @@ def test_code_validation(gf7):
     nodes = default_defining_set(gf7, 7)
     with pytest.raises(ValueError):
         RSCode(gf7, (0, 1, 1), 2)  # repeated node
-    with pytest.raises(ValueError):
-        RSCode(gf7, nodes, 0)
-    with pytest.raises(ValueError):
-        RSCode(gf7, nodes, 8)
+    for k in (0, 8, 7.0, True, "3"):  # one check, one message: an integer in [1, n]
+        with pytest.raises(ValueError, match=r"^k must lie in \[1, 7\] and be an integer, got %s$"
+                           % re.escape(repr(k))):
+            RSCode(gf7, nodes, k)
+    assert RSCode(gf7, nodes, np.int64(3)).log_powers.shape == (3, 7)
     with pytest.raises(ValueError):
         RSCode(gf7, (0, 1, 9), 2)  # out of field
 
