@@ -16,20 +16,22 @@ set: the exact search visits each column set once, remembering at most
 EXPLORED_CAP of them, and the fallback scores a move of one row by the rows
 it raises and lowers.
 
-Both searches are exponential by nature and carry size guards; ``k_sys``
-additionally has a greedy fallback that returns an upper bound flagged as
-inexact.  ``best_matching`` is the one place that chooses between the exact
-``k_sys`` search (within its guards) and that fallback (above them).  Each
-graph runs each search at most once and keeps the result; the guards are
-still checked on every call, ahead of the stored result.
+Both searches are exponential by nature, so each runs exhaustively only up
+to a row count: SUBSET_GUARD rows for the ``d_min`` walk, MATCHING_GUARD
+for the exact ``k_sys`` search.  Every entry takes one argument,
+``max_exact_s``, that raises both limits and never lowers either
+(``graph.exact_limit``).  Above its limit ``d_min_bound`` raises, while
+``k_sys_search`` alone picks the greedy fallback, an upper bound flagged
+inexact.  Each graph runs each search at most once and keeps the result;
+the limits are still checked on every call, ahead of the stored result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GuardExceededError
-from .graph import ConstraintGraph, SUBSET_GUARD, check_matching, find_matching, min_surplus
+from .graph import (ConstraintGraph, check_matching, check_subset_limit, exact_limit,
+                    find_matching, min_surplus)
 
 MATCHING_GUARD = 12
 # Column sets the exact k_sys search remembers.  Past the cap it stops
@@ -68,12 +70,12 @@ class BoundsReport:
         }
 
 
-def d_min_bound(g: ConstraintGraph, guard: int = SUBSET_GUARD):
+def d_min_bound(g: ConstraintGraph, max_exact_s=None):
     """(d_min, witness subset), the witness being the lexicographically
-    smallest minimizer.  Exhaustive over all nonempty row subsets."""
-    if g.s > guard:
-        raise GuardExceededError(
-            "bound enumerates 2^s subsets; s=%d exceeds the guard %d" % (g.s, guard))
+    smallest minimizer.  Exhaustive over all nonempty row subsets, so
+    ``check_subset_limit`` refuses s above ``exact_limit(max_exact_s,
+    SUBSET_GUARD)``."""
+    check_subset_limit(g, max_exact_s, "bound")
     surplus, witness = g._solve("d_min", lambda: min_surplus(g))
     return surplus + 1, witness
 
@@ -167,40 +169,27 @@ def _k_sys_heuristic(g: ConstraintGraph, start):
     return g.n - min(counts), tuple(match)
 
 
-def k_sys_search(g: ConstraintGraph, exact: bool = True,
-                 guard: int = MATCHING_GUARD,
-                 subset_guard: int = SUBSET_GUARD):
-    """(k_sys, witness matching, exact flag).
+def k_sys_search(g: ConstraintGraph, max_exact_s=None):
+    """(k_sys, witness matching, exact flag): the exact search up to s =
+    ``exact_limit(max_exact_s, MATCHING_GUARD)``, the heuristic above it.
 
-    A matching is scored by its set of matched columns alone.  Exact mode
-    assigns rows in order, depth-first, visiting each set of columns taken by
-    the rows so far once; it prunes any partial assignment whose zero counts
-    already rule out an improvement and stops early once the k_min floor is
-    reached.  Heuristic mode improves the Hall matching by moving one row at
-    a time to a free column, taking the first move that lowers k; a swap of
-    two rows' columns keeps the column set, so none is tried.  Its result is
-    only an upper bound.
+    A matching is scored by its set of matched columns alone.  The exact
+    search assigns rows in order, depth-first, visiting each set of columns
+    taken by the rows so far once; it prunes any partial assignment whose
+    zero counts already rule out an improvement and stops early once the
+    k_min floor is reached.  The heuristic improves the Hall matching by
+    moving one row at a time to a free column, taking the first move that
+    lowers k; a swap of two rows' columns keeps the column set, so none is
+    tried.  Its result is only an upper bound, flagged ``exact`` False.
     """
     start = find_matching(g)  # raises NoMatchingError with a Hall witness
-    if not exact:
+    if g.s > exact_limit(max_exact_s, MATCHING_GUARD):
         k, match = g._solve("k_sys heuristic", lambda: _k_sys_heuristic(g, start))
         return k, match, False
-    if g.s > guard:
-        raise GuardExceededError(
-            "exact search enumerates matchings; s=%d exceeds the guard %d" % (g.s, guard))
-    k_floor = g.n - d_min_bound(g, subset_guard)[0] + 1
+    # the subset limit is never below the matching limit, so this cannot raise
+    k_floor = g.n - d_min_bound(g, max_exact_s)[0] + 1
     k, match = g._solve("k_sys exact", lambda: _k_sys_exact(g, k_floor))
     return k, match, True
-
-
-def best_matching(g: ConstraintGraph, matching_guard: int = MATCHING_GUARD,
-                  subset_guard: int = SUBSET_GUARD):
-    """(k_sys, witness matching, exact flag): the exact search when the
-    guards allow it, else the heuristic upper bound."""
-    try:
-        return k_sys_search(g, True, matching_guard, subset_guard)
-    except GuardExceededError:
-        return k_sys_search(g, False)
 
 
 def fully_connected_columns(g: ConstraintGraph):
@@ -208,12 +197,11 @@ def fully_connected_columns(g: ConstraintGraph):
     return [j for j in range(g.n) if all(r[j] for r in g.adjacency)]
 
 
-def bounds_report(g: ConstraintGraph, subset_guard: int = SUBSET_GUARD,
-                  matching_guard: int = MATCHING_GUARD) -> BoundsReport:
-    """Aggregate report; falls back to the heuristic k_sys above the guard."""
-    d_min, witness_subset = d_min_bound(g, subset_guard)
+def bounds_report(g: ConstraintGraph, max_exact_s=None) -> BoundsReport:
+    """Aggregate report; ``k_sys`` is the heuristic's above its limit."""
+    d_min, witness_subset = d_min_bound(g, max_exact_s)
     k_min = g.n - d_min + 1
-    k_sys, witness_matching, exact = best_matching(g, matching_guard, subset_guard)
+    k_sys, witness_matching, exact = k_sys_search(g, max_exact_s)
     a = len(fully_connected_columns(g))
     r_m = g.n - a
     return BoundsReport(

@@ -17,11 +17,11 @@ import argparse
 import json
 import sys
 
-from .bounds import MATCHING_GUARD, MODES, bounds_report
+from .bounds import MODES, bounds_report
 from .errors import (DecodingError, GuardExceededError, InconsistentCodeError,
                      InfeasibleError)
 from .field import GF, smallest_prime_at_least
-from .graph import SUBSET_GUARD, ConstraintGraph, matched_adjacency
+from .graph import ConstraintGraph, matched_adjacency
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,12 +95,6 @@ def _emit(payload, out=None):
         print(text)
 
 
-def _guards(args):
-    """(subset guard, matching guard): --max-exact-s raises each, never lowers it."""
-    limit = args.max_exact_s or 0
-    return max(limit, SUBSET_GUARD), max(limit, MATCHING_GUARD)
-
-
 def _field_for(args, n: int) -> GF:
     p = args.p if args.p is not None else smallest_prime_at_least(n)
     gf = GF(p, args.m, alpha=args.alpha)
@@ -111,9 +105,7 @@ def _field_for(args, n: int) -> GF:
 
 def cmd_bounds(args) -> int:
     g = _load_graph(args.graph)
-    subset, matching = _guards(args)
-    _emit(bounds_report(g, subset_guard=subset, matching_guard=matching).to_dict(),
-          args.out)
+    _emit(bounds_report(g, max_exact_s=args.max_exact_s).to_dict(), args.out)
     return EXIT_OK
 
 
@@ -126,18 +118,16 @@ def cmd_construct(args) -> int:
     g = _load_graph(args.graph)
     gf = _field_for(args, g.n)
     nodes = tuple(_csv_ints(args.defining_set)) if args.defining_set else None
-    subset, matching_guard = _guards(args)
+    limit = args.max_exact_s
 
     if args.mode == "generic":
-        spec = generic_subcode(g, gf, nodes=nodes, k=args.k, subset_guard=subset)
+        spec = generic_subcode(g, gf, nodes=nodes, k=args.k, max_exact_s=limit)
     elif args.mode == "systematic-dmin":
-        spec = systematic_dmin(g, gf, nodes=nodes, subset_guard=subset)
+        spec = systematic_dmin(g, gf, nodes=nodes, max_exact_s=limit)
     elif args.mode == "systematic-dsys":
-        spec = systematic_dsys(g, gf, nodes=nodes,
-                               matching_guard=matching_guard, subset_guard=subset)
+        spec = systematic_dsys(g, gf, nodes=nodes, max_exact_s=limit)
     else:  # mds-nullspace
-        spec = rs_nullspace_construct(g, gf, k=args.k, nodes=nodes,
-                                      matching_guard=matching_guard, subset_guard=subset)
+        spec = rs_nullspace_construct(g, gf, k=args.k, nodes=nodes, max_exact_s=limit)
 
     _emit(spec.to_dict(), args.out)
     print("mode=%s [n=%d, s=%d] k=%d claimed_distance=%d%s systematic_columns=%s"

@@ -46,11 +46,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import field_arrays, symbols
-from .bounds import (MATCHING_GUARD, MODES, best_matching, d_min_bound,
-                     fully_connected_columns)
+from .bounds import MODES, d_min_bound, fully_connected_columns, k_sys_search
 from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF, _is_int
-from .graph import ConstraintGraph, SUBSET_GUARD, find_matching, matched_adjacency
+from .graph import ConstraintGraph, find_matching, matched_adjacency
 from .linalg import left_nullspace_basis, rref
 from .rs import RSCode, default_defining_set, evaluate, vanishing
 
@@ -227,35 +226,37 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
 
 
 def generic_subcode(g: ConstraintGraph, gf: GF, nodes=None, k=None,
-                    subset_guard: int = SUBSET_GUARD) -> CodeSpec:
+                    max_exact_s=None) -> CodeSpec:
     """Subcode with zeros taken directly from the adjacency matrix.
 
     Rows are left monic; equal zero patterns give equal rows, so the rank can
     drop below s.  Claimed distance n - k + 1 is the RS floor, not exact.
     Defaults k to n - d_min + 1, the largest dimension whose floor matches
-    the subset bound.  ``RSCode`` refuses a k outside [1, n], and
-    ``_subcode`` one at or below the largest row zero count.
+    the subset bound, which ``d_min_bound(g, max_exact_s)`` computes.
+    ``RSCode`` refuses a k outside [1, n], and ``_subcode`` one at or below
+    the largest row zero count.
     """
     nodes = _defining_set(g, gf, nodes)
     if k is None:
         # the bound collapses to <= 0 on Hall-violating graphs; distance of a
         # real code is always >= 1, so cap the default at the full dimension
-        k = g.n - max(d_min_bound(g, subset_guard)[0], 1) + 1
+        k = g.n - max(d_min_bound(g, max_exact_s)[0], 1) + 1
     return _subcode(RSCode(gf, nodes, k), g.adjacency, "generic", None,
                     claimed_distance=g.n - k + 1, distance_exact=False)
 
 
 def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
-                    subset_guard: int = SUBSET_GUARD) -> CodeSpec:
+                    max_exact_s=None) -> CodeSpec:
     """Systematic code achieving the subset bound d_min.
 
     Feasible when k_min >= r_M, i.e. at least d_min - 1 fully connected
     columns exist.  Keeps d_min - 1 of them (the highest-indexed ones) out of
     the matching so that every matched-adjacency row retains at least d_min
     ones, then runs the usual RS-subcode extraction at k = n - d_min + 1.
+    ``max_exact_s`` raises the limit of the d_min walk (``d_min_bound``).
     """
     nodes = _defining_set(g, gf, nodes)
-    d_min, _ = d_min_bound(g, subset_guard)
+    d_min, _ = d_min_bound(g, max_exact_s)
     k = g.n - d_min + 1
     full_cols = fully_connected_columns(g)
     a = len(full_cols)
@@ -277,27 +278,26 @@ def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
 
 
 def systematic_dsys(g: ConstraintGraph, gf: GF, nodes=None,
-                    matching_guard: int = MATCHING_GUARD,
-                    subset_guard: int = SUBSET_GUARD) -> CodeSpec:
+                    max_exact_s=None) -> CodeSpec:
     """Systematic code achieving the systematic ceiling d_sys.
 
     Uses the matching minimizing the worst row-zero count; above the exact
-    search guard the greedy matching is used instead and the claimed distance
-    (still a valid lower bound) is flagged inexact.
+    search's limit (``k_sys_search(g, max_exact_s)``) the greedy matching is
+    used instead and the claimed distance (still a valid lower bound) is
+    flagged inexact.
     """
-    return _matched_subcode(g, gf, nodes, None, "systematic-dsys",
-                            matching_guard, subset_guard)
+    return _matched_subcode(g, gf, nodes, None, "systematic-dsys", max_exact_s)
 
 
 def _matched_subcode(g: ConstraintGraph, gf: GF, nodes, k, mode: str,
-                     matching_guard: int, subset_guard: int) -> CodeSpec:
+                     max_exact_s) -> CodeSpec:
     """The subcode of the [n, k] RS code (k None meaning k_sys) on the
     matching that minimizes the worst row-zero count.  The claimed distance
     n - k + 1 is exact when the matching search was and k = k_sys.  The
     matched rows have k_sys - 1 zeros at most, so ``_subcode`` refuses
     exactly the k below k_sys."""
     nodes = _defining_set(g, gf, nodes)
-    k_sys, matching, exact = best_matching(g, matching_guard, subset_guard)
+    k_sys, matching, exact = k_sys_search(g, max_exact_s)
     k = k_sys if k is None else k
     return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, matching).rows,
                     mode, matching, claimed_distance=g.n - k + 1,
@@ -338,12 +338,12 @@ def _pick_covering_combination(fa, basis, log_gen, outside):
 
 def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
                             systematic: bool = True, matching=None,
-                            matching_guard: int = MATCHING_GUARD,
-                            subset_guard: int = SUBSET_GUARD) -> CodeSpec:
+                            max_exact_s=None) -> CodeSpec:
     """Build the code from an arbitrary [n, k] MDS generator matrix.
 
     The rows that must vanish come from the matched adjacency in systematic
-    mode and from the raw adjacency otherwise.  Row i of the output is
+    mode, on ``k_sys_search(g, max_exact_s)``'s matching unless ``matching``
+    is given, and from the raw adjacency otherwise.  Row i of the output is
     h_i . mds_generator where h_i lies in the left nullspace of the columns
     that row i must zero out; non-MDS input is detected lazily through a
     wrong nullspace dimension.  k is the generator's row count, and the one
@@ -356,7 +356,7 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
         raise ValueError("generator has %d columns but the graph has %d" % (n, g.n))
     exact = False
     if systematic:
-        k_sys, best, found_exact = best_matching(g, matching_guard, subset_guard)
+        k_sys, best, found_exact = k_sys_search(g, max_exact_s)
         exact = found_exact and k == k_sys
         matched = matched_adjacency(g, best if matching is None else matching)
         matching, rows = matched.matching, matched.rows
@@ -391,12 +391,10 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
 
 
 def rs_nullspace_construct(g: ConstraintGraph, gf: GF, k: int | None = None, nodes=None,
-                           matching_guard: int = MATCHING_GUARD,
-                           subset_guard: int = SUBSET_GUARD) -> CodeSpec:
+                           max_exact_s=None) -> CodeSpec:
     """The ``mds-nullspace`` code on the [n, k] RS code, k defaulting to k_sys:
     the ``systematic-dsys`` matching and subcode at dimension k."""
-    return _matched_subcode(g, gf, nodes, k, "mds-nullspace",
-                            matching_guard, subset_guard)
+    return _matched_subcode(g, gf, nodes, k, "mds-nullspace", max_exact_s)
 
 
 def validity_check(g: ConstraintGraph, G) -> bool:

@@ -108,8 +108,12 @@ def smallest_irreducible_gf2(m: int) -> int:
 
 
 def _bits_from_coeffs(coeffs, m: int) -> int:
+    """Coefficients, ascending, as a bit-encoded polynomial.  Each must be a
+    Python or numpy integer 0 or 1: a bool, a float or a string raises
+    ValueError."""
     if len(coeffs) != m + 1:
         raise ValueError("reduction polynomial must have degree exactly %d" % m)
+    coeffs = [_as_int(c) for c in coeffs]
     if any(c not in (0, 1) for c in coeffs):
         raise ValueError("reduction polynomial coefficients must be 0/1")
     if coeffs[-1] != 1:

@@ -19,6 +19,20 @@ from .field import _as_int, _is_int
 SUBSET_GUARD = 20
 
 
+def exact_limit(max_exact_s, default: int) -> int:
+    """The largest s a search runs exhaustively: ``max_exact_s`` raises the
+    search's default limit and never lowers it (None keeps the default)."""
+    return default if max_exact_s is None else max(max_exact_s, default)
+
+
+def check_subset_limit(g: ConstraintGraph, max_exact_s, what: str) -> None:
+    """Raise GuardExceededError if a 2^s subset walk on g is over its limit."""
+    limit = exact_limit(max_exact_s, SUBSET_GUARD)
+    if g.s > limit:
+        raise GuardExceededError(
+            "%s enumerates 2^s subsets; s=%d exceeds the guard %d" % (what, g.s, limit))
+
+
 def _bit(v) -> int:
     """An adjacency entry as the int 0 or 1.  Python and numpy integers pass;
     a bool, a float or a string raises ValueError."""
@@ -152,20 +166,19 @@ def min_surplus(g: ConstraintGraph, stop=None):
     return tuple(best)
 
 
-def hall_check(g: ConstraintGraph, guard: int = SUBSET_GUARD):
+def hall_check(g: ConstraintGraph, max_exact_s=None):
     """(True, None) if every row subset has a neighborhood at least as large,
     else (False, lexicographically smallest violating subset).  By Hall's
     theorem that holds exactly when a matching covers every row, so the
-    subset walk runs only when ``find_matching`` finds none; the guard still
-    bounds its s."""
-    if g.s > guard:
-        raise GuardExceededError(
-            "Hall check enumerates 2^s subsets; s=%d exceeds the guard %d" % (g.s, guard))
+    subset walk runs only when ``find_matching`` finds none, and only that
+    walk is limited: to s <= ``exact_limit(max_exact_s, SUBSET_GUARD)``."""
     try:
         find_matching(g)
         return True, None
     except NoMatchingError:
-        return False, min_surplus(g, stop=-1)[1]
+        pass
+    check_subset_limit(g, max_exact_s, "Hall check")
+    return False, min_surplus(g, stop=-1)[1]
 
 
 def _augment(g: ConstraintGraph, i: int, owner: dict, match: list, seen: set) -> bool:

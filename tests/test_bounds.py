@@ -7,8 +7,7 @@ import pytest
 
 from conftest import ALL_MODES_ROWS, REF_ROWS, random_dims, random_graph
 from graphcodes import bounds, cli, graph
-from graphcodes.bounds import (best_matching, bounds_report, d_min_bound,
-                               k_sys_search, matching_k)
+from graphcodes.bounds import bounds_report, d_min_bound, k_sys_search, matching_k
 from graphcodes.construct import (generic_subcode, mds_nullspace_construct,
                                   rs_nullspace_construct, systematic_dmin,
                                   systematic_dsys)
@@ -210,7 +209,7 @@ def test_d_min_guard():
     g = load_graph([[1] * 25 for _ in range(22)])
     with pytest.raises(GuardExceededError):
         d_min_bound(g)
-    assert d_min_bound(g, guard=22)[0] == 25 - 22 + 1
+    assert d_min_bound(g, max_exact_s=22)[0] == 25 - 22 + 1
     with pytest.raises(GuardExceededError):  # the stored sweep does not lift the guard
         d_min_bound(g)
 
@@ -236,18 +235,18 @@ def test_subset_searches_keep_no_table_of_subsets():
 def test_k_sys_guard_and_heuristic_fallback():
     rows = [[1] * 14 for _ in range(13)]
     g = load_graph(rows)
-    with pytest.raises(GuardExceededError):
-        k_sys_search(g, exact=True)
-    k, match, exact = k_sys_search(g, exact=False)
+    k, match, exact = k_sys_search(g)  # s = 13 is above the exact search's limit
     assert exact is False
+    assert (k, match) == bounds._k_sys_heuristic(g, find_matching(g))
     assert k >= 13  # s <= k always
     assert len(set(match)) == 13
+    assert k_sys_search(g, max_exact_s=13) == (13, match, True)
 
 
 def test_fallback_above_guard_agrees_everywhere(tmp_path):
     rows = [[1] * 14 for _ in range(13)]
     g = load_graph(rows)
-    want = k_sys_search(g, exact=False)
+    want = k_sys_search(g)
     assert want[2] is False
     rep = bounds_report(g)
     assert (rep.k_sys, rep.witness_matching, rep.search_exact) == want
@@ -368,11 +367,11 @@ def test_heuristic_upper_bounds_exact():
     for _ in range(80):
         g = random_graph(rng, *random_dims(rng, 5, 8, s_min=2), density=0.6)
         try:
-            k_exact, _, _ = k_sys_search(g, exact=True)
+            k_exact, _, exact = k_sys_search(g)
         except NoMatchingError:
             continue
-        k_heur, match, exact = k_sys_search(g, exact=False)
-        assert exact is False
+        assert exact
+        k_heur, match = bounds._k_sys_heuristic(g, find_matching(g))
         assert k_heur >= k_exact
         assert matching_k(g, match) == k_heur
 
@@ -472,31 +471,69 @@ def test_dimension_chain_on_random_reports():
 
 
 def test_guards_are_checked_ahead_of_stored_results():
-    g = load_graph(ALL_MODES_ROWS)  # s = 3
-    report = bounds_report(g)  # stores the sweep, the matching and the exact search
+    # a search finished under a raised limit is kept, yet a call at the
+    # default limit still refuses, or falls back, as on a fresh graph
+    wide = load_graph([[1] * 22 for _ in range(21)])  # SUBSET_GUARD < s = 21
+    report = bounds_report(wide, max_exact_s=21)  # stores the sweep and the exact search
     assert report.search_exact
     with pytest.raises(GuardExceededError):
-        d_min_bound(g, guard=2)
+        d_min_bound(wide)
     with pytest.raises(GuardExceededError):
-        k_sys_search(g, exact=True, guard=2)
-    with pytest.raises(GuardExceededError):
-        k_sys_search(g, exact=True, subset_guard=2)
-    with pytest.raises(GuardExceededError):
-        bounds_report(g, subset_guard=2)
-    heuristic = k_sys_search(g, exact=False)
-    assert heuristic[2] is False
-    # subset_guard < s <= matching_guard: the heuristic, as on a fresh graph
-    assert best_matching(g, matching_guard=3, subset_guard=2) == heuristic
-    assert best_matching(g, matching_guard=2) == heuristic
-    assert bounds_report(g, matching_guard=2).search_exact is False
-    assert best_matching(g) == (report.k_sys, report.witness_matching, True)
+        bounds_report(wide)
+    assert bounds_report(wide, max_exact_s=21) == report
+    g = load_graph([[1] * 14 for _ in range(13)])  # MATCHING_GUARD < s = 13 <= SUBSET_GUARD
+    exact = k_sys_search(g, max_exact_s=13)
+    assert exact[2] is True
+    heuristic = k_sys_search(g)
+    assert heuristic == bounds._k_sys_heuristic(g, find_matching(g)) + (False,)
+    assert heuristic == k_sys_search(load_graph(g.adjacency))
+    assert bounds_report(g).search_exact is False
+    assert k_sys_search(g, max_exact_s=13) == exact
+    # a limit below the defaults changes nothing
+    small = load_graph(ALL_MODES_ROWS)
+    report = bounds_report(small)
+    assert bounds_report(small, max_exact_s=0) == report
+    assert k_sys_search(small, max_exact_s=2) == (report.k_sys, report.witness_matching, True)
 
 
-def test_stored_results_leave_equality_hash_and_repr_alone():
+def test_one_limit_raises_each_default_and_never_lowers_it(tmp_path, capsys):
+    # --max-exact-s L and max_exact_s=L are one rule: the exact k_sys search
+    # runs up to s = max(L, 12), and below 12 the report is the default one
+    rng = random.Random(2121)
+    graphs = [load_graph(REF_ROWS)]
+    for s in range(1, 15):
+        while len(graphs) <= s:
+            # above s = 10, dense and nearly square, so the exact search
+            # soon meets its k_min floor
+            g = (random_graph(rng, s, rng.randint(s, s + 3), density=0.95) if s > 10 else
+                 random_graph(rng, s, rng.randint(s, s + 6), density=rng.choice([0.5, 0.8])))
+            try:
+                find_matching(g)
+            except NoMatchingError:
+                continue
+            graphs.append(g)
+    for index, g in enumerate(graphs):
+        path = tmp_path / ("graph%d.json" % index)
+        path.write_text(json.dumps(g.to_dict()))
+        default = bounds_report(g)
+        for limit in (None, 0, 2, 12, 13, 20, 21):
+            flag = [] if limit is None else ["--max-exact-s", str(limit)]
+            assert cli.main(["bounds", str(path)] + flag) == 0
+            report = bounds_report(g, max_exact_s=limit)
+            assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
+            if limit is None or limit <= 12:
+                assert report == default
+            exact = k_sys_search(g, max_exact_s=limit)[2]
+            assert exact is (g.s <= max(limit or 0, 12))
+            assert report.search_exact is exact
+
+
+def test_stored_results_leave_equality_hash_and_repr_alone(monkeypatch):
     g, fresh = load_graph(REF_ROWS), load_graph(REF_ROWS)
     before = (repr(g), hash(g))
     bounds_report(g)
-    k_sys_search(g, exact=False)
+    monkeypatch.setattr(bounds, "MATCHING_GUARD", 0)
+    assert k_sys_search(g)[2] is False  # stores the heuristic too
     assert g == fresh and len({g, fresh}) == 1
     assert (repr(g), hash(g)) == before == (repr(fresh), hash(fresh))
     assert g != load_graph(ALL_MODES_ROWS)
@@ -506,7 +543,7 @@ SEARCHES = {
     "matching": find_matching,
     "d_min": d_min_bound,
     "exact": k_sys_search,
-    "heuristic": lambda g: k_sys_search(g, exact=False),
+    "heuristic": lambda g: bounds._k_sys_heuristic(g, find_matching(g)),
     "report": lambda g: bounds_report(g).to_dict(),
 }
 

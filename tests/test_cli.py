@@ -9,7 +9,7 @@ import pytest
 from conftest import REF_G, REF_ROWS
 import graphcodes
 from graphcodes import bounds, cli, rs
-from graphcodes.construct import MODES, systematic_dsys
+from graphcodes.construct import MODES, CodeSpec, systematic_dsys
 from graphcodes.field import GF
 from graphcodes.graph import load_graph
 
@@ -324,6 +324,24 @@ def test_code_file_with_non_integer_field_is_refused(ref_graph_file, tmp_path, c
     code, out, err = _run(capsys, ["verify", str(out_file), ref_graph_file])
     assert code == 1 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("poly", [[True, True, False, True], [1, 1, 0, 1.0]],
+                         ids=["true", "1.0"])
+def test_code_file_with_non_integer_reduction_poly_is_refused(ref_graph_file, tmp_path,
+                                                               capsys, poly):
+    # a poly of JSON trues used to load as GF(2^3), and a 1.0 raised TypeError
+    out_file = tmp_path / "code.json"
+    _run(capsys, ["construct", ref_graph_file, "--p", "2", "--m", "3", "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    assert payload["field"]["poly"] == [1, 1, 0, 1]
+    payload["field"]["poly"] = poly
+    with pytest.raises(ValueError, match="reduction polynomial coefficients must be 0/1"):
+        CodeSpec.from_dict(payload)
+    out_file.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, ["verify", str(out_file), ref_graph_file])
+    assert code == 1 and out == ""
+    assert "cannot read code file" in err and "must be 0/1" in err
 
 
 def test_encode_decode_paths(ref_graph_file, tmp_path, capsys):

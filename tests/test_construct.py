@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (ALL_MODES_ROWS, REF_G, REF_NODES, REF_ROWS, REF_T,
                       random_dims, random_graph)
 from graphcodes import construct, linalg, polys
-from graphcodes.bounds import best_matching
+from graphcodes.bounds import k_sys_search
 from graphcodes.construct import (CodeSpec, generic_subcode,
                                   mds_nullspace_construct, rs_nullspace_construct,
                                   systematic_columns_ok, systematic_dmin,
@@ -190,7 +190,7 @@ def test_mds_backend_matches_polynomial_route():
     built = 0
     for g, gf, nodes in _nullspace_cases():
         try:
-            k_sys = best_matching(g)[0]
+            k_sys = k_sys_search(g)[0]
         except NoMatchingError:
             continue
         for k in range(k_sys, min(k_sys + 2, g.n) + 1):
@@ -294,7 +294,7 @@ def test_a_dimension_is_refused_exactly_when_the_rows_zeros_do_not_fit(case):
     # rows (k_sys - 1 zeros at most) for the systematic modes
     g, gf = case
     max_zeros = max(row.count(0) for row in g.adjacency)
-    k_sys, _, exact = best_matching(g)
+    k_sys, _, exact = k_sys_search(g)
     assert exact
     nodes = default_defining_set(gf, g.n)
     for k in range(1, g.n + 1):

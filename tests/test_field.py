@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from graphcodes.field import (GF, gf2_irreducible, is_prime,
@@ -128,6 +129,24 @@ def test_constructor_rejections():
         GF(7, 1, alpha=2)  # order 3, not primitive
     with pytest.raises(ValueError):
         GF(2, 4, reduction_poly=[1, 0, 0, 0, 1])  # x^4 + 1 = (x+1)^4
+
+
+@pytest.mark.parametrize("poly", [[True, True, False, True], [1, 1, 0, 1.0], [1.0, 1, 0, 1],
+                                  [1, "1", 0, 1], [1, 1, None, 1]],
+                         ids=["bools", "float-lead", "float", "string", "none"])
+def test_reduction_poly_coefficients_must_be_integers(poly):
+    # the bools used to build GF(2^3) and the floats failed with a TypeError
+    message = "reduction polynomial coefficients must be 0/1"
+    with pytest.raises(ValueError, match=message):
+        GF(2, 3, reduction_poly=poly)
+    with pytest.raises(ValueError, match=message):
+        GF.from_dict({"p": 2, "m": 3, "alpha": 2, "poly": poly})
+
+
+def test_reduction_poly_takes_numpy_integers():
+    gf = GF(2, 3, reduction_poly=np.array([1, 1, 0, 1]))
+    assert gf.reduction_poly == [1, 1, 0, 1] and gf == GF(2, 3)
+    assert all(type(c) is int for c in gf.to_dict()["poly"])
 
 
 @pytest.mark.parametrize("p, alpha", [(7, 3.0), (7, "3"), (2, True), (2, 1.0)])

@@ -119,10 +119,17 @@ def test_hall_check(ref_graph):
 
 
 def test_hall_guard():
-    g = load_graph([[1] * 25 for _ in range(25)])
+    # a matching answers at any s: only the subset walk, which runs when
+    # there is none, is limited
+    assert hall_check(load_graph([[1] * 25 for _ in range(25)])) == (True, None)
+    # rows 0 and 1 share column 0 alone
+    crowded = load_graph([[1] + [0] * 24] * 2
+                         + [[int(j in (1, i)) for j in range(25)] for i in range(2, 25)])
     with pytest.raises(GuardExceededError):
-        hall_check(g)
-    assert hall_check(g, guard=25)[0]
+        hall_check(crowded)
+    with pytest.raises(GuardExceededError):
+        hall_check(crowded, max_exact_s=2)  # a lower limit keeps the default
+    assert hall_check(crowded, max_exact_s=25) == (False, (0, 1))
 
 
 def test_find_matching_reference(ref_graph):
