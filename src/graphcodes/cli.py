@@ -256,7 +256,8 @@ def build_parser() -> _Parser:
 
     def add_guard_opt(p):
         p.add_argument("--max-exact-s", type=int, default=None,
-                       help="raise the exhaustive-search guards (subsets and matchings)")
+                       help="raise the exhaustive-search guards (subsets and matchings); "
+                            "a k_sys limit above 12 can run for minutes on ordinary graphs")
 
     p = sub.add_parser("bounds", help="distance bounds and witnesses for a graph")
     p.add_argument("graph")

@@ -4,9 +4,15 @@ All constructions extract the code as a subcode of an [n, k] Reed-Solomon
 code: per message row i, a transformation polynomial vanishing on the nodes
 where the row must be zero supplies row i of the generator as its vector of
 evaluations.  Stacking the coefficient vectors gives the transform matrix T
-with G = T . G_RS.  The polynomial modes build every row of T at once, on
-field arrays, from one batched product tree (``rs.vanishing``), which also
-scales each row to 1 at its matched node, and take G from ``rs.evaluate``.
+with G = T . G_RS.  The polynomial modes build every row from its values, all
+rows at once on field arrays: row i of G is zero at the row's roots and
+elsewhere the product of (x_j - x_z) over them (``rs.root_logs``), divided by
+that product at the matched node when there is a matching.  T is then G's
+first k columns times the Lagrange basis of the first k nodes
+(``rs.interpolate``), a table kept across constructions within
+``rs.INTERPOLATION_CACHE_BYTES``.  So no construction runs a product tree or
+``rs.evaluate``, and the load check of a code file, G against
+``rs.evaluate`` of T, checks G by a route independent of the one that built it.
 
 Modes:
 
@@ -51,7 +57,7 @@ from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF, _is_int
 from .graph import ConstraintGraph, find_matching, matched_adjacency
 from .linalg import left_nullspace_basis, rref
-from .rs import RSCode, default_defining_set, evaluate, vanishing
+from .rs import RSCode, default_defining_set, evaluate, interpolate, root_logs
 
 
 @dataclass(eq=False)
@@ -160,8 +166,9 @@ class CodeSpec:
             raise ValueError("G rows must have n columns")
         symbols(T, gf.q, "T entries", ndim=2)
         symbols(G, gf.q, "G entries", ndim=2)
-        # numpy reads a JSON true among integers as 1, so symbols cannot see it
-        for what, rows in (("defining set", [rs.nodes]), ("T entries", T), ("G entries", G)):
+        # numpy reads a JSON true among integers as 1, so symbols cannot see
+        # it; RSCode refuses one in the defining set
+        for what, rows in (("T entries", T), ("G entries", G)):
             if any(isinstance(v, bool) for row in rows for v in row):
                 raise ValueError("%s must lie in [0, %d)" % (what, gf.q))
         mode = d["mode"]
@@ -182,6 +189,7 @@ class CodeSpec:
                    matching=tuple(matching) if matching is not None else None,
                    claimed_distance=d["claimed_distance"],
                    distance_exact=d["distance_exact"])
+        # the constructions never take G from evaluate: this check is independent
         bad = [i for i, row in enumerate(evaluate(rs, T)) if row != G[i]]
         if bad:
             raise InconsistentCodeError("G differs from T . G_RS in rows %s" % bad, spec)
@@ -205,24 +213,30 @@ def _defining_set(g: ConstraintGraph, gf: GF, nodes):
 
 def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
              distance_exact: bool) -> CodeSpec:
-    """The subcode of rs whose row i vanishes where rows[i] is zero: T holds
-    the vanishing polynomials' coefficients (padded to k), each scaled to 1
-    at node matching[i] when a matching is given, and G = T . G_RS.
+    """The subcode of rs whose row i vanishes where rows[i] is zero, built
+    from its values: G[i, j] is prod (x_j - x_z) over the row's zeros z,
+    divided by that product at node matching[i] when a matching is given,
+    and 0 at the zeros.  Row i of T holds that product's coefficients, read
+    off G[i]'s first k values by interpolation, as its degree, the row's
+    zero count, lies below k; so G = T . G_RS.
 
     The one check that the rows fit the RS dimension: a row with k or more
     zeros raises ``InfeasibleError``."""
-    fa, zero = field_arrays(rs.gf), np.asarray(rows) == 0
-    polys = vanishing(rs, zero, matching)
-    if polys.shape[1] > rs.k:
-        counts = zero.sum(axis=1)
+    fa, zero = field_arrays(rs.gf), ~np.asarray(rows, dtype=bool)
+    counts = np.add.reduce(zero, axis=1)
+    if counts.max() >= rs.k:
         i = int(np.argmax(counts >= rs.k))
         raise InfeasibleError(
             "row %d needs %d zeros but the RS dimension is only %d" % (i, counts[i], rs.k))
-    T = np.zeros((len(zero), rs.k), dtype=fa.dtype)
-    T[:, :polys.shape[1]] = polys
-    return CodeSpec(gf=rs.gf, rs=rs, T=T.tolist(), G=evaluate(rs, T), mode=mode,
-                    matching=matching, claimed_distance=claimed_distance,
-                    distance_exact=distance_exact, consistent=True)
+    log_G = root_logs(rs, zero)
+    if matching is not None:  # row i's matched node is no root: its entry is a log
+        log_G -= log_G.take(matching, axis=1).diagonal()[:, None]
+        log_G %= rs.gf.q - 1
+    log_G[zero] = fa.zero_log
+    return CodeSpec(gf=rs.gf, rs=rs, T=interpolate(rs, log_G[:, :rs.k]).tolist(),
+                    G=fa.elements(log_G).tolist(), mode=mode, matching=matching,
+                    claimed_distance=claimed_distance, distance_exact=distance_exact,
+                    consistent=True)
 
 
 def generic_subcode(g: ConstraintGraph, gf: GF, nodes=None, k=None,

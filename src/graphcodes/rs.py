@@ -10,15 +10,25 @@ errors and erasures together: e errors and f erasures whenever
 as int32 logs (about 4 n^2 bytes).  Interpolation is then one gather per
 block of basis rows, and erasures enter as the factor prod (x - x_e), which
 the Euclid steps carry along.  The code's node powers (``RSCode.log_powers``)
-serve the generator, ``evaluate`` and re-encode.
-``vanishing`` builds the polynomials that vanish on given nodes, every row
-at once, as one batched product tree: the constructions' transform rows and
-the decoder's node product g0.
+serve the generator, ``evaluate`` (encode and the code-file load check) and
+re-encode.
+The constructions build a subcode from its values instead.  ``root_logs``
+gives, for every row at once, the logs of the product of (x_j - x_z) over
+the row's roots z, from node differences taken a block of columns at a
+time.  ``interpolate`` turns values at the first k nodes into coefficients
+with ``interpolation_table``: the Lagrange basis of those nodes, built by the
+decoder's synthetic division and kept read-only across codes, least
+recently used first out, within INTERPOLATION_CACHE_BYTES (4 MiB) in all.
+``vanishing``, one batched product tree over every row at once, builds the
+node products g0 both tables start from.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +42,9 @@ BLOCK_ELEMENTS = 1 << 14
 # bytes a code's decode tables may take: 4 n (n + k) of int32 logs plus the
 # n x n quotients built on the way, so n = 4096 fits and n = 8192 does not
 TABLE_BYTES_GUARD = 256 << 20
+# bytes the interpolation tables kept across constructions may take in all,
+# each counted with its node tuple by sys.getsizeof
+INTERPOLATION_CACHE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -46,7 +59,9 @@ class RSCode:
         n = len(self.nodes)
         if n == 0 or n > self.gf.q:
             raise ValueError("need 1 <= n <= q, got n=%d, q=%d" % (n, self.gf.q))
-        symbols(self.nodes, self.gf.q, "defining set")
+        # a bool, a float or a string reads None, so symbols refuses the
+        # object array, as it refuses a k or an adjacency entry that is no integer
+        symbols(list(map(_as_int, self.nodes)), self.gf.q, "defining set")
         if len(set(self.nodes)) != n:
             raise ValueError("defining set elements must be distinct")
         k = _as_int(self.k)  # an integer before it sizes a table
@@ -78,31 +93,17 @@ class RSCode:
     @functools.cached_property
     def lagrange(self) -> np.ndarray:
         """n x n int32 logs: row j the coefficients of the Lagrange basis
-        polynomial L_j = g0 / ((x - x_j) g0'(x_j)), built in row blocks, so
-        no n x n int64 temporary exists.  Raises GuardExceededError before
-        allocating when it and the node powers exceed TABLE_BYTES_GUARD."""
-        fa, n, order = field_arrays(self.gf), self.n, self.gf.q - 1
+        polynomial L_j of the nodes (``_lagrange_logs``).  Raises
+        GuardExceededError before allocating when it and the node powers
+        exceed TABLE_BYTES_GUARD."""
+        n = self.n
         # int32 Lagrange logs and node powers, plus the n x n quotients while building
-        needed = 4 * n * (n + self.k) + n * n * fa.dtype.itemsize
+        needed = 4 * n * (n + self.k) + n * n * field_arrays(self.gf).dtype.itemsize
         if needed > TABLE_BYTES_GUARD:
             raise GuardExceededError(
                 "decode tables for n=%d need %d bytes, over the guard of %d"
                 % (n, needed, TABLE_BYTES_GUARD))
-        x, g0 = _node_tables(self.gf, tuple(self.nodes))[0], self.g0
-        # quotients[i, j] is coefficient i of g0 / (x - x_j): synthetic
-        # division for every node at once
-        quotients = np.empty((n, n), dtype=fa.dtype)
-        quotients[n - 1] = 1
-        for i in range(n - 1, 0, -1):
-            quotients[i - 1] = fa.add(g0[i], fa.mul(x, quotients[i]))
-        lagrange = np.empty((n, n), dtype=np.int32)
-        for rows in _row_blocks(n, n):
-            # log g0'(x_j) = sum over i != j of log (x_j - x_i)
-            logs = fa.log_sub(x[rows, None], x)
-            np.fill_diagonal(logs[:, rows], 0)
-            scale = fa.inv(fa.elements(logs.sum(axis=1) % order))
-            lagrange[rows] = fa.logs(fa.mul(quotients[:, rows].T, scale[:, None]))
-        return lagrange
+        return _lagrange_logs(self.gf, _node_tables(self.gf, tuple(self.nodes))[0], self.g0)
 
 
 def default_defining_set(gf: GF, n: int) -> tuple[int, ...]:
@@ -131,6 +132,85 @@ def evaluate(code: RSCode, messages) -> list:
 def encode(code: RSCode, message) -> list:
     """Evaluate the message polynomial (coefficients, ascending) at all nodes."""
     return evaluate(code, [message])[0]
+
+
+def root_logs(code: RSCode, zero) -> np.ndarray:
+    """s x n int64: entry (i, j) the log of prod (x_j - x_z) over the nodes
+    x_z with zero[i, z], where j is no root of row i (at a root the product
+    is 0 and the entry is no log of it).  One integer product of the zero
+    mask with the node-difference logs per block of at most BLOCK_ELEMENTS
+    of them, so no n x n table exists."""
+    fa, order = field_arrays(code.gf), code.gf.q - 1
+    x = _node_tables(code.gf, tuple(code.nodes))[0]
+    zero = np.asarray(zero, dtype=bool)
+    out = np.empty((len(zero), code.n), dtype=np.int64)
+    for cols in _row_blocks(code.n, code.n):
+        out[:, cols] = np.matmul(zero, fa.log_sub(x[cols, None], x).T, dtype=np.int64)
+    return np.remainder(out, order, out=out)
+
+
+def interpolate(code: RSCode, log_values) -> np.ndarray:
+    """The s x k coefficient rows, ascending, of the polynomials of degree
+    below k that take the given values at the first k nodes: the inverse of
+    ``evaluate`` there.  The values come as an s x k array of logs
+    (``FieldArrays.logs``); each block of them is one gather over the rows of
+    ``interpolation_table(code)``."""
+    fa, table = field_arrays(code.gf), interpolation_table(code)
+    out = None
+    for block in _row_blocks(code.k, len(log_values) * code.k):
+        part = fa.vec_mat_logs(log_values[:, block], table[block])
+        out = part if out is None else fa.add(out, part)
+    return out
+
+
+def interpolation_table(code: RSCode) -> np.ndarray:
+    """k x k int32 logs, read-only: row j the coefficients of the Lagrange
+    basis polynomial of node j over the first k nodes (``_lagrange_logs``).
+    Kept per field and k-node prefix in ``_interpolation_tables``, since a
+    design builds many codes on one."""
+    key = (code.gf, tuple(code.nodes[:code.k]))
+    table = _interpolation_tables.get(key)
+    if table is None:
+        x = _node_tables(code.gf, tuple(code.nodes))[0]
+        g0 = vanishing(code, [np.arange(code.n) < code.k])[0]  # prod (X - x_j), j < k
+        table = _lagrange_logs(code.gf, x[:code.k], g0)
+        table.flags.writeable = False
+        _interpolation_tables.put(key, table)
+    return table
+
+
+class _TableCache:
+    """Read-only tables by key, least recently used first out, at most
+    INTERPOLATION_CACHE_BYTES in all, each table counted with its key's node
+    tuple by sys.getsizeof; a table over that bound alone is not kept.  A
+    lock serializes every read and update, so threads building codes at
+    once cannot tear the byte count."""
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()  # key -> (table, bytes)
+        self.bytes = 0
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is None:
+                return None
+            self.entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, table) -> None:
+        size = sys.getsizeof(table) + sys.getsizeof(key[1])
+        with self.lock:
+            if key in self.entries or size > INTERPOLATION_CACHE_BYTES:
+                return
+            while self.bytes + size > INTERPOLATION_CACHE_BYTES:
+                self.bytes -= self.entries.popitem(last=False)[1][1]
+            self.entries[key] = table, size
+            self.bytes += size
+
+
+_interpolation_tables = _TableCache()
 
 
 def decode(code: RSCode, received, erasures=()):
@@ -227,6 +307,27 @@ def erasure_decode(code: RSCode, received, erased=()) -> list:
     return decode(code, received, erased)[0]
 
 
+def _lagrange_logs(gf: GF, x, g0) -> np.ndarray:
+    """len(x) x len(x) int32 logs: row j the coefficients of the Lagrange
+    basis polynomial L_j = g0 / ((X - x_j) g0'(x_j)), g0 = prod (X - x_j)
+    over x, built in row blocks, so no square int64 temporary exists."""
+    fa, n, order = field_arrays(gf), len(x), gf.q - 1
+    # quotients[i, j] is coefficient i of g0 / (X - x_j): synthetic
+    # division for every node at once
+    quotients = np.empty((n, n), dtype=fa.dtype)
+    quotients[n - 1] = 1
+    for i in range(n - 1, 0, -1):
+        quotients[i - 1] = fa.add(g0[i], fa.mul(x, quotients[i]))
+    lagrange = np.empty((n, n), dtype=np.int32)
+    for rows in _row_blocks(n, n):
+        # log g0'(x_j) = sum over i != j of log (x_j - x_i)
+        logs = fa.log_sub(x[rows, None], x)
+        np.fill_diagonal(logs[:, rows], 0)
+        scale = fa.inv(fa.elements(logs.sum(axis=1) % order))
+        lagrange[rows] = fa.logs(fa.mul(quotients[:, rows].T, scale[:, None]))
+    return lagrange
+
+
 def _row_blocks(count: int, width: int):
     step = max(1, BLOCK_ELEMENTS // width)
     for start in range(0, count, step):
@@ -268,20 +369,18 @@ def _node_tables(gf: GF, nodes: tuple[int, ...]):
     return arrays
 
 
-def vanishing(code: RSCode, zero, at=None) -> np.ndarray:
-    """Row i holds the coefficients, ascending, of prod (X - x_j) over the
-    nodes x_j with zero[i, j], divided by its value at node at[i] when
-    ``at`` is given (no root of row i), so that it is 1 there; rows are
-    monic otherwise.  The rows have 1 + the largest zero count as their length.
+def vanishing(code: RSCode, zero) -> np.ndarray:
+    """Row i holds the coefficients, ascending, of the monic prod (X - x_j)
+    over the nodes x_j with zero[i, j].  The rows have 1 + the largest zero
+    count as their length.
 
     A batched product tree on logs: each row's roots fill 2^L leaves, the
     factors (-x_j, 1) and then padding factors (1, 0), and each of the L
     levels multiplies adjacent pairs of leaves, across all rows at once,
-    with one outer product and ``_poly_mul``'s shifted-row sum.  The row
-    scale is a log added in the tree's last gather, so no pass of its own runs.
+    with one outer product and ``_poly_mul``'s shifted-row sum.
     """
     fa = field_arrays(code.gf)
-    x, _, table = _node_tables(code.gf, tuple(code.nodes))
+    table = _node_tables(code.gf, tuple(code.nodes))[2]
     zero = np.asarray(zero, dtype=bool)
     rows, n = zero.shape
     counts = np.add.reduce(zero, axis=1, dtype=np.intp)
@@ -305,16 +404,7 @@ def vanishing(code: RSCode, zero, at=None) -> np.ndarray:
             logs[0::2, :, None] + logs[1::2, None, :wb])
         products = fa.sum(flat[:, :wa * (wa + wb)].reshape(-1, wa, wa + wb), axis=1)
         logs = fa.logs(products[:, :wa + wb - 1])
-    logs = logs[:, :top + 1]
-    if at is not None:
-        # minus the log of prod (x_at[i] - x_j) over row i's roots: a log in
-        # [1, q - 1] keeps a nonzero entry's log below 2(q - 1), and a zero
-        # entry's at or above it
-        order = fa.q - 1
-        log_diff = fa.log_sub(x.take(at)[:, None], x)
-        log_value = np.add.reduce(log_diff, axis=1, where=zero, dtype=np.int64) % order
-        logs = logs + (order - log_value)[:, None]
-    return fa.elements(logs)
+    return fa.elements(logs[:, :top + 1])
 
 
 def _degree(a, d: int) -> int:

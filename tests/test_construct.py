@@ -1,13 +1,16 @@
 import functools
 import json
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (ALL_MODES_ROWS, REF_G, REF_NODES, REF_ROWS, REF_T,
                       random_dims, random_graph)
-from graphcodes import construct, linalg, polys
+from graphcodes import construct, linalg, polys, rs
 from graphcodes.bounds import k_sys_search
 from graphcodes.construct import (CodeSpec, generic_subcode,
                                   mds_nullspace_construct, rs_nullspace_construct,
@@ -488,12 +491,21 @@ def scalar_transform(rs, rows, matching):
     return T
 
 
+# (p, m, alpha, reduction polynomial): GF(7) and GF(31) also under a
+# primitive element that is not the default, and GF(2^4) also modulo
+# x^4 + x^3 + 1, so fields of equal order meet the interpolation tables
+SUBCODE_FIELDS = ((2, 1, None, None), (7, 1, None, None), (7, 1, 5, None),
+                  (31, 1, None, None), (31, 1, 11, None), (2, 4, None, None),
+                  (2, 4, None, (1, 0, 0, 1, 1)), (2, 8, None, None))
+
+
 @st.composite
 def subcode_cases(draw):
-    """(rs, rows, matching or None) over GF(2), GF(7), GF(31), GF(2^4) and
-    GF(2^8): rows with no zeros, with k - 1 zeros (the most a row may have),
-    with k or more (infeasible) and in between; s = 1 to 5."""
-    gf = GF(*draw(st.sampled_from(((2, 1), (7, 1), (31, 1), (2, 4), (2, 8)))))
+    """(rs, rows, matching or None) over ``SUBCODE_FIELDS``: rows with no
+    zeros, with k - 1 zeros (the most a row may have), with k or more
+    (infeasible) and in between; s = 1 to 5."""
+    p, m, alpha, poly = draw(st.sampled_from(SUBCODE_FIELDS))
+    gf = GF(p, m, alpha=alpha, reduction_poly=poly)
     n = draw(st.integers(1, min(gf.q, 24)))
     nodes = tuple(draw(st.permutations(range(gf.q)))[:n])
     k = draw(st.integers(1, n))
@@ -525,6 +537,30 @@ def test_subcode_transform_matches_the_scalar_reference(case):
     assert spec.G == evaluate(rs, want)
 
 
+@pytest.mark.parametrize("block", [rs.BLOCK_ELEMENTS, 40])
+def test_subcode_rows_do_not_depend_on_the_block_size(monkeypatch, block):
+    # 40 elements split both the node-difference columns and the
+    # interpolation gather into several blocks
+    monkeypatch.setattr(rs, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(rs, "_interpolation_tables", rs._TableCache())
+    rng = random.Random(41)
+    for gf in (GF(13), GF(2, 4)):
+        for _ in range(20):
+            n = rng.randint(2, 13)
+            k = rng.randint(1, n)
+            code = RSCode(gf, tuple(rng.sample(range(gf.q), n)), k)
+            rows = [[int(rng.random() > (k - 1) / n) for _ in range(n)] for _ in range(4)]
+            for row in rows:
+                while row.count(0) >= k:
+                    row[row.index(0)] = 1
+                row[rng.choice([j for j in range(n) if row[j]] or [0])] = 1
+            matching = tuple(row.index(1) for row in rows)
+            for m in (None, matching):
+                spec = construct._subcode(code, rows, "generic", m, 1, False)
+                assert spec.T == scalar_transform(code, rows, m)
+                assert spec.G == evaluate(code, spec.T)
+
+
 def test_subcode_modes_run_without_the_scalar_polynomials(monkeypatch):
     def refuse(*args):
         raise AssertionError("scalar polynomial or matrix arithmetic called")
@@ -545,3 +581,137 @@ def test_subcode_modes_run_without_the_scalar_polynomials(monkeypatch):
         for mode in ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace"):
             spec = BUILDERS[mode](g, gf)
             assert spec.mode == mode and validity_check(g, spec.G)
+
+
+def test_fields_of_equal_order_keep_their_own_interpolation_tables():
+    # the tables hold logs, which name alpha, and products, which name the
+    # reduction polynomial: one table per field, node prefix and k
+    rows, matching = ((1, 0, 1, 0, 1, 1, 1), (0, 1, 1, 1, 1, 1, 0)), (0, 2)
+    twins = ((GF(7), GF(7, alpha=5)),
+             (GF(2, 4), GF(2, 4, reduction_poly=[1, 0, 0, 1, 1])))
+    for fields in twins:
+        for gf in fields:
+            for k in (3, 4, 7):  # the same nodes in every field
+                code = RSCode(gf, tuple(range(7)), k)
+                spec = construct._subcode(code, rows, "generic", matching, 1, False)
+                assert spec.T == scalar_transform(code, rows, matching)
+                assert spec.G == evaluate(code, spec.T)
+
+
+def _cached_bytes(key, table):
+    """What the interpolation cache counts for one entry."""
+    return sys.getsizeof(table) + sys.getsizeof(key[1])
+
+
+def test_interpolation_cache_stays_within_its_byte_bound(monkeypatch):
+    bound = 1000  # 16 x 16 down to 14 x 14 tables are over it on their own
+    cache = rs._TableCache()
+    monkeypatch.setattr(rs, "_interpolation_tables", cache)
+    monkeypatch.setattr(rs, "INTERPOLATION_CACHE_BYTES", bound)
+    rows = ((1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1),)
+    for gf in (GF(17), GF(2, 4), GF(17, alpha=5)):
+        nodes = default_defining_set(gf, 16)
+        for k in range(4, 17):
+            code = RSCode(gf, nodes, k)
+            spec = construct._subcode(code, rows, "generic", None, 1, False)
+            assert spec.T == scalar_transform(code, rows, None)
+            size = sum(_cached_bytes(key, t) for key, (t, _) in cache.entries.items())
+            assert size <= bound and size == cache.bytes
+            # the table just used is kept unless it alone is over the bound
+            key = (gf, nodes[:k])
+            assert (key in cache.entries) == (
+                _cached_bytes(key, rs.interpolation_table(code)) <= bound)
+    assert (GF(17, alpha=5), nodes[:13]) in cache.entries
+    assert (GF(17, alpha=5), nodes[:14]) not in cache.entries
+
+    # least recently used first out: a table read again outlives older ones
+    gf, nodes = GF(17), default_defining_set(GF(17), 16)
+    codes = [RSCode(gf, nodes, k) for k in (2, 3, 4, 5)]
+    sizes = [_cached_bytes((gf, c.nodes[:c.k]), rs.interpolation_table(c)) for c in codes]
+    cache = rs._TableCache()
+    monkeypatch.setattr(rs, "_interpolation_tables", cache)
+    monkeypatch.setattr(rs, "INTERPOLATION_CACHE_BYTES", sum(sizes[:3]))
+    for c in codes[:3] + codes[:1] + codes[3:]:
+        rs.interpolation_table(c)
+    assert list(cache.entries) == [(gf, nodes[:2]), (gf, nodes[:5])]
+    assert cache.bytes == sizes[0] + sizes[3]
+
+
+def test_interpolation_cache_keeps_its_count_under_threads(monkeypatch):
+    # more threads than cores and a short switch interval, so the lookups
+    # and updates of the one cache interleave, nearly every one evicting
+    gf = GF(17)
+    nodes = default_defining_set(gf, 16)
+    tables = {(gf, nodes[:k]): rs.interpolation_table(RSCode(gf, nodes, k))
+              for k in range(1, 17)}
+    cache = rs._TableCache()
+    monkeypatch.setattr(rs, "_interpolation_tables", cache)
+    monkeypatch.setattr(rs, "INTERPOLATION_CACHE_BYTES", 1500)
+    keys, errors = list(tables), []
+
+    def hammer(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(3000):
+                key = rng.choice(keys)
+                got = cache.get(key)
+                if got is None:
+                    cache.put(key, tables[key])
+                elif got is not tables[key]:
+                    errors.append(key)
+        except Exception as exc:  # a torn update surfaces here
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer, args=(seed,)) for seed in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and not errors
+    size = sum(_cached_bytes(key, t) for key, (t, _) in cache.entries.items())
+    assert size == cache.bytes <= 1500
+
+
+def test_interpolation_tables_are_read_only():
+    gf = GF(2, 3)
+    code = RSCode(gf, default_defining_set(gf, 8), 5)
+    table = rs.interpolation_table(code)
+    assert table.shape == (5, 5) and table.dtype == np.int32
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+    # shared by every code on the same field and first k nodes
+    assert rs.interpolation_table(RSCode(gf, code.nodes[:5] + (7,), 5)) is table
+
+
+def test_a_second_construction_builds_no_table_and_evaluates_nothing(monkeypatch):
+    g, gf, nodes = load_graph(REF_ROWS), GF(7, alpha=5), (6, 5, 4, 3, 2, 1, 0)
+    first = systematic_dsys(g, gf, nodes)
+
+    def refuse(*args):
+        raise AssertionError("rs.evaluate or an interpolation-table builder called")
+
+    for name in ("evaluate", "vanishing", "_lagrange_logs"):
+        monkeypatch.setattr(rs, name, refuse)
+    monkeypatch.setattr(construct, "evaluate", refuse)
+    second = systematic_dsys(g, gf, nodes)
+    assert second.rs is not first.rs and second.rs == first.rs
+    assert (second.T, second.G) == (first.T, first.G)
+
+
+def test_a_bool_node_is_refused_before_a_code_file_is_written():
+    # numpy reads True among integers as 1: the node used to pass, and the
+    # code file written with it in the defining set failed to load
+    g = load_graph(((1, 1, 0, 1), (0, 1, 1, 1)))
+    for nodes in ((True, 2, 3, 4), (np.True_, 2, 3, 4), (0, 2.0, 3, 4)):
+        with pytest.raises(ValueError, match=r"^defining set must lie in \[0, 7\)$"):
+            systematic_dsys(g, GF(7), nodes=nodes)
+    spec = systematic_dsys(g, GF(7), nodes=(1, 2, 3, 4))
+    assert CodeSpec.from_dict(json.loads(json.dumps(spec.to_dict()))).G == spec.G
+    # a numpy integer is a node as an int is
+    assert systematic_dsys(g, GF(7), nodes=(np.int64(1), 2, 3, 4)).G == spec.G

@@ -11,7 +11,7 @@ from graphcodes.arrays import field_arrays
 from graphcodes.errors import DecodingError, GuardExceededError
 from graphcodes.field import GF
 from graphcodes.polys import (poly_deg, poly_divmod, poly_eval, poly_from_roots,
-                              poly_interpolate, poly_mul, poly_scale, poly_sub)
+                              poly_interpolate, poly_mul, poly_sub)
 from graphcodes.rs import (RSCode, decode, default_defining_set, encode,
                            erasure_decode, evaluate, generator_matrix)
 from scalar_linalg import rank
@@ -495,23 +495,17 @@ def test_decode_tables_guard_refuses_before_allocating(monkeypatch):
 VANISHING_FIELDS = ((2, 1), (7, 1), (31, 1), (2, 4), (2, 8))
 
 
-def scalar_vanishing(gf, x, zero, at=None):
+def scalar_vanishing(gf, x, zero):
     """Row by row, one field element at a time: the reference for vanishing."""
-    rows = []
-    for i, row in enumerate(zero):
-        t = poly_from_roots(gf, [x[j] for j, z in enumerate(row) if z])
-        if at is not None:
-            t = poly_scale(gf, t, gf.inv(poly_eval(gf, t, x[at[i]])))
-        rows.append(t)
+    rows = [poly_from_roots(gf, [x[j] for j, z in enumerate(row) if z]) for row in zero]
     width = max(len(t) for t in rows)
     return [t + [0] * (width - len(t)) for t in rows]
 
 
 @st.composite
 def vanishing_cases(draw):
-    """(gf, nodes, zero mask, points or None): empty rows, full rows and root
-    counts on both sides of a power of two; every point is the index of a
-    node that is no root of its row."""
+    """(gf, nodes, zero mask): empty rows, full rows and root counts on both
+    sides of a power of two."""
     gf = GF(*draw(st.sampled_from(VANISHING_FIELDS)))
     n = draw(st.integers(1, min(gf.q, 40)))
     x = draw(st.permutations(range(gf.q)))[:n]
@@ -519,23 +513,16 @@ def vanishing_cases(draw):
     zero = [[draw(st.booleans()) if kind == "mixed" else kind == "full" for _ in range(n)]
             for kind in draw(st.lists(st.sampled_from(("mixed", "empty", "full")),
                                       min_size=rows, max_size=rows))]
-    at = None
-    if draw(st.booleans()):
-        for row in zero:  # a point needs a non-root
-            if all(row):
-                row[draw(st.integers(0, n - 1))] = False
-        at = [draw(st.sampled_from([j for j, z in enumerate(row) if not z]))
-              for row in zero]
-    return gf, x, zero, at
+    return gf, x, zero
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(vanishing_cases())
 def test_vanishing_matches_the_scalar_reference(case):
-    gf, x, zero, at = case
-    got = rs.vanishing(RSCode(gf, tuple(x), 1), np.array(zero, dtype=bool), at)
+    gf, x, zero = case
+    got = rs.vanishing(RSCode(gf, tuple(x), 1), np.array(zero, dtype=bool))
     assert got.dtype == field_arrays(gf).dtype
-    assert got.tolist() == scalar_vanishing(gf, x, zero, at)
+    assert got.tolist() == scalar_vanishing(gf, x, zero)
 
 
 @pytest.mark.parametrize("p, m, n", [(7, 1, 7), (31, 1, 31), (2, 6, 63), (2, 8, 255)])
