@@ -142,13 +142,15 @@ class CodeSpec:
             raise ValueError("cannot serialize a spec without a defining set")
         return {
             "field": self.gf.to_dict(),
-            "defining_set": list(self.rs.nodes),
-            "k": self.rs.k,
+            # RSCode accepts numpy integers, which json cannot write; a numpy
+            # k makes the claimed distance n - k + 1 one too
+            "defining_set": list(map(int, self.rs.nodes)),
+            "k": int(self.rs.k),
             "T": [list(r) for r in self.T],
             "G": [list(r) for r in self.G],
             "mode": self.mode,
             "matching": list(self.matching) if self.matching is not None else None,
-            "claimed_distance": self.claimed_distance,
+            "claimed_distance": int(self.claimed_distance),
             "distance_exact": self.distance_exact,
         }
 

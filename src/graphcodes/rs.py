@@ -9,9 +9,16 @@ errors and erasures together: e errors and f erasures whenever
 ``RSCode.g0``, the node product, and ``RSCode.lagrange``, the Lagrange basis
 as int32 logs (about 4 n^2 bytes).  Interpolation is then one gather per
 block of basis rows, and erasures enter as the factor prod (x - x_e), which
-the Euclid steps carry along.  The code's node powers (``RSCode.log_powers``)
-serve the generator, ``evaluate`` (encode and the code-file load check) and
-re-encode.
+the Euclid steps carry along.  Each quotient term of the Euclid steps and of
+the final division costs one gather and one in-place update: the scaled row
+is ``exp[c:].take(log_row)``, which is ``elements(c + log_row)`` without the
+sum, on a log row cast to intp once per step (``take`` converts int32
+indices on every call), and ``FieldArrays.sub`` writes the difference into
+the row's slice through ``out=``.  The division divides by the divisor made
+monic, so a term's log is the log of the remainder's top coefficient, with
+no modulo, and the quotient stays in place above the remainder.  The code's
+node powers (``RSCode.log_powers``) serve the generator, ``evaluate``
+(encode and the code-file load check) and re-encode.
 The constructions build a subcode from its values instead.  ``root_logs``
 gives, for every row at once, the logs of the product of (x_j - x_z) over
 the row's roots z, from node differences taken a block of columns at a
@@ -224,8 +231,10 @@ def decode(code: RSCode, received, erasures=()):
     product over the unerased nodes.  A partial extended Euclid run on
     (g0, h) therefore takes the steps it would take on those two cofactors:
     it stops at the first remainder g with deg g - f < (N + k) / 2, and the
-    message is g / (Gamma v), v the Bezout coefficient of h.  Raises
-    DecodingError when fewer than k symbols are left, the division is
+    message is g / (Gamma v), v the Bezout coefficient of h.  Both loops run
+    one Python step per quotient term, each one gather off a view of the exp
+    table and one in-place ``FieldArrays.sub`` (see the module docstring).
+    Raises DecodingError when fewer than k symbols are left, the division is
     inexact or exceeds the degree bound, or the re-encoded result disagrees
     with the unerased symbols in more than floor((N - k) / 2) places.
     """
@@ -262,15 +271,18 @@ def decode(code: RSCode, received, erasures=()):
     a1[:n] = h
     a1[n + 1] = 1
     d0, d1, dv1 = n, _degree(a1, n), 0  # deg r0, deg r1, deg v1
+    log, exp = fa.log, fa.exp
     while 2 * (d1 - f) >= n - f + k:
         width = n + 2 + dv1
-        log_a1 = fa.logs(a1[:width])
+        log_a1 = fa.logs(a1[:width]).astype(np.intp)
         inv_lead = order - int(log_a1[d1])
         dv1 += d0 - d1  # the degree of v0 - quotient * v1
         while d0 >= d1:  # one quotient term at a time
             shift = d0 - d1
-            c = (int(fa.log[a0[d0]]) + inv_lead) % order
-            a0[shift:shift + width] = fa.sub(a0[shift:shift + width], fa.elements(c + log_a1))
+            row = a0[shift:shift + width]
+            # row 0 -= c x^shift row 1, c = lead 0 / lead 1: exp[c:] taken
+            # at log_a1 is exp[c + log_a1], c times row 1
+            fa.sub(row, exp[(int(log[a0[d0]]) + inv_lead) % order:].take(log_a1), out=row)
             d0 = _degree(a0, d0 - 1)
         a0, a1, d0, d1 = a1, a0, d1, d0
     r1, v1 = a1[:d1 + 1], a1[n + 1:n + 2 + dv1]
@@ -281,15 +293,18 @@ def decode(code: RSCode, received, erasures=()):
         dw = len(divisor) - 1
         if not 0 <= d1 - dw < k:
             raise DecodingError("no codeword lies within the decoding radius")
-        rem, log_w = r1, fa.logs(divisor)
-        inv_lead = order - int(log_w[-1])
+        # divide by divisor / lead, which is monic: r1[i] is then the next
+        # quotient term, and it stays in place; that quotient is lead times
+        # the message.  A zero term needs no branch: exp[zero_log:] is zero
+        # wherever log_w reaches
+        inv_lead = order - log[divisor[dw]]
+        log_w = fa.logs(fa.elements(fa.logs(divisor[:dw]) + inv_lead)).astype(np.intp)
         for i in range(d1, dw - 1, -1):
-            if rem[i]:
-                c = (int(fa.log[rem[i]]) + inv_lead) % order
-                message[i - dw] = fa.exp[c]
-                rem[i - dw:i + 1] = fa.sub(rem[i - dw:i + 1], fa.elements(c + log_w))
-        if rem[:dw].any():
+            row = r1[i - dw:i]
+            fa.sub(row, exp[log[r1[i]]:].take(log_w), out=row)
+        if r1[:dw].any():
             raise DecodingError("no codeword lies within the decoding radius")
+        message[:d1 - dw + 1] = fa.elements(fa.logs(r1[dw:]) + inv_lead)
 
     values = _combine(fa, fa.logs(message), np.arange(k), code.log_powers)
     positions = kept[values[kept] != y[kept]].tolist()

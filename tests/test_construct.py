@@ -715,3 +715,14 @@ def test_a_bool_node_is_refused_before_a_code_file_is_written():
     assert CodeSpec.from_dict(json.loads(json.dumps(spec.to_dict()))).G == spec.G
     # a numpy integer is a node as an int is
     assert systematic_dsys(g, GF(7), nodes=(np.int64(1), 2, 3, 4)).G == spec.G
+
+
+def test_a_spec_on_numpy_integer_nodes_writes_a_json_code_file():
+    # RSCode accepts numpy integers as nodes and k; the dict must hold ints
+    g = load_graph(((1, 1, 0, 1), (0, 1, 1, 1)))
+    for spec in (systematic_dsys(g, GF(7), nodes=(np.int64(1), 2, 3, 4)),
+                 generic_subcode(g, GF(7), nodes=np.arange(1, 5), k=np.int64(3))):
+        back = CodeSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert (back.T, back.G, back.rs.nodes, back.rs.k, back.claimed_distance) == (
+            spec.T, spec.G, tuple(map(int, spec.rs.nodes)), spec.rs.k,
+            spec.claimed_distance)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,9 +424,12 @@ def test_decode_full_length_code_matches_scalar_reference():
 
 # the three decode-stream codes: length, field and RS dimension
 STREAM_SHAPES = ((31, GF(31), 22), (63, GF(2, 6), 30), (255, GF(2, 8), 81))
+# the same widths over prime fields, so GF(p)'s in-place row update runs on
+# rows as wide as the stream's
+PRIME_STREAM_SHAPES = ((63, GF(67), 30), (255, GF(257), 81))
 
 
-@pytest.mark.parametrize("n, gf, k", STREAM_SHAPES, ids=repr)
+@pytest.mark.parametrize("n, gf, k", STREAM_SHAPES + PRIME_STREAM_SHAPES, ids=repr)
 def test_decode_matches_scalar_reference_on_stream_shapes(n, gf, k):
     # clean words, t errors, n - k erasures, errors and erasures mixed
     # within the radius, and t + 1 errors
@@ -488,6 +492,31 @@ def test_decode_tables_guard_refuses_before_allocating(monkeypatch):
     assert not {"g0", "lagrange"} & set(vars(code))
     monkeypatch.setattr(rs, "TABLE_BYTES_GUARD", needed)
     assert decode(code, [0] * 31) == ([0] * 11, [])
+
+
+def test_a_warm_decode_keeps_no_table_indexed_by_field_element():
+    # over GF(2^16) at n = 1024 a table of the q - 1 multiples of a row
+    # would take over 100 MB; the decoder's temporaries are a few rows wide
+    gf = GF(2, 16)
+    code = RSCode(gf, default_defining_set(gf, 1024), 512)
+    rng = random.Random(1024)
+    t = (code.n - code.k) // 2
+    decode(code, encode(code, [0] * code.k))  # builds the decode tables
+    for errors, erasures in ((t, 0), (0, code.n - code.k), (100, 312)):
+        message = [rng.randrange(gf.q) for _ in range(code.k)]
+        received = encode(code, message)
+        order = rng.sample(range(code.n), errors + erasures)
+        erased = sorted(order[:erasures])
+        for j in order:
+            received[j] ^= rng.randrange(1, gf.q)
+        tracemalloc.start()
+        try:
+            decoded = decode(code, received, erased)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decoded == message, (errors, erasures)
+        assert peak < 8 << 20, (errors, erasures, peak)
 
 
 # -- vanishing polynomials: the batched product tree ---------------------------
