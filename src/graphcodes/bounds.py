@@ -29,9 +29,12 @@ the limits are still checked on every call, ahead of the stored result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import and_
 
-from .graph import (ConstraintGraph, check_matching, check_subset_limit, exact_limit,
-                    find_matching, min_surplus)
+from .graph import (ConstraintGraph, bits_mask, check_matching, check_subset_limit,
+                    exact_limit, find_matching, min_surplus)
 
 MATCHING_GUARD = 12
 # Column sets the exact k_sys search remembers.  Past the cap it stops
@@ -86,10 +89,15 @@ def matching_k(g: ConstraintGraph, matching) -> int:
     return g.n - min((g.row_mask(i) & ~matched).bit_count() for i in range(g.s))
 
 
+def _column_rows(g: ConstraintGraph) -> list[tuple[int, ...]]:
+    """For each column, the rows adjacent to it, in order."""
+    return [tuple(compress(range(g.s), col)) for col in zip(*g.adjacency)]
+
+
 def _k_sys_exact(g: ConstraintGraph, k_floor: int):
     s, n = g.s, g.n
     supports = [g.support(i) for i in range(s)]
-    col_rows = [[r for r in range(s) if g.adjacency[r][c]] for c in range(n)]
+    col_rows = _column_rows(g)
     cur_zeros = [n - len(supports[i]) for i in range(s)]
     assign = [0] * s
     best: list = [None, None]  # k, matching
@@ -134,7 +142,7 @@ def _k_sys_exact(g: ConstraintGraph, k_floor: int):
 def _k_sys_heuristic(g: ConstraintGraph, start):
     s = g.s
     # rows[c]: the bitmask of the rows adjacent to column c
-    rows = [sum(1 << r for r in range(s) if g.adjacency[r][c]) for c in range(g.n)]
+    rows = list(map(bits_mask, zip(*g.adjacency)))
     match = list(start)
     matched = sum(1 << c for c in match)
     # counts[r]: columns of row r left to it by the matching; k = n - min(counts)
@@ -194,7 +202,8 @@ def k_sys_search(g: ConstraintGraph, max_exact_s=None):
 
 def fully_connected_columns(g: ConstraintGraph):
     """Columns adjacent to every message row."""
-    return [j for j in range(g.n) if all(r[j] for r in g.adjacency)]
+    common = reduce(and_, map(g.row_mask, range(g.s)))
+    return [j for j in range(g.n) if common >> j & 1]
 
 
 def bounds_report(g: ConstraintGraph, max_exact_s=None) -> BoundsReport:

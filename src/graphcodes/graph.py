@@ -6,12 +6,20 @@ symbol j may depend on message symbol i.  Rows and columns with no edges
 are rejected: an unseen message symbol cannot be encoded, and a code symbol
 depending on nothing has no defined semantics here.  ``min_surplus`` is the
 one walk over row subsets: it yields the ``d_min`` bound and Hall violators.
+
+A graph is read a row at a time.  A row of Python ints 0 and 1 is taken
+whole; any other row is checked entry by entry (``_bit``), so the first bad
+entry in row-major order is the one named.  Row masks, supports and column
+sets are then read whole, each in one pass of C-level builtins.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 from .errors import GuardExceededError, NoMatchingError
 from .field import _as_int, _is_int
@@ -41,6 +49,31 @@ def _bit(v) -> int:
     raise ValueError("adjacency entries must be 0 or 1, got %r" % (v,))
 
 
+_INT = frozenset((int,))
+_BITS = frozenset((0, 1))
+
+
+def _row(r) -> tuple[int, ...]:
+    """An adjacency row as a tuple of the ints 0 and 1.  A row of Python ints
+    0 and 1 is taken whole (the exact type keeps a bool out); any other row
+    goes through ``_bit`` entry by entry."""
+    try:
+        row = tuple(r)
+    except TypeError:
+        raise ValueError("an adjacency row must be a list of entries, got %r" % (r,)) from None
+    if set(map(type, row)) <= _INT and set(row) <= _BITS:
+        return row
+    return tuple(map(_bit, row))
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def bits_mask(bits) -> int:
+    """The bitmask of a nonempty sequence of ints 0 and 1: bit j is bits[j]."""
+    return int(bytes(bits[::-1]).translate(_DIGITS), 2)
+
+
 @dataclass(frozen=True)
 class ConstraintGraph:
     """Validated s x n binary adjacency matrix, s <= n, held as tuples of the
@@ -49,7 +82,12 @@ class ConstraintGraph:
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(_bit, r)) for r in self.adjacency)
+        try:
+            rows = iter(self.adjacency)
+        except TypeError:
+            raise ValueError("adjacency must be a list of rows, got %r"
+                             % (self.adjacency,)) from None
+        rows = tuple(map(_row, rows))
         object.__setattr__(self, "adjacency", rows)
         if not rows or not rows[0]:
             raise ValueError("adjacency matrix must be non-empty")
@@ -59,13 +97,12 @@ class ConstraintGraph:
         s = len(rows)
         if s > n:
             raise ValueError("more message symbols than code symbols (s=%d > n=%d)" % (s, n))
-        for i, r in enumerate(rows):
-            if 1 not in r:
-                raise ValueError("message row %d has no edges" % i)
-        for j in range(n):
-            if all(r[j] == 0 for r in rows):
-                raise ValueError("code column %d has no edges" % j)
-        masks = tuple(sum(bit << j for j, bit in enumerate(r)) for r in rows)
+        masks = tuple(map(bits_mask, rows))
+        if 0 in masks:
+            raise ValueError("message row %d has no edges" % masks.index(0))
+        bare = ~reduce(or_, masks) & (1 << n) - 1
+        if bare:
+            raise ValueError("code column %d has no edges" % ((bare & -bare).bit_length() - 1))
         object.__setattr__(self, "_masks", masks)
         # completed searches, by name; not a field, so equality, hashing and
         # repr ignore it
@@ -83,7 +120,7 @@ class ConstraintGraph:
         return self._masks[i]
 
     def support(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.adjacency[i]) if v)
+        return tuple(compress(range(self.n), self.adjacency[i]))
 
     def _solve(self, name: str, search):
         """search(), run on the first call for this name only.  A search that
@@ -222,16 +259,24 @@ def _hall_matching(g: ConstraintGraph) -> tuple[int, ...]:
 
 
 def check_matching(g: ConstraintGraph, matching) -> tuple[int, ...]:
-    """Validate a row -> column assignment as a covering matching of g."""
+    """Validate a row -> column assignment as a covering matching of g, its
+    columns returned as Python ints.  A column is read as an adjacency entry
+    is: a Python or numpy integer passes, a bool, a float or a string raises
+    ValueError."""
     matching = tuple(matching)
     if len(matching) != g.s:
         raise ValueError("matching must assign all %d rows" % g.s)
-    if len(set(matching)) != g.s:
+    cols = tuple(map(_as_int, matching))
+    if None in cols:
+        i = cols.index(None)
+        raise ValueError("matched pair (%d, %r) is not an edge: a column is an integer"
+                         % (i, matching[i]))
+    if len(set(cols)) != g.s:
         raise ValueError("matching columns are not distinct")
-    for i, c in enumerate(matching):
+    for i, c in enumerate(cols):
         if not 0 <= c < g.n or g.adjacency[i][c] != 1:
             raise ValueError("matched pair (%d, %r) is not an edge" % (i, c))
-    return matching
+    return cols
 
 
 def matched_adjacency(g: ConstraintGraph, matching) -> MatchedAdjacency:

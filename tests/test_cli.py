@@ -64,6 +64,16 @@ def test_graph_file_with_non_integer_entry_is_refused(tmp_path, capsys, adjacenc
     assert "cannot read graph file" in err and "must be 0 or 1" in err
 
 
+@pytest.mark.parametrize("adjacency", [5, [[1, 1], 7]], ids=["number", "number-row"])
+def test_graph_file_whose_adjacency_is_not_a_list_of_rows_is_refused(tmp_path, capsys,
+                                                                     adjacency):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"adjacency": adjacency}))
+    code, out, err = _run(capsys, ["bounds", str(path)])
+    assert code == 1 and out == ""
+    assert "cannot read graph file" in err and "must be a list of" in err
+
+
 def test_bounds_guard_exceeded(tmp_path, capsys):
     rows = [[1] * 21 for _ in range(21)]
     code, _, err = _run(capsys, ["bounds", _write_graph(tmp_path, rows)])

@@ -3,12 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REF_MATCHED, REF_ROWS, random_dims, random_graph
+from graphcodes.bounds import _column_rows, fully_connected_columns
+from graphcodes.construct import mds_nullspace_construct
 from graphcodes.errors import GuardExceededError, NoMatchingError
-from graphcodes.graph import (ConstraintGraph, find_matching, hall_check,
+from graphcodes.field import GF
+from graphcodes.graph import (ConstraintGraph, bits_mask, find_matching, hall_check,
                               load_graph, matched_adjacency, neighborhood_size,
                               row_zero_stats)
+from graphcodes.rs import RSCode, default_defining_set, generator_matrix
+from scalar_graph import (scalar_column_masks, scalar_column_rows,
+                          scalar_fully_connected_columns, scalar_rows, scalar_support)
 
 
 def brute_has_matching(rows):
@@ -247,3 +254,105 @@ def test_row_zero_stats(ref_graph):
     assert row_zero_stats(ref_graph) == (2, [2, 1, 2])
     assert row_zero_stats(matched_adjacency(ref_graph, (0, 1, 2))) == (3, [2, 3, 2])
     assert row_zero_stats([[1, 1, 1], [1, 1, 1]]) == (0, [0, 0])
+
+
+# Entries other than the Python ints 0 and 1: numpy integers pass, the rest
+# are refused, a bool and a numpy bool included.
+ENTRIES = (np.int64(0), np.int64(1), np.uint8(0), np.uint8(1), True, False, np.True_,
+           np.False_, 0.0, 1.0, np.float64(1.0), "1", "0", None, 2, -1, [1])
+CONTAINERS = {"list": list, "tuple": tuple, "iterator": iter}
+
+
+@st.composite
+def adjacency_recipes(draw):
+    """(outer container, [(row container, entries)]): ragged, empty, zero-row,
+    zero-column and s > n shapes included, most rows of the ints 0 and 1."""
+    s = draw(st.integers(0, 4))
+    n = max(0, s + draw(st.integers(-1, 3)))
+    rows = []
+    for _ in range(s):
+        length = n if draw(st.integers(0, 9)) else draw(st.integers(0, 5))
+        pool = (0, 1, 1) if draw(st.integers(0, 5)) else (0, 1, 1) * 3 + ENTRIES
+        rows.append((draw(st.sampled_from(tuple(CONTAINERS))),
+                     draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))))
+    return draw(st.sampled_from(tuple(CONTAINERS))), rows
+
+
+def _build(recipe):
+    outer, rows = recipe
+    return CONTAINERS[outer](CONTAINERS[kind](list(entries)) for kind, entries in rows)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except Exception as exc:  # the type and message must match
+        return type(exc), str(exc)
+
+
+def _read_graph(adjacency):
+    g = ConstraintGraph(adjacency)
+    assert all(type(v) is int for r in g.adjacency for v in r)
+    return (g.adjacency, tuple(map(g.row_mask, range(g.s))),
+            tuple(map(g.support, range(g.s))), fully_connected_columns(g))
+
+
+def _read_reference(adjacency):
+    rows, masks = scalar_rows(adjacency)
+    return (rows, masks, tuple(scalar_support(rows, i) for i in range(len(rows))),
+            scalar_fully_connected_columns(rows))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(adjacency_recipes())
+def test_rows_read_whole_match_the_per_entry_reference(recipe):
+    assert _outcome(lambda: _read_graph(_build(recipe))) == _outcome(
+        lambda: _read_reference(_build(recipe)))
+
+
+@pytest.mark.parametrize("key, s, n, density", [
+    ("decode-stream/255/16", 16, 255, 0.75),  # the decode-stream benchmark's n = 255 graph
+    ("graph-rows/200x400", 200, 400, 0.6),
+])
+def test_large_graphs_match_the_per_entry_reference(key, s, n, density):
+    rows = [list(r) for r in random_graph(random.Random(key), s, n, density).adjacency]
+    want = _read_reference(rows)
+    for source in (rows, np.array(rows)):
+        g = ConstraintGraph(source)
+        assert _read_graph(source) == want
+        assert _column_rows(g) == list(map(tuple, scalar_column_rows(want[0])))
+        assert list(map(bits_mask, zip(*g.adjacency))) == scalar_column_masks(want[0])
+
+
+@pytest.mark.parametrize("adjacency, message", [
+    ([[1, 1], 7], "row must be a list of entries, got 7"),
+    ([[1, 1], None], "row must be a list of entries, got None"),
+    (5, "must be a list of rows, got 5"),
+    (None, "must be a list of rows, got None"),
+    ([[1, 2], 7], "must be 0 or 1, got 2"),  # rows are read in order
+])
+def test_an_adjacency_that_is_not_a_list_of_rows_is_refused(adjacency, message):
+    with pytest.raises(ValueError, match=message):
+        ConstraintGraph(adjacency)
+    with pytest.raises(ValueError, match=message):
+        ConstraintGraph.from_dict({"adjacency": adjacency})
+
+
+@pytest.mark.parametrize("matching", [(0, True, 2), (0.0, 1, 2), ("0", 1, 2)],
+                         ids=["bool", "float", "string"])
+def test_a_matching_column_must_be_an_integer(ref_graph, matching):
+    gf = GF(7)
+    gen = generator_matrix(RSCode(gf, default_defining_set(gf, 7), 4))
+    with pytest.raises(ValueError, match=r"matched pair \(\d, .*\) is not an edge"):
+        matched_adjacency(ref_graph, matching)
+    with pytest.raises(ValueError, match=r"matched pair \(\d, .*\) is not an edge"):
+        mds_nullspace_construct(ref_graph, gf, gen, matching=matching)
+
+
+def test_numpy_integer_matching_columns_come_back_as_ints(ref_graph):
+    gf = GF(7)
+    gen = generator_matrix(RSCode(gf, default_defining_set(gf, 7), 4))
+    matching = (np.int64(0), 1, 2)
+    for got in (matched_adjacency(ref_graph, matching).matching,
+                mds_nullspace_construct(ref_graph, gf, gen, matching=matching).matching):
+        assert got == (0, 1, 2) and all(type(c) is int for c in got)
