@@ -18,13 +18,12 @@ and ``import graphcodes.bounds`` never import numpy.
 
 import importlib
 
-from .bounds import BoundsReport, bounds_report, d_min_bound, k_sys_search
+from .bounds import Bound, BoundsReport, bounds_report, d_min_bound, k_sys_search
 from .errors import (DecodingError, GuardExceededError, InfeasibleError,
                      NoMatchingError)
 from .field import GF, smallest_prime_at_least
-from .graph import (ConstraintGraph, MatchedAdjacency, find_matching,
-                    hall_check, load_graph, matched_adjacency,
-                    neighborhood_size, row_zero_stats)
+from .graph import (ConstraintGraph, find_matching, hall_check, load_graph,
+                    matched_adjacency, neighborhood_size, row_zero_stats)
 
 __version__ = "0.1.0"
 
@@ -40,8 +39,8 @@ _ON_FIRST_USE = {
 }
 
 __all__ = [
-    "GF", "ConstraintGraph", "MatchedAdjacency", "RSCode", "CodeSpec",
-    "BoundsReport", "DistanceReport",
+    "GF", "ConstraintGraph", "RSCode", "CodeSpec",
+    "Bound", "BoundsReport", "DistanceReport",
     "bounds_report", "d_min_bound", "k_sys_search",
     "generic_subcode", "systematic_dmin", "systematic_dsys",
     "mds_nullspace_construct", "validity_check",

@@ -24,6 +24,10 @@ for the exact ``k_sys`` search.  Every entry takes one argument,
 ``k_sys_search`` alone picks the greedy fallback, an upper bound flagged
 inexact.  Each graph runs each search at most once and keeps the result;
 the limits are still checked on every call, ahead of the stored result.
+
+Every search returns a ``Bound``: the interval [floor, value] that holds
+the minimum, its witness and the method that found it.  ``verify``'s
+distance report is one too.
 """
 
 from __future__ import annotations
@@ -45,18 +49,45 @@ EXPLORED_CAP = 1 << 16
 MODES = ("generic", "systematic-dmin", "systematic-dsys", "mds-nullspace")
 
 
+@dataclass(frozen=True)
+class Bound:
+    """What a search proved about a minimum: it lies in [floor, value].
+
+    ``value`` is reached by ``witness``, so it is the upper end; ``floor`` is
+    the proven lower end, None when the search proves none.  ``method``
+    names the search: "exhaustive" searches prove their value, so they are
+    ``exact``, and the "heuristic" proves no floor.
+    """
+
+    value: int
+    floor: int | None
+    witness: tuple
+    method: str
+
+    @property
+    def exact(self) -> bool:
+        return self.floor == self.value
+
+
 @dataclass
 class BoundsReport:
-    d_min: int
-    k_min: int
-    witness_subset: tuple[int, ...]
-    d_sys: int
-    k_sys: int
-    witness_matching: tuple[int, ...]
-    search_exact: bool
+    """The two searches' bounds and what follows from them; r_M = n - a for
+    the a fully connected columns, and Theorem 2 needs k_min >= r_M."""
+
+    n: int
+    d_min_bound: Bound
+    k_sys_bound: Bound
     a: int
-    r_m: int
-    thm2_feasible: bool
+
+    d_min = property(lambda self: self.d_min_bound.value)
+    witness_subset = property(lambda self: self.d_min_bound.witness)
+    k_min = property(lambda self: self.n - self.d_min + 1)
+    k_sys = property(lambda self: self.k_sys_bound.value)
+    witness_matching = property(lambda self: self.k_sys_bound.witness)
+    search_exact = property(lambda self: self.k_sys_bound.exact)
+    d_sys = property(lambda self: self.n - self.k_sys + 1)
+    r_m = property(lambda self: self.n - self.a)
+    thm2_feasible = property(lambda self: self.k_min >= self.r_m)
 
     def to_dict(self) -> dict:
         return {
@@ -73,14 +104,18 @@ class BoundsReport:
         }
 
 
-def d_min_bound(g: ConstraintGraph, max_exact_s=None):
-    """(d_min, witness subset), the witness being the lexicographically
-    smallest minimizer.  Exhaustive over all nonempty row subsets, so
+def d_min_bound(g: ConstraintGraph, max_exact_s=None) -> Bound:
+    """d_min, exact, its witness the lexicographically smallest minimizing
+    subset.  Exhaustive over all nonempty row subsets, so
     ``check_subset_limit`` refuses s above ``exact_limit(max_exact_s,
     SUBSET_GUARD)``."""
     check_subset_limit(g, max_exact_s, "bound")
-    surplus, witness = g._solve("d_min", lambda: min_surplus(g))
-    return surplus + 1, witness
+    return g._solve("d_min", lambda: _d_min_exhaustive(g))
+
+
+def _d_min_exhaustive(g: ConstraintGraph) -> Bound:
+    surplus, witness = min_surplus(g)
+    return Bound(surplus + 1, surplus + 1, witness, "exhaustive")
 
 
 def matching_k(g: ConstraintGraph, matching) -> int:
@@ -94,7 +129,7 @@ def _column_rows(g: ConstraintGraph) -> list[tuple[int, ...]]:
     return [tuple(compress(range(g.s), col)) for col in zip(*g.adjacency)]
 
 
-def _k_sys_exact(g: ConstraintGraph, k_floor: int):
+def _k_sys_exact(g: ConstraintGraph, k_floor: int) -> Bound:
     s, n = g.s, g.n
     supports = [g.support(i) for i in range(s)]
     col_rows = _column_rows(g)
@@ -136,10 +171,10 @@ def _k_sys_exact(g: ConstraintGraph, k_floor: int):
             cur_zeros[i] += 1
 
     dfs(0, 0)
-    return best[0], best[1]
+    return Bound(best[0], best[0], best[1], "exhaustive")
 
 
-def _k_sys_heuristic(g: ConstraintGraph, start):
+def _k_sys_heuristic(g: ConstraintGraph, start) -> Bound:
     s = g.s
     # rows[c]: the bitmask of the rows adjacent to column c
     rows = list(map(bits_mask, zip(*g.adjacency)))
@@ -174,11 +209,11 @@ def _k_sys_heuristic(g: ConstraintGraph, start):
                 break
             if improved:
                 break
-    return g.n - min(counts), tuple(match)
+    return Bound(g.n - min(counts), None, tuple(match), "heuristic")
 
 
-def k_sys_search(g: ConstraintGraph, max_exact_s=None):
-    """(k_sys, witness matching, exact flag): the exact search up to s =
+def k_sys_search(g: ConstraintGraph, max_exact_s=None) -> Bound:
+    """k_sys and its witness matching: the exact search up to s =
     ``exact_limit(max_exact_s, MATCHING_GUARD)``, the heuristic above it.
 
     A matching is scored by its set of matched columns alone.  The exact
@@ -188,16 +223,15 @@ def k_sys_search(g: ConstraintGraph, max_exact_s=None):
     k_min floor is reached.  The heuristic improves the Hall matching by
     moving one row at a time to a free column, taking the first move that
     lowers k; a swap of two rows' columns keeps the column set, so none is
-    tried.  Its result is only an upper bound, flagged ``exact`` False.
+    tried.  Its result is an upper bound with no floor, so it is never
+    ``exact``, even where it meets k_min or s: "exact" marks the exact search.
     """
     start = find_matching(g)  # raises NoMatchingError with a Hall witness
     if g.s > exact_limit(max_exact_s, MATCHING_GUARD):
-        k, match = g._solve("k_sys heuristic", lambda: _k_sys_heuristic(g, start))
-        return k, match, False
+        return g._solve("k_sys heuristic", lambda: _k_sys_heuristic(g, start))
     # the subset limit is never below the matching limit, so this cannot raise
-    k_floor = g.n - d_min_bound(g, max_exact_s)[0] + 1
-    k, match = g._solve("k_sys exact", lambda: _k_sys_exact(g, k_floor))
-    return k, match, True
+    k_floor = g.n - d_min_bound(g, max_exact_s).value + 1
+    return g._solve("k_sys exact", lambda: _k_sys_exact(g, k_floor))
 
 
 def fully_connected_columns(g: ConstraintGraph):
@@ -208,20 +242,5 @@ def fully_connected_columns(g: ConstraintGraph):
 
 def bounds_report(g: ConstraintGraph, max_exact_s=None) -> BoundsReport:
     """Aggregate report; ``k_sys`` is the heuristic's above its limit."""
-    d_min, witness_subset = d_min_bound(g, max_exact_s)
-    k_min = g.n - d_min + 1
-    k_sys, witness_matching, exact = k_sys_search(g, max_exact_s)
-    a = len(fully_connected_columns(g))
-    r_m = g.n - a
-    return BoundsReport(
-        d_min=d_min,
-        k_min=k_min,
-        witness_subset=witness_subset,
-        d_sys=g.n - k_sys + 1,
-        k_sys=k_sys,
-        witness_matching=witness_matching,
-        search_exact=exact,
-        a=a,
-        r_m=r_m,
-        thm2_feasible=k_min >= r_m,
-    )
+    return BoundsReport(g.n, d_min_bound(g, max_exact_s), k_sys_search(g, max_exact_s),
+                        len(fully_connected_columns(g)))

@@ -52,10 +52,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import field_arrays, symbols
-from .bounds import MODES, d_min_bound, fully_connected_columns, k_sys_search
+from .bounds import MODES, Bound, d_min_bound, fully_connected_columns, k_sys_search
 from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF, _is_int
-from .graph import ConstraintGraph, find_matching, matched_adjacency
+from .graph import ConstraintGraph, check_matching, find_matching, matched_adjacency
 from .linalg import left_nullspace_basis, rref
 from .rs import RSCode, default_defining_set, evaluate, interpolate, root_logs
 
@@ -256,7 +256,7 @@ def generic_subcode(g: ConstraintGraph, gf: GF, nodes=None, k=None,
     if k is None:
         # the bound collapses to <= 0 on Hall-violating graphs; distance of a
         # real code is always >= 1, so cap the default at the full dimension
-        k = g.n - max(d_min_bound(g, max_exact_s)[0], 1) + 1
+        k = g.n - max(d_min_bound(g, max_exact_s).value, 1) + 1
     return _subcode(RSCode(gf, nodes, k), g.adjacency, "generic", None,
                     claimed_distance=g.n - k + 1, distance_exact=False)
 
@@ -272,7 +272,7 @@ def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
     ``max_exact_s`` raises the limit of the d_min walk (``d_min_bound``).
     """
     nodes = _defining_set(g, gf, nodes)
-    d_min, _ = d_min_bound(g, max_exact_s)
+    d_min = d_min_bound(g, max_exact_s).value
     k = g.n - d_min + 1
     full_cols = fully_connected_columns(g)
     a = len(full_cols)
@@ -289,7 +289,7 @@ def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
     sub_matching = find_matching(sub)
     matching = tuple(cols[c] for c in sub_matching)
 
-    return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, matching).rows,
+    return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, matching),
                     "systematic-dmin", matching, claimed_distance=d_min, distance_exact=True)
 
 
@@ -308,16 +308,21 @@ def systematic_dsys(g: ConstraintGraph, gf: GF, nodes=None,
 def _matched_subcode(g: ConstraintGraph, gf: GF, nodes, k, mode: str,
                      max_exact_s) -> CodeSpec:
     """The subcode of the [n, k] RS code (k None meaning k_sys) on the
-    matching that minimizes the worst row-zero count.  The claimed distance
-    n - k + 1 is exact when the matching search was and k = k_sys.  The
-    matched rows have k_sys - 1 zeros at most, so ``_subcode`` refuses
-    exactly the k below k_sys."""
+    matching that minimizes the worst row-zero count, with the claimed
+    distance n - k + 1 (``_claim_exact``).  The matched rows have k_sys - 1
+    zeros at most, so ``_subcode`` refuses exactly the k below k_sys."""
     nodes = _defining_set(g, gf, nodes)
-    k_sys, matching, exact = k_sys_search(g, max_exact_s)
-    k = k_sys if k is None else k
-    return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, matching).rows,
-                    mode, matching, claimed_distance=g.n - k + 1,
-                    distance_exact=exact and k == k_sys)
+    k_sys = k_sys_search(g, max_exact_s)
+    k = k_sys.value if k is None else k
+    return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, k_sys.witness),
+                    mode, k_sys.witness, claimed_distance=g.n - k + 1,
+                    distance_exact=_claim_exact(k_sys, k))
+
+
+def _claim_exact(k_sys: Bound, k: int) -> bool:
+    """Whether a systematic code's claimed distance n - k + 1 is exact: it
+    is when the k_sys search was and k is its value."""
+    return k_sys.exact and k == k_sys.value
 
 
 def _pick_covering_combination(fa, basis, log_gen, outside):
@@ -372,10 +377,10 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
         raise ValueError("generator has %d columns but the graph has %d" % (n, g.n))
     exact = False
     if systematic:
-        k_sys, best, found_exact = k_sys_search(g, max_exact_s)
-        exact = found_exact and k == k_sys
-        matched = matched_adjacency(g, best if matching is None else matching)
-        matching, rows = matched.matching, matched.rows
+        k_sys = k_sys_search(g, max_exact_s)
+        exact = _claim_exact(k_sys, k)
+        matching = check_matching(g, k_sys.witness if matching is None else matching)
+        rows = matched_adjacency(g, matching)
     else:
         matching, rows = None, g.adjacency
     zero = np.asarray(rows) == 0

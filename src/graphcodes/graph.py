@@ -155,14 +155,6 @@ class ConstraintGraph:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class MatchedAdjacency:
-    """Adjacency matrix after deleting non-matching edges into matched columns."""
-
-    rows: tuple[tuple[int, ...], ...]
-    matching: tuple[int, ...]
-
-
 def load_graph(rows) -> ConstraintGraph:
     """Validate a row-list description into a ConstraintGraph."""
     return ConstraintGraph.from_rows(rows)
@@ -279,27 +271,19 @@ def check_matching(g: ConstraintGraph, matching) -> tuple[int, ...]:
     return cols
 
 
-def matched_adjacency(g: ConstraintGraph, matching) -> MatchedAdjacency:
-    """Zero out every matched column except at its own matched row."""
+def matched_adjacency(g: ConstraintGraph, matching) -> tuple[tuple[int, ...], ...]:
+    """The adjacency rows, each matched column zeroed except at its own row."""
     matching = check_matching(g, matching)
     rows = [list(r) for r in g.adjacency]
     for i, c in enumerate(matching):
         for r in range(g.s):
             if r != i:
                 rows[r][c] = 0
-    return MatchedAdjacency(tuple(tuple(r) for r in rows), matching)
-
-
-def _rows_of(obj):
-    if isinstance(obj, ConstraintGraph):
-        return obj.adjacency
-    if isinstance(obj, MatchedAdjacency):
-        return obj.rows
-    return obj
+    return tuple(tuple(r) for r in rows)
 
 
 def row_zero_stats(obj):
-    """(max zeros in any row, per-row zero counts) of an adjacency-like matrix."""
-    rows = _rows_of(obj)
+    """(max zeros in any row, per-row zero counts) of a graph or a matrix."""
+    rows = obj.adjacency if isinstance(obj, ConstraintGraph) else obj
     counts = [len(r) - sum(r) for r in rows]
     return max(counts), counts

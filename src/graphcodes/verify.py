@@ -1,4 +1,4 @@
-"""Ground-truth oracles and the end-to-end decoder for constructed codes.
+"""Ground-truth oracles, the verdict on a code, and the end-to-end decoder.
 
 The distance oracle (distance of a linear code = minimum nonzero codeword
 weight) encodes one message per scalar class: the (q^s - 1)/(q - 1) messages
@@ -7,7 +7,10 @@ per-row tables of x . G[i], with no digit arithmetic, and its field
 arithmetic comes from ``arrays``.  Its guard still counts all q^s messages.
 It also counts the messages that encode to zero, which gives the rank of G,
 so ``verification_report`` runs no elimination when a consistent spec's G
-has full rank and one, for T's rank, otherwise.
+has full rank and one, for T's rank, otherwise.  Its result is a
+``DistanceReport``, an exact ``bounds.Bound`` that carries the rank too.
+``verdict`` judges a spec by its ``verification_report``; it owns every
+rule the CLI's ``verify`` applies.
 Encoding, fast read and decoding run on field arrays against the spec's
 own log tables, ``CodeSpec.log_G``, ``log_T`` and ``log_R``: the logs of G,
 of T and of a right inverse R of T, each built on first use.  Decoding runs
@@ -26,6 +29,7 @@ import numpy as np
 
 from . import rs
 from .arrays import field_arrays, symbols
+from .bounds import Bound
 from .construct import CodeSpec, validity_check
 from .errors import DecodingError, GuardExceededError
 from .field import GF
@@ -35,13 +39,13 @@ ENUM_GUARD = 1 << 24
 BLOCK = 1 << 16
 
 
-@dataclass
-class DistanceReport:
-    distance: int
-    witness_message: tuple[int, ...]
-    method: str = "exhaustive"
+@dataclass(frozen=True)
+class DistanceReport(Bound):
+    """The distance as an exact ``Bound`` whose witness is a message, with
+    G's rank and, on request, the weight histogram."""
+
+    rank: int
     weight_histogram: dict | None = None
-    rank: int | None = None
 
 
 def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
@@ -131,10 +135,8 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
         kernel //= q
         rank_G -= 1
     return DistanceReport(
-        distance=best_w, witness_message=lead1_message(best_j),
-        weight_histogram={w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
-        if with_histogram else None,
-        rank=rank_G)
+        best_w, best_w, lead1_message(best_j), "exhaustive", rank_G,
+        {w: int(c) * (q - 1) for w, c in enumerate(hist) if c} if with_histogram else None)
 
 
 def rank_over_field(mat, gf: GF) -> int:
@@ -200,11 +202,27 @@ def verification_report(spec: CodeSpec, g, guard: int = ENUM_GUARD) -> dict:
     """
     report = min_distance_exhaustive(spec.G, spec.gf, guard)
     return {
-        "distance": report.distance,
-        "witness_message": list(report.witness_message),
+        "distance": report.value,
+        "witness_message": list(report.witness),
         "rank_G": report.rank,
         "rank_T": (spec.s if spec.consistent and report.rank == spec.s
                    else rank(spec.gf, spec.T)),
         "valid_pattern": validity_check(g, spec.G),
         "systematic": spec.systematic,
     }
+
+
+def verdict(spec: CodeSpec, report: dict) -> list[str]:
+    """The problems ``verification_report``'s ``report`` finds in spec, none
+    for a code that keeps its graph's zero pattern, has an identity at its
+    matched columns and the distance it claims: exactly, or at least."""
+    claimed, d = spec.claimed_distance, report["distance"]
+    high = claimed if spec.distance_exact else spec.n
+    problems = []
+    if not report["valid_pattern"]:
+        problems.append("generator violates the adjacency zero pattern")
+    if spec.matching is not None and not report["systematic"]:
+        problems.append("matched columns do not form an identity")
+    if not claimed <= d <= high:
+        problems.append("distance %d outside the claimed [%d, %d]" % (d, claimed, high))
+    return problems

@@ -23,7 +23,7 @@ from graphcodes.graph import load_graph, matched_adjacency
 from graphcodes.rs import (RSCode, decode, default_defining_set, encode,
                            generator_matrix)
 from graphcodes.verify import (min_distance_exhaustive, subcode_decode,
-                               subcode_encode)
+                               subcode_encode, verdict, verification_report)
 from scalar_linalg import rank
 
 
@@ -50,7 +50,13 @@ def criterion(name, limit=None):
 
 
 def _distance(G, gf):
-    return min_distance_exhaustive(G, gf).distance
+    return min_distance_exhaustive(G, gf).value
+
+
+def _audit(g, spec):
+    """spec's exhaustive distance, and the problems ``verdict`` finds with it."""
+    report = verification_report(spec, g)
+    return report["distance"], verdict(spec, report)
 
 
 @pytest.fixture(scope="module")
@@ -67,28 +73,28 @@ def corpus():
         g = random_graph(rng, s, n, densities[idx % 4])
         q = smallest_prime_at_least(n)
         gf = fields.setdefault(q, GF(q))
-        entry = {"g": g, "gf": gf, "d_min": d_min_bound(g)[0]}
+        entry = {"g": g, "gf": gf, "d_min": d_min_bound(g).value}
         try:
             entry["report"] = bounds_report(g)
         except NoMatchingError:
             entry["report"] = None
         spec = generic_subcode(g, gf)
         entry["generic"] = spec
-        entry["generic_distance"] = _distance(spec.G, gf)
+        entry["generic_distance"], entry["generic_verdict"] = _audit(g, spec)
         entry["generic_rank"] = rank(gf, spec.G)
         if entry["report"] is not None:
             dsys = systematic_dsys(g, gf)
             entry["dsys"] = dsys
-            entry["dsys_distance"] = _distance(dsys.G, gf)
+            entry["dsys_distance"], entry["dsys_verdict"] = _audit(g, dsys)
             gen = generator_matrix(RSCode(gf, dsys.rs.nodes, dsys.rs.k))
             mds = mds_nullspace_construct(g, gf, gen, systematic=True,
                                           matching=dsys.matching)
             entry["mds"] = mds
-            entry["mds_distance"] = _distance(mds.G, gf)
+            entry["mds_distance"], entry["mds_verdict"] = _audit(g, mds)
             if entry["report"].thm2_feasible:
                 dmin_spec = systematic_dmin(g, gf)
                 entry["dmin"] = dmin_spec
-                entry["dmin_distance"] = _distance(dmin_spec.G, gf)
+                entry["dmin_distance"], entry["dmin_verdict"] = _audit(g, dmin_spec)
         entries.append(entry)
     return {"entries": entries, "elapsed": time.perf_counter() - t0}
 
@@ -110,8 +116,7 @@ def test_criterion_1_reference_bounds(tmp_path, capsys):
 def test_criterion_2_reference_construction(capsys):
     g = load_graph(REF_ROWS)
     spec = systematic_dsys(g, GF(7))
-    matched = matched_adjacency(g, spec.matching)
-    assert matched.rows == REF_MATCHED
+    assert matched_adjacency(g, spec.matching) == REF_MATCHED
     assert tuple(tuple(r) for r in spec.T) == REF_T
     assert tuple(tuple(r) for r in spec.G) == REF_G
 
@@ -141,6 +146,10 @@ def test_criterion_4_bound_soundness_sweep(corpus):
     assert len(entries) >= 1000
     for e in entries:
         g, gf, d_min = e["g"], e["gf"], e["d_min"]
+        # every mode's code passes verify's verdict: pattern, identity, claim
+        verdicts = {key: e[key + "_verdict"] for key in ("generic", "dmin", "dsys", "mds")
+                    if key in e}
+        assert verdicts == dict.fromkeys(verdicts, [])
         assert validity_check(g, e["generic"].G)
         assert e["generic_distance"] >= g.n - e["generic"].rs.k + 1
         if e["generic_rank"] == g.s:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ALL_MODES_ROWS, REF_ROWS, random_dims, random_graph
 from graphcodes import bounds, cli, graph
-from graphcodes.bounds import bounds_report, d_min_bound, k_sys_search, matching_k
+from graphcodes.bounds import Bound, bounds_report, d_min_bound, k_sys_search, matching_k
 from graphcodes.construct import (generic_subcode, mds_nullspace_construct,
                                   rs_nullspace_construct, systematic_dmin,
                                   systematic_dsys)
@@ -101,7 +101,7 @@ def reference_k_sys_exact(g, k_floor):
                 cur_zeros[r] -= 1
 
     dfs(0)
-    return best[0], best[1]
+    return Bound(best[0], best[0], best[1], "exhaustive")
 
 
 def reference_k_sys_heuristic(g, start):
@@ -143,7 +143,7 @@ def reference_k_sys_heuristic(g, start):
                     break
             if improved:
                 break
-    return best_k, tuple(match)
+    return Bound(best_k, None, tuple(match), "heuristic")
 
 
 CORPUS_DENSITIES = (0.35, 0.55, 0.75, 0.9)
@@ -161,11 +161,8 @@ DENSE_7X14 = (
 
 
 def test_reference_graph_bounds(ref_graph):
-    d_min, witness = d_min_bound(ref_graph)
-    assert d_min == 5
-    assert witness == (0,)
-    k, match, exact = k_sys_search(ref_graph)
-    assert (k, match, exact) == (4, (0, 1, 2), True)
+    assert d_min_bound(ref_graph) == Bound(5, 5, (0,), "exhaustive")
+    assert k_sys_search(ref_graph) == Bound(4, 4, (0, 1, 2), "exhaustive")
     rep = bounds_report(ref_graph)
     assert rep.d_min == 5 and rep.k_min == 3
     assert rep.d_sys == 4 and rep.k_sys == 4
@@ -180,9 +177,9 @@ def test_reference_graph_bounds(ref_graph):
 def test_complete_graph_bounds():
     for s, n in [(1, 4), (2, 5), (3, 7), (4, 6)]:
         g = load_graph([[1] * n for _ in range(s)])
-        d_min, witness = d_min_bound(g)
-        assert d_min == n - s + 1
-        assert witness == tuple(range(s))
+        bound = d_min_bound(g)
+        assert bound.value == bound.floor == n - s + 1
+        assert bound.witness == tuple(range(s))
         rep = bounds_report(g)
         assert rep.k_sys == s and rep.d_sys == n - s + 1
         assert rep.a == n and rep.r_m == 0 and rep.thm2_feasible
@@ -191,7 +188,7 @@ def test_complete_graph_bounds():
 def test_identity_graph_bounds():
     for s in [1, 2, 4]:
         g = load_graph([[1 if i == j else 0 for j in range(s)] for i in range(s)])
-        assert d_min_bound(g)[0] == 1
+        assert d_min_bound(g).value == 1
         rep = bounds_report(g)
         assert rep.k_sys == s
         assert rep.d_sys == 1
@@ -200,7 +197,7 @@ def test_identity_graph_bounds():
 
 def test_single_row_bound():
     g = load_graph([[1, 1, 1, 1, 1]])
-    assert d_min_bound(g) == (5, (0,))
+    assert d_min_bound(g) == Bound(5, 5, (0,), "exhaustive")
     rep = bounds_report(g)
     assert rep.k_sys == 1 and rep.d_sys == 5
 
@@ -209,7 +206,7 @@ def test_d_min_guard():
     g = load_graph([[1] * 25 for _ in range(22)])
     with pytest.raises(GuardExceededError):
         d_min_bound(g)
-    assert d_min_bound(g, max_exact_s=22)[0] == 25 - 22 + 1
+    assert d_min_bound(g, max_exact_s=22).value == 25 - 22 + 1
     with pytest.raises(GuardExceededError):  # the stored sweep does not lift the guard
         d_min_bound(g)
 
@@ -235,18 +232,21 @@ def test_subset_searches_keep_no_table_of_subsets():
 def test_k_sys_guard_and_heuristic_fallback():
     rows = [[1] * 14 for _ in range(13)]
     g = load_graph(rows)
-    k, match, exact = k_sys_search(g)  # s = 13 is above the exact search's limit
-    assert exact is False
-    assert (k, match) == bounds._k_sys_heuristic(g, find_matching(g))
+    heuristic = k_sys_search(g)  # s = 13 is above the exact search's limit
+    # its k is s, the least k can be, yet the heuristic proves no floor
+    assert heuristic.floor is None and heuristic.exact is False
+    assert heuristic == bounds._k_sys_heuristic(g, find_matching(g))
+    k, match = heuristic.value, heuristic.witness
     assert k >= 13  # s <= k always
     assert len(set(match)) == 13
-    assert k_sys_search(g, max_exact_s=13) == (13, match, True)
+    assert k_sys_search(g, max_exact_s=13) == Bound(13, 13, match, "exhaustive")
 
 
 def test_fallback_above_guard_agrees_everywhere(tmp_path):
     rows = [[1] * 14 for _ in range(13)]
     g = load_graph(rows)
-    want = k_sys_search(g)
+    bound = k_sys_search(g)
+    want = bound.value, bound.witness, bound.exact
     assert want[2] is False
     rep = bounds_report(g)
     assert (rep.k_sys, rep.witness_matching, rep.search_exact) == want
@@ -278,7 +278,7 @@ def test_d_min_matches_brute_oracle():
     for _ in range(200):
         g = random_graph(rng, *random_dims(rng, 6, 8),
                          density=rng.choice([0.3, 0.5, 0.8]))
-        assert d_min_bound(g)[0] == brute_d_min([list(r) for r in g.adjacency])
+        assert d_min_bound(g).value == brute_d_min([list(r) for r in g.adjacency])
 
 
 def test_d_min_witness_is_lex_smallest_minimizer():
@@ -286,7 +286,8 @@ def test_d_min_witness_is_lex_smallest_minimizer():
     for _ in range(80):
         g = random_graph(rng, *random_dims(rng, 9, 12),
                          density=rng.choice([0.3, 0.6]))
-        value, witness = d_min_bound(g)
+        bound = d_min_bound(g)
+        value, witness = bound.value, bound.witness
         minimizers = []
         for size in range(1, g.s + 1):
             for subset in itertools.combinations(range(g.s), size):
@@ -310,9 +311,9 @@ def test_k_sys_matches_brute_oracle():
             with pytest.raises(NoMatchingError):
                 k_sys_search(g)
             continue
-        k, match, exact = k_sys_search(g)
-        assert exact and k == expect
-        assert matching_k(g, match) == k
+        bound = k_sys_search(g)
+        assert bound.exact and bound.value == expect
+        assert matching_k(g, bound.witness) == expect
         checked += 1
 
 
@@ -336,7 +337,7 @@ def test_random_matchings_never_beat_k_sys():
     for _ in range(60):
         g = random_graph(rng, *random_dims(rng, 4, 7, s_min=2), density=0.7)
         try:
-            k_sys, _, _ = k_sys_search(g)
+            k_sys = k_sys_search(g).value
         except NoMatchingError:
             continue
         for _ in range(20):
@@ -367,13 +368,13 @@ def test_heuristic_upper_bounds_exact():
     for _ in range(80):
         g = random_graph(rng, *random_dims(rng, 5, 8, s_min=2), density=0.6)
         try:
-            k_exact, _, exact = k_sys_search(g)
+            exact = k_sys_search(g)
         except NoMatchingError:
             continue
-        assert exact
-        k_heur, match = bounds._k_sys_heuristic(g, find_matching(g))
-        assert k_heur >= k_exact
-        assert matching_k(g, match) == k_heur
+        assert exact.exact
+        heuristic = bounds._k_sys_heuristic(g, find_matching(g))
+        assert heuristic.value >= exact.value
+        assert matching_k(g, heuristic.witness) == heuristic.value
 
 
 def test_k_sys_searches_equal_the_reference_searches():
@@ -386,7 +387,7 @@ def test_k_sys_searches_equal_the_reference_searches():
             start = find_matching(g)
         except NoMatchingError:
             continue
-        k_floor = g.n - d_min_bound(g)[0] + 1
+        k_floor = g.n - d_min_bound(g).value + 1
         assert bounds._k_sys_exact(g, k_floor) == reference_k_sys_exact(g, k_floor)
         for begin in (start, random_matching(rng, g)):
             if begin is not None:
@@ -413,7 +414,8 @@ def test_heuristic_equals_the_reference_above_the_guard():
 
 
 def test_dense_graph_exact_search():
-    assert k_sys_search(load_graph(DENSE_7X14)) == (8, (0, 1, 3, 2, 4, 5, 7), True)
+    assert (k_sys_search(load_graph(DENSE_7X14))
+            == Bound(8, 8, (0, 1, 3, 2, 4, 5, 7), "exhaustive"))
 
 
 @pytest.mark.parametrize("cap", [1, 2, 8])
@@ -434,7 +436,7 @@ def test_explored_cap_changes_no_answer(monkeypatch, cap):
     uncapped = [k_sys_search(load_graph(rows)) for rows in rows_list]
     monkeypatch.setattr(bounds, "EXPLORED_CAP", cap)
     assert [k_sys_search(load_graph(rows)) for rows in rows_list] == uncapped
-    assert uncapped[0] == (4, (0, 1, 2), True)  # the 3x7 reference
+    assert uncapped[0] == Bound(4, 4, (0, 1, 2), "exhaustive")  # the 3x7 reference
 
 
 def test_matching_k_ignores_which_row_holds_which_column():
@@ -483,9 +485,9 @@ def test_guards_are_checked_ahead_of_stored_results():
     assert bounds_report(wide, max_exact_s=21) == report
     g = load_graph([[1] * 14 for _ in range(13)])  # MATCHING_GUARD < s = 13 <= SUBSET_GUARD
     exact = k_sys_search(g, max_exact_s=13)
-    assert exact[2] is True
+    assert exact.exact is True
     heuristic = k_sys_search(g)
-    assert heuristic == bounds._k_sys_heuristic(g, find_matching(g)) + (False,)
+    assert heuristic == bounds._k_sys_heuristic(g, find_matching(g))
     assert heuristic == k_sys_search(load_graph(g.adjacency))
     assert bounds_report(g).search_exact is False
     assert k_sys_search(g, max_exact_s=13) == exact
@@ -493,7 +495,8 @@ def test_guards_are_checked_ahead_of_stored_results():
     small = load_graph(ALL_MODES_ROWS)
     report = bounds_report(small)
     assert bounds_report(small, max_exact_s=0) == report
-    assert k_sys_search(small, max_exact_s=2) == (report.k_sys, report.witness_matching, True)
+    assert (k_sys_search(small, max_exact_s=2)
+            == Bound(report.k_sys, report.k_sys, report.witness_matching, "exhaustive"))
 
 
 def test_one_limit_raises_each_default_and_never_lowers_it(tmp_path, capsys):
@@ -523,7 +526,7 @@ def test_one_limit_raises_each_default_and_never_lowers_it(tmp_path, capsys):
             assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
             if limit is None or limit <= 12:
                 assert report == default
-            exact = k_sys_search(g, max_exact_s=limit)[2]
+            exact = k_sys_search(g, max_exact_s=limit).exact
             assert exact is (g.s <= max(limit or 0, 12))
             assert report.search_exact is exact
 
@@ -533,7 +536,7 @@ def test_stored_results_leave_equality_hash_and_repr_alone(monkeypatch):
     before = (repr(g), hash(g))
     bounds_report(g)
     monkeypatch.setattr(bounds, "MATCHING_GUARD", 0)
-    assert k_sys_search(g)[2] is False  # stores the heuristic too
+    assert k_sys_search(g).exact is False  # stores the heuristic too
     assert g == fresh and len({g, fresh}) == 1
     assert (repr(g), hash(g)) == before == (repr(fresh), hash(fresh))
     assert g != load_graph(ALL_MODES_ROWS)

@@ -236,6 +236,45 @@ def test_verify_flags_tampered_code(ref_graph_file, tmp_path, capsys):
     assert "zero pattern" in err
 
 
+def _verify_edited(ref_graph_file, tmp_path, capsys, edit):
+    """``verify`` of the systematic-dsys code over GF(7), its file edited."""
+    out_file = tmp_path / "code.json"
+    _run(capsys, ["construct", ref_graph_file, "--p", "7", "--out", str(out_file)])
+    payload = json.loads(out_file.read_text())
+    edit(payload)
+    out_file.write_text(json.dumps(payload))
+    return _run(capsys, ["verify", str(out_file), ref_graph_file])
+
+
+@pytest.mark.parametrize("claimed, exact, problem", [
+    (3, False, None),
+    (5, True, "distance 4 outside the claimed [5, 5]"),
+    (3, True, "distance 4 outside the claimed [3, 3]"),
+    (5, False, "distance 4 outside the claimed [5, 7]"),
+])
+def test_verify_holds_the_distance_to_its_claim(ref_graph_file, tmp_path, capsys,
+                                                claimed, exact, problem):
+    code, out, err = _verify_edited(
+        ref_graph_file, tmp_path, capsys,
+        lambda payload: payload.update(claimed_distance=claimed, distance_exact=exact))
+    assert json.loads(out)["distance"] == 4
+    if problem is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (4, "MISMATCH: %s\n" % problem)
+
+
+def test_verify_flags_matched_columns_that_are_no_identity(ref_graph_file, tmp_path, capsys):
+    def scale_row_0(payload):  # G = T . G_RS still holds, with the same zeros
+        for key in ("T", "G"):
+            payload[key][0] = [2 * v % 7 for v in payload[key][0]]
+
+    code, out, err = _verify_edited(ref_graph_file, tmp_path, capsys, scale_row_0)
+    report = json.loads(out)
+    assert report["valid_pattern"] and not report["systematic"] and report["distance"] == 4
+    assert (code, err) == (4, "MISMATCH: matched columns do not form an identity\n")
+
+
 def test_code_file_with_g_rescaled_from_t_is_refused(ref_graph_file, tmp_path, capsys):
     out_file = tmp_path / "code.json"
     _run(capsys, ["construct", ref_graph_file, "--p", "7", "--out", str(out_file)])

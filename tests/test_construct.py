@@ -90,7 +90,7 @@ def test_systematic_dsys_reference(ref_graph, gf7):
     assert systematic_columns_ok(spec.G, spec.matching)
     assert validity_check(ref_graph, spec.G)
     assert rank(gf7, spec.G) == 3
-    assert min_distance_exhaustive(spec.G, gf7).distance == 4
+    assert min_distance_exhaustive(spec.G, gf7).value == 4
 
 
 def test_systematic_dsys_identity_graph():
@@ -107,7 +107,7 @@ def test_systematic_dsys_complete_2x4_gf5():
     spec = systematic_dsys(g, gf)
     assert spec.rs.k == 2
     assert spec.claimed_distance == 3
-    assert min_distance_exhaustive(spec.G, gf).distance == 3
+    assert min_distance_exhaustive(spec.G, gf).value == 3
 
 
 def test_systematic_dsys_extension_field():
@@ -118,7 +118,7 @@ def test_systematic_dsys_extension_field():
     spec = systematic_dsys(g, gf)
     assert validity_check(g, spec.G)
     assert systematic_columns_ok(spec.G, spec.matching)
-    assert min_distance_exhaustive(spec.G, gf).distance == spec.claimed_distance
+    assert min_distance_exhaustive(spec.G, gf).value == spec.claimed_distance
 
 
 def test_systematic_dsys_heuristic_fallback_above_guard():
@@ -139,7 +139,7 @@ def test_systematic_dmin_complete_graph():
     assert spec.claimed_distance == 5 and spec.distance_exact
     assert systematic_columns_ok(spec.G, spec.matching)
     assert validity_check(g, spec.G)
-    assert min_distance_exhaustive(spec.G, gf).distance == 5
+    assert min_distance_exhaustive(spec.G, gf).value == 5
 
 
 def test_systematic_dmin_identity_plus_full_block():
@@ -148,7 +148,7 @@ def test_systematic_dmin_identity_plus_full_block():
     gf = GF(7)
     spec = systematic_dmin(g, gf)
     assert spec.claimed_distance == 5  # every subset gives 5
-    assert min_distance_exhaustive(spec.G, gf).distance == 5
+    assert min_distance_exhaustive(spec.G, gf).value == 5
     assert systematic_columns_ok(spec.G, spec.matching)
 
 
@@ -193,7 +193,7 @@ def test_mds_backend_matches_polynomial_route():
     built = 0
     for g, gf, nodes in _nullspace_cases():
         try:
-            k_sys = k_sys_search(g)[0]
+            k_sys = k_sys_search(g).value
         except NoMatchingError:
             continue
         for k in range(k_sys, min(k_sys + 2, g.n) + 1):
@@ -297,8 +297,9 @@ def test_a_dimension_is_refused_exactly_when_the_rows_zeros_do_not_fit(case):
     # rows (k_sys - 1 zeros at most) for the systematic modes
     g, gf = case
     max_zeros = max(row.count(0) for row in g.adjacency)
-    k_sys, _, exact = k_sys_search(g)
-    assert exact
+    bound = k_sys_search(g)
+    assert bound.exact
+    k_sys = bound.value
     nodes = default_defining_set(gf, g.n)
     for k in range(1, g.n + 1):
         gen = generator_matrix(RSCode(gf, nodes, k))

@@ -10,9 +10,9 @@ from graphcodes.bounds import _column_rows, fully_connected_columns
 from graphcodes.construct import mds_nullspace_construct
 from graphcodes.errors import GuardExceededError, NoMatchingError
 from graphcodes.field import GF
-from graphcodes.graph import (ConstraintGraph, bits_mask, find_matching, hall_check,
-                              load_graph, matched_adjacency, neighborhood_size,
-                              row_zero_stats)
+from graphcodes.graph import (ConstraintGraph, bits_mask, check_matching, find_matching,
+                              hall_check, load_graph, matched_adjacency,
+                              neighborhood_size, row_zero_stats)
 from graphcodes.rs import RSCode, default_defining_set, generator_matrix
 from scalar_graph import (scalar_column_masks, scalar_column_rows,
                           scalar_fully_connected_columns, scalar_rows, scalar_support)
@@ -205,20 +205,18 @@ def test_hall_witness_is_lex_smallest_violator():
 
 
 def test_matched_adjacency_reference(ref_graph):
-    m = matched_adjacency(ref_graph, (0, 1, 2))
-    assert m.rows == REF_MATCHED
+    assert matched_adjacency(ref_graph, (0, 1, 2)) == REF_MATCHED
 
 
 def test_matched_adjacency_identity_unchanged():
     rows = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     g = load_graph(rows)
-    assert matched_adjacency(g, (0, 1, 2)).rows == g.adjacency
+    assert matched_adjacency(g, (0, 1, 2)) == g.adjacency
 
 
 def test_matched_adjacency_complete():
     g = load_graph([[1, 1, 1], [1, 1, 1]])
-    m = matched_adjacency(g, (0, 1))
-    assert m.rows == ((1, 0, 1), (0, 1, 1))
+    assert matched_adjacency(g, (0, 1)) == ((1, 0, 1), (0, 1, 1))
 
 
 def test_matched_adjacency_validation(ref_graph):
@@ -238,7 +236,7 @@ def test_matched_adjacency_touches_only_matched_columns():
             match = find_matching(g)
         except NoMatchingError:
             continue
-        rows = matched_adjacency(g, match).rows
+        rows = matched_adjacency(g, match)
         matched_cols = set(match)
         for i in range(g.s):
             for j in range(g.n):
@@ -353,6 +351,6 @@ def test_numpy_integer_matching_columns_come_back_as_ints(ref_graph):
     gf = GF(7)
     gen = generator_matrix(RSCode(gf, default_defining_set(gf, 7), 4))
     matching = (np.int64(0), 1, 2)
-    for got in (matched_adjacency(ref_graph, matching).matching,
+    for got in (check_matching(ref_graph, matching),
                 mds_nullspace_construct(ref_graph, gf, gen, matching=matching).matching):
         assert got == (0, 1, 2) and all(type(c) is int for c in got)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -17,7 +18,7 @@ from graphcodes.graph import ConstraintGraph, load_graph
 from graphcodes.rs import RSCode, default_defining_set, encode, generator_matrix
 from graphcodes.verify import (min_distance_exhaustive, rank_over_field,
                                subcode_decode, subcode_encode,
-                               systematic_fast_read, verification_report)
+                               systematic_fast_read, verdict, verification_report)
 from scalar_linalg import invert, matmul, rref, vec_mat
 
 
@@ -72,20 +73,20 @@ def scalar_distance_oracle(G, gf):
 
 def test_reference_generator_distance(gf7):
     rep = min_distance_exhaustive([list(r) for r in REF_G], gf7)
-    assert rep.distance == 4
-    assert rep.witness_message == (0, 1, 0)  # first weight-4 message in lex order
-    assert rep.method == "exhaustive"
+    assert rep.value == 4
+    assert rep.witness == (0, 1, 0)  # first weight-4 message in lex order
+    assert rep.method == "exhaustive" and rep.floor == rep.value and rep.exact
 
 
 def test_rs_generator_distance(gf7):
     gen = generator_matrix(RSCode(gf7, default_defining_set(gf7, 7), 4))
-    assert min_distance_exhaustive(gen, gf7).distance == 4
+    assert min_distance_exhaustive(gen, gf7).value == 4
 
 
 def test_identity_padded_distance():
     gf = GF(5)
     G = [[1, 0, 0, 0], [0, 1, 0, 0]]
-    assert min_distance_exhaustive(G, gf).distance == 1
+    assert min_distance_exhaustive(G, gf).value == 1
 
 
 def test_distance_matches_pairwise_oracle():
@@ -96,7 +97,7 @@ def test_distance_matches_pairwise_oracle():
             G = [[rng.randrange(q) for _ in range(n)] for _ in range(s)]
             if all(v == 0 for row in G for v in row):
                 continue
-            assert (min_distance_exhaustive(G, gf).distance
+            assert (min_distance_exhaustive(G, gf).value
                     == brute_pairwise_distance(G, gf))
 
 
@@ -107,7 +108,7 @@ def test_distance_extension_field_path_matches_oracle():
         G = [[rng.randrange(4) for _ in range(5)] for _ in range(2)]
         if all(v == 0 for row in G for v in row):
             continue
-        assert (min_distance_exhaustive(G, gf).distance
+        assert (min_distance_exhaustive(G, gf).value
                 == brute_pairwise_distance(G, gf))
     # the block oracle against the scalar loop, on extension fields and one
     # prime field; the last case (4^9 messages) spans several blocks
@@ -120,13 +121,13 @@ def test_distance_extension_field_path_matches_oracle():
             if all(v == 0 for row in G for v in row):
                 continue
             rep = min_distance_exhaustive(G, gf, with_histogram=True)
-            assert ((rep.distance, rep.witness_message, rep.weight_histogram)
+            assert ((rep.value, rep.witness, rep.weight_histogram)
                     == scalar_distance_oracle(G, gf))
     gf = GF(2, 2)
     G = [[rng.randrange(4) for _ in range(2)] for _ in range(9)]
     G[8] = list(G[0])
     rep = min_distance_exhaustive(G, gf, with_histogram=True)
-    assert ((rep.distance, rep.witness_message, rep.weight_histogram)
+    assert ((rep.value, rep.witness, rep.weight_histogram)
             == scalar_distance_oracle(G, gf))
 
 
@@ -142,7 +143,7 @@ def assert_oracle_agrees(G, gf, blocks):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "BLOCK", block)
             rep = min_distance_exhaustive(G, gf, with_histogram=True)
-        assert (rep.distance, rep.witness_message, rep.weight_histogram) == expected
+        assert (rep.value, rep.witness, rep.weight_histogram) == expected
 
 
 @pytest.mark.parametrize("p, m, s_max", ORACLE_FIELDS)
@@ -194,7 +195,7 @@ def test_distance_guard_counts_every_message(p, m, s):
     # the oracle encodes (q^s - 1)/(q - 1) messages, but the guard is on q^s
     gf = GF(p, m)
     G = [[1] * 3 for _ in range(s)]
-    assert min_distance_exhaustive(G, gf, guard=gf.q ** s).distance == 3
+    assert min_distance_exhaustive(G, gf, guard=gf.q ** s).value == 3
     with pytest.raises(GuardExceededError):
         min_distance_exhaustive(G, gf, guard=gf.q ** s - 1)
 
@@ -203,7 +204,7 @@ def test_distance_skips_zero_codewords_of_deficient_generators():
     gf = GF(5)
     G = [[1, 2, 0], [2, 4, 0]]  # row 2 = 2 * row 1
     rep = min_distance_exhaustive(G, gf)
-    assert rep.distance == 2  # never 0, despite nonzero messages encoding to zero
+    assert rep.value == 2  # never 0, despite nonzero messages encoding to zero
     with pytest.raises(ValueError):
         min_distance_exhaustive([[0, 0], [0, 0]], gf)
 
@@ -233,7 +234,7 @@ def test_distance_histogram(gf7):
                                   with_histogram=True)
     hist = rep.weight_histogram
     assert sum(hist.values()) == 7 ** 3 - 1
-    assert min(hist) == rep.distance == 4
+    assert min(hist) == rep.value == 4
 
 
 def test_rank_over_field(gf7):
@@ -489,6 +490,48 @@ def test_verification_report(ref_graph, gf7):
         "valid_pattern": True,
         "systematic": True,
     }
+    assert verdict(spec, rep) == []
+
+
+@pytest.mark.parametrize("claimed, exact, problem", [
+    (4, True, None),
+    (4, False, None),
+    (1, False, None),
+    (5, True, "distance 4 outside the claimed [5, 5]"),
+    (3, True, "distance 4 outside the claimed [3, 3]"),
+    (5, False, "distance 4 outside the claimed [5, 7]"),
+])
+def test_verdict_holds_the_distance_to_its_claim(ref_graph, gf7, claimed, exact, problem):
+    # an exact claim must equal the distance; a lower bound must not exceed it
+    spec = dataclasses.replace(systematic_dsys(ref_graph, gf7),
+                               claimed_distance=claimed, distance_exact=exact)
+    assert verdict(spec, verification_report(spec, ref_graph)) == (
+        [] if problem is None else [problem])
+
+
+def test_verdict_flags_matched_columns_that_are_no_identity(ref_graph, gf7):
+    spec = systematic_dsys(ref_graph, gf7)
+    # row 0 of T and of G times 2: G = T . G_RS still, with the same zeros
+    # and the same code, but G's matched column 0 holds a 2
+    scaled = dataclasses.replace(spec, T=[[2 * v % 7 for v in spec.T[0]]] + spec.T[1:],
+                                 G=[[2 * v % 7 for v in spec.G[0]]] + spec.G[1:])
+    report = verification_report(scaled, ref_graph)
+    assert report["valid_pattern"] and report["distance"] == 4
+    assert verdict(scaled, report) == ["matched columns do not form an identity"]
+    # a spec with no matching claims no identity
+    assert verdict(dataclasses.replace(scaled, matching=None), report) == []
+
+
+def test_verdict_flags_a_generator_off_the_zero_pattern(ref_graph, gf7):
+    spec = systematic_dsys(ref_graph, gf7)
+    G = [list(r) for r in spec.G]
+    G[1][3] = 1  # row 1 must be zero at column 3, which no row is matched to
+    # claiming only distance 1 keeps the claim out of it
+    tampered = dataclasses.replace(spec, G=G, claimed_distance=1, distance_exact=False,
+                                   consistent=False)
+    report = verification_report(tampered, ref_graph)
+    assert not report["valid_pattern"] and report["systematic"]
+    assert verdict(tampered, report) == ["generator violates the adjacency zero pattern"]
 
 
 @pytest.mark.parametrize("m", [1, 4])
