@@ -32,7 +32,7 @@ distance report is one too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress
 from operator import and_
@@ -72,22 +72,54 @@ class Bound:
 @dataclass
 class BoundsReport:
     """The two searches' bounds and what follows from them; r_M = n - a for
-    the a fully connected columns, and Theorem 2 needs k_min >= r_M."""
+    the a fully connected columns, and Theorem 2 needs k_min >= r_M.  The
+    derived values are properties; ``witness_subset`` alone is assignable,
+    and an assignment replaces the d_min bound's witness."""
 
     n: int
     d_min_bound: Bound
     k_sys_bound: Bound
     a: int
 
-    d_min = property(lambda self: self.d_min_bound.value)
-    witness_subset = property(lambda self: self.d_min_bound.witness)
-    k_min = property(lambda self: self.n - self.d_min + 1)
-    k_sys = property(lambda self: self.k_sys_bound.value)
-    witness_matching = property(lambda self: self.k_sys_bound.witness)
-    search_exact = property(lambda self: self.k_sys_bound.exact)
-    d_sys = property(lambda self: self.n - self.k_sys + 1)
-    r_m = property(lambda self: self.n - self.a)
-    thm2_feasible = property(lambda self: self.k_min >= self.r_m)
+    @property
+    def d_min(self) -> int:
+        return self.d_min_bound.value
+
+    @property
+    def witness_subset(self) -> tuple:
+        return self.d_min_bound.witness
+
+    @witness_subset.setter
+    def witness_subset(self, witness) -> None:
+        self.d_min_bound = replace(self.d_min_bound, witness=tuple(witness))
+
+    @property
+    def k_min(self) -> int:
+        return self.n - self.d_min + 1
+
+    @property
+    def k_sys(self) -> int:
+        return self.k_sys_bound.value
+
+    @property
+    def witness_matching(self) -> tuple:
+        return self.k_sys_bound.witness
+
+    @property
+    def search_exact(self) -> bool:
+        return self.k_sys_bound.exact
+
+    @property
+    def d_sys(self) -> int:
+        return self.n - self.k_sys + 1
+
+    @property
+    def r_m(self) -> int:
+        return self.n - self.a
+
+    @property
+    def thm2_feasible(self) -> bool:
+        return self.k_min >= self.r_m
 
     def to_dict(self) -> dict:
         return {

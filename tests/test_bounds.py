@@ -174,6 +174,16 @@ def test_reference_graph_bounds(ref_graph):
     assert d["witness_subset"] == [0] and d["witness_matching"] == [0, 1, 2]
 
 
+def test_an_assigned_witness_subset_replaces_the_d_min_witness(ref_graph):
+    rep = bounds_report(ref_graph)
+    rep.witness_subset = [2, 0]
+    assert rep.d_min_bound == Bound(5, 5, (2, 0), "exhaustive")
+    assert rep.witness_subset == (2, 0) and rep.to_dict()["witness_subset"] == [2, 0]
+    assert d_min_bound(ref_graph).witness == (0,)  # the stored search result is kept
+    with pytest.raises(AttributeError):
+        rep.d_min = 4  # every other derived value is read-only
+
+
 def test_complete_graph_bounds():
     for s, n in [(1, 4), (2, 5), (3, 7), (4, 6)]:
         g = load_graph([[1] * n for _ in range(s)])
