@@ -12,7 +12,10 @@ scaled by the constant of log c (below q - 1, or ``zero_log`` for zero) is
 ``exp[c:].take(log_row)``, a gather off a view that needs no
 ``c + log_row`` temporary, on intp logs: ``take`` converts int32 indices on
 every call (1.3 us against 0.9 at 300 entries).  ``sub`` takes ``out=``, so
-a caller can update a row slice in place.  Elements are held in the
+a caller can update a row slice in place.  ``vec_mat_logs`` is the one
+vector-matrix product, and it owns the bound on its gather: a product that
+gathers more than BLOCK_ELEMENTS elements is summed a block of the
+matrix's rows at a time.  Elements are held in the
 smallest unsigned dtype that holds 2q - 2, so a sum a + b and a difference
 a - b + p of two elements never wrap.  That makes GF(p) reduction a
 comparison, not a division: with t = a + b, t - p wraps above t exactly
@@ -31,6 +34,10 @@ import functools
 import numpy as np
 
 from .field import GF
+
+# elements one gather of a product may take: bounds the temporaries of
+# vec_mat_logs and of the callers that block a table build by hand
+BLOCK_ELEMENTS = 1 << 14
 
 
 class FieldArrays:
@@ -100,8 +107,19 @@ class FieldArrays:
         return self.elements((self.q - 1) - self.logs(a))
 
     def vec_mat_logs(self, log_v, log_mat):
-        """v . M, one per row of a 2-D v, from the logs: one gather and one sum."""
-        return self.sum(self.elements(log_v[..., None] + log_mat), axis=-2)
+        """v . M, one per row of a 2-D v, from the logs.  A product that
+        gathers at most BLOCK_ELEMENTS elements is one gather and one sum; a
+        larger one is gathered and summed a block of M's rows at a time."""
+        gathered = log_v.size * log_mat.shape[1]
+        if gathered <= BLOCK_ELEMENTS:
+            return self.sum(self.elements(log_v[..., None] + log_mat), axis=-2)
+        step = max(1, BLOCK_ELEMENTS * len(log_mat) // gathered)  # rows of M per block
+        out = None
+        for start in range(0, len(log_mat), step):
+            rows = slice(start, start + step)
+            part = self.sum(self.elements(log_v[..., rows, None] + log_mat[rows]), axis=-2)
+            out = part if out is None else self.add(out, part)
+        return out
 
 
 def symbols(values, q: int, what: str, ndim: int = 1) -> np.ndarray:

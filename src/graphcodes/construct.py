@@ -9,10 +9,11 @@ rows at once on field arrays: row i of G is zero at the row's roots and
 elsewhere the product of (x_j - x_z) over them (``rs.root_logs``), divided by
 that product at the matched node when there is a matching.  T is then G's
 first k columns times the Lagrange basis of the first k nodes
-(``rs.interpolate``), a table kept across constructions within
-``rs.INTERPOLATION_CACHE_BYTES``.  So no construction runs a product tree or
-``rs.evaluate``, and the load check of a code file, G against
-``rs.evaluate`` of T, checks G by a route independent of the one that built it.
+(``rs.interpolation_table``, a table kept across constructions within
+``rs.INTERPOLATION_CACHE_BYTES``), one ``FieldArrays.vec_mat_logs``.  So no
+construction runs a product tree or ``rs.evaluate``, and the load check of a
+code file, G against ``rs.evaluate`` of T, checks G by a route independent
+of the one that built it.
 
 Modes:
 
@@ -31,11 +32,13 @@ decides whether a dimension k fits: row i of T has degree below k, so a
 code exists exactly when every row has fewer than k zeros.  The library's
 general-MDS path, ``mds_nullspace_construct``, builds each row from any MDS
 generator instead, as a spec with no RS layer: a left-nullspace combination
-of the columns that must vanish, mixed and scaled on field arrays.  Its k is
-the generator's row count, and its row loop makes the same zero-count check
-once.  Over an RS generator the two agree: the zero columns Z of the
-Vandermonde generator have the monic prod_{j in Z} (X - x_j) as their first
-canonical left-nullspace vector, and its codeword is nonzero off Z.
+of the columns that must vanish, mixed and scaled on field arrays, each
+basis times the generator one ``vec_mat_logs``, gathered a block of the
+generator's rows at a time when it is large.  Its k is the generator's row
+count, and its row loop makes the same zero-count check once.  Over an RS
+generator the two agree: the zero columns Z of the Vandermonde generator
+have the monic prod_{j in Z} (X - x_j) as their first canonical
+left-nullspace vector, and its codeword is nonzero off Z.
 
 A ``CodeSpec`` keeps the logs of its matrices for encode, fast read and
 decode as members built on first use: ``log_G``, ``log_T`` and ``log_R``,
@@ -54,10 +57,10 @@ import numpy as np
 from .arrays import field_arrays, symbols
 from .bounds import MODES, Bound, d_min_bound, fully_connected_columns, k_sys_search
 from .errors import DecodingError, InconsistentCodeError, InfeasibleError
-from .field import GF, _is_int
+from .field import GF, _as_int
 from .graph import ConstraintGraph, check_matching, find_matching, matched_adjacency
 from .linalg import left_nullspace_basis, rref
-from .rs import RSCode, default_defining_set, evaluate, interpolate, root_logs
+from .rs import RSCode, default_defining_set, evaluate, interpolation_table, root_logs
 
 
 @dataclass(eq=False)
@@ -176,21 +179,23 @@ class CodeSpec:
         mode = d["mode"]
         if mode not in MODES:
             raise ValueError("unknown mode %r" % (mode,))
+        # integers of any type, stored as Python ints; a bool is refused
         matching = d.get("matching")
-        if matching is not None and not (
-                isinstance(matching, (list, tuple)) and len(matching) == len(G)
-                and all(_is_int(c) and 0 <= c < rs.n for c in matching)
-                and len(set(matching)) == len(matching)):
-            raise ValueError("matching must be %d distinct columns in [0, %d)"
-                             % (len(G), rs.n))
-        if not (_is_int(d["claimed_distance"]) and 1 <= d["claimed_distance"] <= rs.n):
+        if matching is not None:
+            cols = (tuple(map(_as_int, matching))
+                    if isinstance(matching, (list, tuple)) and len(matching) == len(G) else None)
+            if (cols is None or not all(c is not None and 0 <= c < rs.n for c in cols)
+                    or len(set(cols)) != len(cols)):
+                raise ValueError("matching must be %d distinct columns in [0, %d)"
+                                 % (len(G), rs.n))
+            matching = cols
+        claimed = _as_int(d["claimed_distance"])
+        if claimed is None or not 1 <= claimed <= rs.n:
             raise ValueError("claimed_distance must be an integer in [1, %d]" % rs.n)
         if not isinstance(d["distance_exact"], bool):
             raise ValueError("distance_exact must be true or false")
-        spec = cls(gf=gf, rs=rs, T=T, G=G, mode=mode,
-                   matching=tuple(matching) if matching is not None else None,
-                   claimed_distance=d["claimed_distance"],
-                   distance_exact=d["distance_exact"])
+        spec = cls(gf=gf, rs=rs, T=T, G=G, mode=mode, matching=matching,
+                   claimed_distance=claimed, distance_exact=d["distance_exact"])
         # the constructions never take G from evaluate: this check is independent
         bad = [i for i, row in enumerate(evaluate(rs, T)) if row != G[i]]
         if bad:
@@ -235,7 +240,8 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
         log_G -= log_G.take(matching, axis=1).diagonal()[:, None]
         log_G %= rs.gf.q - 1
     log_G[zero] = fa.zero_log
-    return CodeSpec(gf=rs.gf, rs=rs, T=interpolate(rs, log_G[:, :rs.k]).tolist(),
+    T = fa.vec_mat_logs(log_G[:, :rs.k], interpolation_table(rs))
+    return CodeSpec(gf=rs.gf, rs=rs, T=T.tolist(),
                     G=fa.elements(log_G).tolist(), mode=mode, matching=matching,
                     claimed_distance=claimed_distance, distance_exact=distance_exact,
                     consistent=True)

@@ -55,11 +55,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _is_int(v) -> bool:
-    """A Python int that is not a bool: a JSON true or a float never passes."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _as_int(v):
     """v as an int if it is a Python or numpy integer other than a bool, else None."""
     try:
@@ -132,10 +127,13 @@ class GF:
 
     def __init__(self, p: int, m: int = 1, alpha: int | None = None,
                  reduction_poly=None):
-        if not _is_int(p) or not is_prime(p):
+        # Python ints, whatever integer type they came in, so to_dict stays
+        # JSON-writable; a bool, a float or a string is refused
+        if _as_int(p) is None or not is_prime(p):
             raise ValueError("p must be a prime integer, got %r" % (p,))
-        if not _is_int(m) or m < 1:
+        if _as_int(m) is None or m < 1:
             raise ValueError("extension degree must be an integer >= 1, got %r" % (m,))
+        p, m = int(p), int(m)
         if m > 1 and p != 2:
             raise ValueError("extension fields are supported for p = 2 only")
         q = p ** m
@@ -160,9 +158,9 @@ class GF:
         if alpha is None:
             self.alpha = self._find_generator()
         else:
-            if not _is_int(alpha) or not 0 <= alpha < q or not self._generates(alpha):
+            if _as_int(alpha) is None or not 0 <= alpha < q or not self._generates(int(alpha)):
                 raise ValueError("%r is not a primitive element of GF(%d)" % (alpha, q))
-            self.alpha = alpha
+            self.alpha = int(alpha)
 
         self._build_tables()
 

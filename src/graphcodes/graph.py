@@ -8,9 +8,11 @@ depending on nothing has no defined semantics here.  ``min_surplus`` is the
 one walk over row subsets: it yields the ``d_min`` bound and Hall violators.
 
 A graph is read a row at a time.  A row of Python ints 0 and 1 is taken
-whole; any other row is checked entry by entry (``_bit``), so the first bad
-entry in row-major order is the one named.  Row masks, supports and column
-sets are then read whole, each in one pass of C-level builtins.
+whole, as is a numpy integer row of them (through ``tolist``, so this module
+imports no numpy); any other row is checked entry by entry (``_bit``), so
+the first bad entry in row-major order is the one named.  Row masks,
+supports and column sets are then read whole, each in one pass of C-level
+builtins.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import compress
 from operator import or_
 
 from .errors import GuardExceededError, NoMatchingError
-from .field import _as_int, _is_int
+from .field import _as_int
 
 SUBSET_GUARD = 20
 
@@ -55,15 +57,17 @@ _BITS = frozenset((0, 1))
 
 def _row(r) -> tuple[int, ...]:
     """An adjacency row as a tuple of the ints 0 and 1.  A row of Python ints
-    0 and 1 is taken whole (the exact type keeps a bool out); any other row
-    goes through ``_bit`` entry by entry."""
+    0 and 1 is taken whole (the exact type keeps a bool out), and so is a
+    numpy integer array of them, read through ``tolist``; any other row goes
+    through ``_bit`` entry by entry, on the entries as given."""
+    ints = getattr(getattr(r, "dtype", None), "kind", None) in ("i", "u")
     try:
-        row = tuple(r)
+        row = tuple(r.tolist() if ints else r)
     except TypeError:
         raise ValueError("an adjacency row must be a list of entries, got %r" % (r,)) from None
     if set(map(type, row)) <= _INT and set(row) <= _BITS:
         return row
-    return tuple(map(_bit, row))
+    return tuple(map(_bit, r if ints else row))
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -140,7 +144,7 @@ class ConstraintGraph:
     def from_dict(cls, d: dict) -> "ConstraintGraph":
         g = cls.from_rows(d["adjacency"])
         for key, size, what in (("s", g.s, "rows"), ("n", g.n, "columns")):
-            if key in d and not (_is_int(d[key]) and d[key] == size):
+            if key in d and _as_int(d[key]) != size:
                 raise ValueError("declared %s=%r does not match %d adjacency %s"
                                  % (key, d[key], size, what))
         return g

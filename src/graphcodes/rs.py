@@ -22,12 +22,16 @@ node powers (``RSCode.log_powers``) serve the generator, ``evaluate``
 The constructions build a subcode from its values instead.  ``root_logs``
 gives, for every row at once, the logs of the product of (x_j - x_z) over
 the row's roots z, from node differences taken a block of columns at a
-time.  ``interpolate`` turns values at the first k nodes into coefficients
-with ``interpolation_table``: the Lagrange basis of those nodes, built by the
-decoder's synthetic division and kept read-only across codes, least
-recently used first out, within INTERPOLATION_CACHE_BYTES (4 MiB) in all.
-``vanishing``, one batched product tree over every row at once, builds the
-node products g0 both tables start from.
+time.  ``interpolation_table`` turns values at the first k nodes into
+coefficients with one ``FieldArrays.vec_mat_logs``: it is the Lagrange basis
+of those nodes, built by the decoder's synthetic division and kept
+read-only across codes, least recently used first out, within
+INTERPOLATION_CACHE_BYTES (4 MiB) in all.  ``_poly_mul`` is the one
+polynomial product, batched over leading axes; ``_node_product``, a product
+tree of it, builds the node products g0 both Lagrange tables start from.
+Beyond ``vec_mat_logs``, which bounds its own gather, only ``_combine``'s
+row gather and the table builds (``log_powers``, ``root_logs`` and
+``_lagrange_logs``) block by hand, by ``arrays.BLOCK_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -40,12 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import arrays
 from .arrays import FieldArrays, field_arrays, symbols
 from .errors import DecodingError, GuardExceededError
 from .field import GF, _as_int
 
-# elements gathered per block of table rows: bounds the decoder's temporaries
-BLOCK_ELEMENTS = 1 << 14
 # bytes a code's decode tables may take: 4 n (n + k) of int32 logs plus the
 # n x n quotients built on the way, so n = 4096 fits and n = 8192 does not
 TABLE_BYTES_GUARD = 256 << 20
@@ -95,7 +98,7 @@ class RSCode:
     @functools.cached_property
     def g0(self) -> np.ndarray:
         """The coefficients of prod (x - x_j) over all nodes."""
-        return vanishing(self, np.ones((1, self.n), dtype=bool))[0]
+        return _node_product(field_arrays(self.gf), _node_tables(self.gf, tuple(self.nodes))[0])
 
     @functools.cached_property
     def lagrange(self) -> np.ndarray:
@@ -130,10 +133,8 @@ def evaluate(code: RSCode, messages) -> list:
     c = symbols(messages, code.gf.q, "message symbols", ndim=2)
     if c.ndim != 2 or c.shape[1] != code.k:
         raise ValueError("each message must have k=%d symbols" % code.k)
-    fa, powers = field_arrays(code.gf), code.log_powers
-    log_c = fa.logs(c)
-    return [word for rows in _row_blocks(len(c), powers.size)
-            for word in fa.vec_mat_logs(log_c[rows], powers).tolist()]
+    fa = field_arrays(code.gf)
+    return fa.vec_mat_logs(fa.logs(c), code.log_powers).tolist()
 
 
 def encode(code: RSCode, message) -> list:
@@ -145,8 +146,8 @@ def root_logs(code: RSCode, zero) -> np.ndarray:
     """s x n int64: entry (i, j) the log of prod (x_j - x_z) over the nodes
     x_z with zero[i, z], where j is no root of row i (at a root the product
     is 0 and the entry is no log of it).  One integer product of the zero
-    mask with the node-difference logs per block of at most BLOCK_ELEMENTS
-    of them, so no n x n table exists."""
+    mask with the node-difference logs per block of at most
+    arrays.BLOCK_ELEMENTS of them, so no n x n table exists."""
     fa, order = field_arrays(code.gf), code.gf.q - 1
     x = _node_tables(code.gf, tuple(code.nodes))[0]
     zero = np.asarray(zero, dtype=bool)
@@ -154,20 +155,6 @@ def root_logs(code: RSCode, zero) -> np.ndarray:
     for cols in _row_blocks(code.n, code.n):
         out[:, cols] = np.matmul(zero, fa.log_sub(x[cols, None], x).T, dtype=np.int64)
     return np.remainder(out, order, out=out)
-
-
-def interpolate(code: RSCode, log_values) -> np.ndarray:
-    """The s x k coefficient rows, ascending, of the polynomials of degree
-    below k that take the given values at the first k nodes: the inverse of
-    ``evaluate`` there.  The values come as an s x k array of logs
-    (``FieldArrays.logs``); each block of them is one gather over the rows of
-    ``interpolation_table(code)``."""
-    fa, table = field_arrays(code.gf), interpolation_table(code)
-    out = None
-    for block in _row_blocks(code.k, len(log_values) * code.k):
-        part = fa.vec_mat_logs(log_values[:, block], table[block])
-        out = part if out is None else fa.add(out, part)
-    return out
 
 
 def interpolation_table(code: RSCode) -> np.ndarray:
@@ -178,9 +165,8 @@ def interpolation_table(code: RSCode) -> np.ndarray:
     key = (code.gf, tuple(code.nodes[:code.k]))
     table = _interpolation_tables.get(key)
     if table is None:
-        x = _node_tables(code.gf, tuple(code.nodes))[0]
-        g0 = vanishing(code, [np.arange(code.n) < code.k])[0]  # prod (X - x_j), j < k
-        table = _lagrange_logs(code.gf, x[:code.k], g0)
+        x = _node_tables(code.gf, tuple(code.nodes))[0][:code.k]
+        table = _lagrange_logs(code.gf, x, _node_product(field_arrays(code.gf), x))
         table.flags.writeable = False
         _interpolation_tables.put(key, table)
     return table
@@ -344,7 +330,7 @@ def _lagrange_logs(gf: GF, x, g0) -> np.ndarray:
 
 
 def _row_blocks(count: int, width: int):
-    step = max(1, BLOCK_ELEMENTS // width)
+    step = max(1, arrays.BLOCK_ELEMENTS // width)
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
 
@@ -359,67 +345,42 @@ def _combine(fa: FieldArrays, log_coeffs, rows, table) -> np.ndarray:
 
 
 def _poly_mul(fa: FieldArrays, a, b) -> np.ndarray:
-    """a * b for coefficient arrays: the outer product of a and b, written
-    with row i shifted i places to the right and summed down the columns."""
-    la, lb = len(a), len(b)
-    flat = np.zeros(la * (la + lb + 1), dtype=fa.dtype)
-    flat.reshape(la, la + lb + 1)[:, :lb] = fa.elements(fa.logs(a)[:, None] + fa.logs(b))
-    return fa.sum(flat[:la * (la + lb)].reshape(la, la + lb), axis=0)[:la + lb - 1]
+    """a * b for coefficient arrays along the last axis, one product per row
+    when a and b have equal leading axes: the outer product of a and b,
+    written with row i shifted i places to the right and summed down the
+    columns."""
+    batch, la, lb = a.shape[:-1], a.shape[-1], b.shape[-1]
+    flat = np.zeros(batch + (la * (la + lb + 1),), dtype=fa.dtype)
+    flat.reshape(batch + (la, la + lb + 1))[..., :lb] = fa.elements(
+        fa.logs(a)[..., None] + fa.logs(b)[..., None, :])
+    shifted = flat[..., :la * (la + lb)].reshape(batch + (la, la + lb))
+    return fa.sum(shifted, axis=-2)[..., :la + lb - 1]
+
+
+def _node_product(fa: FieldArrays, x) -> np.ndarray:
+    """The coefficients, ascending, of the monic prod (X - x_j) over the
+    elements x.  A product tree: the leaves, the factors (-x_j, 1) padded
+    with (1, 0) to a power of two, are multiplied in adjacent pairs, one
+    ``_poly_mul`` per level."""
+    n = len(x)
+    level = np.zeros((1 << max(n - 1, 0).bit_length(), 2), dtype=fa.dtype)
+    level[:n, 0], level[:n, 1], level[n:, 0] = fa.neg(x), 1, 1
+    while len(level) > 1:
+        level = _poly_mul(fa, level[0::2], level[1::2])
+    return level[0, :n + 1]
 
 
 @functools.lru_cache(maxsize=64)
 def _node_tables(gf: GF, nodes: tuple[int, ...]):
-    """The nodes as field elements, their logs in int64 (for r log x_j) and
-    the (n + 1) x 2 leaf logs of ``vanishing``: row j the factor (-x_j, 1),
-    row n the padding (1, 0).  Kept per node set, since a design builds
-    many codes on one; about 17 n bytes each, read-only, as every caller
-    shares them."""
-    fa, n = field_arrays(gf), len(nodes)
+    """The nodes as field elements and their logs in int64 (for r log x_j).
+    Kept per node set, since a design builds many codes on one; at most 12
+    bytes a node, read-only, as every caller shares them."""
+    fa = field_arrays(gf)
     x = np.array(nodes, dtype=fa.dtype)
-    table = np.zeros((n + 1, 2), dtype=np.int32)
-    table[:n, 0], table[n, 1] = fa.logs(fa.neg(x)), fa.zero_log
-    arrays = x, fa.logs(x).astype(np.int64), table
-    for a in arrays:
+    tables = x, fa.logs(x).astype(np.int64)
+    for a in tables:
         a.flags.writeable = False
-    return arrays
-
-
-def vanishing(code: RSCode, zero) -> np.ndarray:
-    """Row i holds the coefficients, ascending, of the monic prod (X - x_j)
-    over the nodes x_j with zero[i, j].  The rows have 1 + the largest zero
-    count as their length.
-
-    A batched product tree on logs: each row's roots fill 2^L leaves, the
-    factors (-x_j, 1) and then padding factors (1, 0), and each of the L
-    levels multiplies adjacent pairs of leaves, across all rows at once,
-    with one outer product and ``_poly_mul``'s shifted-row sum.
-    """
-    fa = field_arrays(code.gf)
-    table = _node_tables(code.gf, tuple(code.nodes))[2]
-    zero = np.asarray(zero, dtype=bool)
-    rows, n = zero.shape
-    counts = np.add.reduce(zero, axis=1, dtype=np.intp)
-    top = int(np.maximum.reduce(counts))
-    if top == 0:  # no roots: every row is the empty product, 1 at every point
-        return np.ones((rows, 1), dtype=fa.dtype)
-    size = 1 << (top - 1).bit_length()
-    # leaf keys: row i's roots in node order, then the padding index n; the
-    # first counts[i] slots of row i take its roots, in np.nonzero's order
-    # (no np.sort, whose first call adds its code pages to peak RSS)
-    keys = np.full((rows, size), n)
-    keys[np.arange(size) < counts[:, None]] = np.nonzero(zero)[1]
-    logs = table.take(keys, axis=0).reshape(rows * size, 2)
-    while len(logs) > rows:  # pairs 2c, 2c + 1 lie in one row, as size is even
-        wa = logs.shape[1]
-        # the last product's right factor holds only the roots past size / 2;
-        # cutting it there keeps the n = 255 set-up's peak RSS about 0.5 MB lower
-        wb = wa if len(logs) > 2 * rows else top - size // 2 + 1
-        flat = np.zeros((len(logs) // 2, wa * (wa + wb + 1)), dtype=fa.dtype)
-        flat.reshape(-1, wa, wa + wb + 1)[..., :wb] = fa.elements(
-            logs[0::2, :, None] + logs[1::2, None, :wb])
-        products = fa.sum(flat[:, :wa * (wa + wb)].reshape(-1, wa, wa + wb), axis=1)
-        logs = fa.logs(products[:, :wa + wb - 1])
-    return fa.elements(logs[:, :top + 1])
+    return tables
 
 
 def _degree(a, d: int) -> int:

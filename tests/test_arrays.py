@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from graphcodes import rs
+from graphcodes import arrays, rs
 from graphcodes.arrays import field_arrays
 from graphcodes.field import GF
 from graphcodes.polys import poly_mul
@@ -154,10 +154,10 @@ def test_vec_mat_logs_matches_a_scalar_product(p, m):
 @pytest.mark.parametrize("p, m", GATHER_FIELDS)
 @pytest.mark.parametrize("block", [1, 7, 16, None])
 def test_combine_matches_a_scalar_sum_across_row_blocks(monkeypatch, p, m, block):
-    # BLOCK_ELEMENTS = 7 and 16 split the 9-column table into blocks of 1
-    # and 2 rows; None keeps the default, one block
+    # BLOCK_ELEMENTS = 1, 7 and 16 split the 9-column table into blocks of
+    # one row; None keeps the default, one block
     if block is not None:
-        monkeypatch.setattr(rs, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", block)
     gf = GF(p, m)
     fa = field_arrays(gf)
     rng = np.random.default_rng(fa.q + 1)
@@ -172,6 +172,17 @@ def test_combine_matches_a_scalar_sum_across_row_blocks(monkeypatch, p, m, block
     subset = np.array([6, 0, 3, 5, 7])
     got = rs._combine(fa, fa.logs(coeffs[:5]), subset, log_table)
     assert got.tolist() == _scalar_vec_mat(gf, coeffs[:5].tolist(), table[subset].tolist())
+    # vec_mat_logs blocks its own gather, on a 2-D v and a 1-D one; on the
+    # table's first 3 columns, 7 and 16 make blocks of 2 and 5 rows of a 1-D v
+    vs = _random_elements(fa, rng, (3, 8))
+    vs[0] = coeffs
+    for cols in (9, 3):
+        mat = table[:, :cols]
+        got = fa.vec_mat_logs(fa.logs(vs), fa.logs(mat))
+        assert got.dtype == fa.dtype
+        assert got.tolist() == [_scalar_vec_mat(gf, v, mat.tolist()) for v in vs.tolist()]
+        one = fa.vec_mat_logs(fa.logs(coeffs), fa.logs(mat))
+        assert one.dtype == fa.dtype and one.tolist() == got[0].tolist()
 
 
 @pytest.mark.parametrize("p, m", GATHER_FIELDS)
@@ -186,6 +197,13 @@ def test_poly_mul_matches_the_scalar_reference(p, m):
         got = rs._poly_mul(fa, a, b)
         assert got.dtype == fa.dtype
         assert got.tolist() == poly_mul(gf, a.tolist(), b.tolist()), (la, lb)
+    # batched: one product per pair of rows on two leading axes
+    a = _random_elements(fa, rng, (2, 3, 4))
+    b = _random_elements(fa, rng, (2, 3, 5))
+    got = rs._poly_mul(fa, a, b)
+    assert got.dtype == fa.dtype and got.shape == (2, 3, 8)
+    assert got.tolist() == [[poly_mul(gf, x, y) for x, y in zip(ra, rb)]
+                            for ra, rb in zip(a.tolist(), b.tolist())]
 
 
 def _operand_forms(a):

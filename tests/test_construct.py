@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (ALL_MODES_ROWS, REF_G, REF_NODES, REF_ROWS, REF_T,
                       random_dims, random_graph)
-from graphcodes import construct, linalg, polys, rs
+from graphcodes import arrays, construct, linalg, polys, rs
 from graphcodes.bounds import k_sys_search
 from graphcodes.construct import (CodeSpec, generic_subcode,
                                   mds_nullspace_construct, rs_nullspace_construct,
@@ -19,7 +20,7 @@ from graphcodes.construct import (CodeSpec, generic_subcode,
 from graphcodes.errors import (InconsistentCodeError, InfeasibleError,
                                NoMatchingError)
 from graphcodes.field import GF
-from graphcodes.graph import load_graph
+from graphcodes.graph import ConstraintGraph, load_graph
 from graphcodes.rs import (RSCode, default_defining_set, encode, evaluate,
                            generator_matrix)
 from graphcodes.verify import min_distance_exhaustive
@@ -249,6 +250,23 @@ def test_mds_backend_runs_no_scalar_field_arithmetic(monkeypatch):
         for systematic in (True, False):
             spec = mds_nullspace_construct(g, gf, gen, systematic=systematic)
             assert validity_check(g, spec.G)
+
+
+def test_mds_backend_bounds_its_product_of_the_nullspace_basis():
+    # each row's nullspace basis, 50 to 71 vectors, times the 128 x 255
+    # generator: that product gathered whole peaked at 32.5 MiB, where
+    # vec_mat_logs gathers it a block of the generator's rows at a time
+    gf = GF(2, 8)
+    g = random_graph(random.Random(255), 8, 255, 0.75)
+    gen = generator_matrix(RSCode(gf, default_defining_set(gf, 255), 128))
+    tracemalloc.start()
+    try:
+        spec = mds_nullspace_construct(g, gf, gen, systematic=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert validity_check(g, spec.G)
+    assert peak < 8 << 20, peak
 
 
 def test_mds_backend_rejects_overloaded_rows():
@@ -538,11 +556,11 @@ def test_subcode_transform_matches_the_scalar_reference(case):
     assert spec.G == evaluate(rs, want)
 
 
-@pytest.mark.parametrize("block", [rs.BLOCK_ELEMENTS, 40])
+@pytest.mark.parametrize("block", [arrays.BLOCK_ELEMENTS, 40])
 def test_subcode_rows_do_not_depend_on_the_block_size(monkeypatch, block):
     # 40 elements split both the node-difference columns and the
     # interpolation gather into several blocks
-    monkeypatch.setattr(rs, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", block)
     monkeypatch.setattr(rs, "_interpolation_tables", rs._TableCache())
     rng = random.Random(41)
     for gf in (GF(13), GF(2, 4)):
@@ -697,7 +715,7 @@ def test_a_second_construction_builds_no_table_and_evaluates_nothing(monkeypatch
     def refuse(*args):
         raise AssertionError("rs.evaluate or an interpolation-table builder called")
 
-    for name in ("evaluate", "vanishing", "_lagrange_logs"):
+    for name in ("evaluate", "_node_product", "_lagrange_logs"):
         monkeypatch.setattr(rs, name, refuse)
     monkeypatch.setattr(construct, "evaluate", refuse)
     second = systematic_dsys(g, gf, nodes)
@@ -727,3 +745,31 @@ def test_a_spec_on_numpy_integer_nodes_writes_a_json_code_file():
         assert (back.T, back.G, back.rs.nodes, back.rs.k, back.claimed_distance) == (
             spec.T, spec.G, tuple(map(int, spec.rs.nodes)), spec.rs.k,
             spec.claimed_distance)
+
+
+def test_numpy_integers_pass_where_ints_do_and_bools_do_not():
+    # one integer rule for the field, the graph's declared sizes and a code
+    # file's claim and matching: a numpy integer is read as an int and kept
+    # as one, so to_dict stays JSON-writable; a bool is refused
+    gf = GF(np.int64(7), np.uint8(1), alpha=np.int32(3))
+    assert gf == GF(7, alpha=3)
+    assert all(type(v) is int for v in (gf.p, gf.m, gf.alpha))
+    json.dumps(gf.to_dict())
+    rows = ((1, 1, 0, 1), (0, 1, 1, 1))
+    g = ConstraintGraph.from_dict({"s": np.int64(2), "n": np.uint16(4), "adjacency": rows})
+    assert g == load_graph(rows)
+    d = systematic_dsys(g, GF(7)).to_dict()
+    spec = CodeSpec.from_dict(dict(d, claimed_distance=np.int64(d["claimed_distance"]),
+                                   matching=[np.int64(c) for c in d["matching"]]))
+    assert spec.to_dict() == d
+    assert type(spec.claimed_distance) is int and all(type(c) is int for c in spec.matching)
+    json.dumps(spec.to_dict())
+    for bad in ({"p": True}, {"p": 7, "m": True}, {"p": 2, "alpha": True}):
+        with pytest.raises(ValueError):
+            GF(**bad)
+    with pytest.raises(ValueError, match="declared s"):
+        ConstraintGraph.from_dict({"s": True, "adjacency": [[1]]})
+    with pytest.raises(ValueError, match="claimed_distance"):
+        CodeSpec.from_dict(dict(d, claimed_distance=True))
+    with pytest.raises(ValueError, match="matching"):
+        CodeSpec.from_dict(dict(d, matching=[True, 2]))

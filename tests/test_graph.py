@@ -308,6 +308,19 @@ def test_rows_read_whole_match_the_per_entry_reference(recipe):
         lambda: _read_reference(_build(recipe)))
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64, bool, np.float64])
+def test_numpy_rows_read_as_the_per_entry_reference(dtype):
+    # integer rows are read whole through tolist, the rest entry by entry;
+    # a bad entry is named as the per-entry reference names it
+    rows = [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]]
+    bad = [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 2]]
+    for entries in (rows, bad, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, -1]]):
+        arr = np.array(entries).astype(dtype)  # -1 wraps in an unsigned dtype
+        for source in (arr, list(arr)):
+            assert _outcome(lambda: _read_graph(source)) == _outcome(
+                lambda: _read_reference(arr))
+
+
 @pytest.mark.parametrize("key, s, n, density", [
     ("decode-stream/255/16", 16, 255, 0.75),  # the decode-stream benchmark's n = 255 graph
     ("graph-rows/200x400", 200, 400, 0.6),

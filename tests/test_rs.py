@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphcodes import rs
+from graphcodes import arrays, rs
 from graphcodes.arrays import field_arrays
 from graphcodes.errors import DecodingError, GuardExceededError
 from graphcodes.field import GF
@@ -120,9 +120,9 @@ def test_generator_shape_and_rows(gf7):
     assert [row[0] for row in generator_matrix(square)] == [1, 0, 0, 0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("block", [rs.BLOCK_ELEMENTS, 64])
+@pytest.mark.parametrize("block", [arrays.BLOCK_ELEMENTS, 64])
 def test_generator_matches_scalar_powers(monkeypatch, block):
-    monkeypatch.setattr(rs, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", block)
     for code, want in generator_cases():
         assert generator_matrix(code) == want
         assert all(type(v) is int for row in generator_matrix(code) for v in row)
@@ -160,9 +160,9 @@ def test_encode_examples(gf7):
         encode(code, [1, 2, 3])
 
 
-@pytest.mark.parametrize("block", [rs.BLOCK_ELEMENTS, 64])
+@pytest.mark.parametrize("block", [arrays.BLOCK_ELEMENTS, 64])
 def test_encode_and_evaluate_match_scalar_horner(monkeypatch, block):
-    monkeypatch.setattr(rs, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", block)
     rng = random.Random(7)
     for code, _ in generator_cases():
         gf = code.gf
@@ -519,39 +519,30 @@ def test_a_warm_decode_keeps_no_table_indexed_by_field_element():
         assert peak < 8 << 20, (errors, erasures, peak)
 
 
-# -- vanishing polynomials: the batched product tree ---------------------------
+# -- vanishing polynomials: the node product tree -----------------------------
 
 VANISHING_FIELDS = ((2, 1), (7, 1), (31, 1), (2, 4), (2, 8))
 
 
-def scalar_vanishing(gf, x, zero):
-    """Row by row, one field element at a time: the reference for vanishing."""
-    rows = [poly_from_roots(gf, [x[j] for j, z in enumerate(row) if z]) for row in zero]
-    width = max(len(t) for t in rows)
-    return [t + [0] * (width - len(t)) for t in rows]
-
-
 @st.composite
 def vanishing_cases(draw):
-    """(gf, nodes, zero mask): empty rows, full rows and root counts on both
-    sides of a power of two."""
+    """(gf, nodes): node counts at, just below and just above a power of
+    two, and one at random."""
     gf = GF(*draw(st.sampled_from(VANISHING_FIELDS)))
-    n = draw(st.integers(1, min(gf.q, 40)))
-    x = draw(st.permutations(range(gf.q)))[:n]
-    rows = draw(st.integers(1, 5))
-    zero = [[draw(st.booleans()) if kind == "mixed" else kind == "full" for _ in range(n)]
-            for kind in draw(st.lists(st.sampled_from(("mixed", "empty", "full")),
-                                      min_size=rows, max_size=rows))]
-    return gf, x, zero
+    power = 1 << draw(st.integers(0, (min(gf.q, 64) - 1).bit_length()))
+    n = draw(st.sampled_from((power - 1, power, power + 1, draw(st.integers(1, 64)))))
+    n = max(1, min(n, gf.q))
+    return gf, draw(st.permutations(range(gf.q)))[:n]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(vanishing_cases())
 def test_vanishing_matches_the_scalar_reference(case):
-    gf, x, zero = case
-    got = rs.vanishing(RSCode(gf, tuple(x), 1), np.array(zero, dtype=bool))
-    assert got.dtype == field_arrays(gf).dtype
-    assert got.tolist() == scalar_vanishing(gf, x, zero)
+    gf, x = case
+    fa = field_arrays(gf)
+    got = rs._node_product(fa, np.array(x, dtype=fa.dtype))
+    assert got.dtype == fa.dtype
+    assert got.tolist() == poly_from_roots(gf, x)
 
 
 @pytest.mark.parametrize("p, m, n", [(7, 1, 7), (31, 1, 31), (2, 6, 63), (2, 8, 255)])
