@@ -15,9 +15,10 @@ every call (1.3 us against 0.9 at 300 entries).  ``sub`` takes ``out=``, so
 a caller can update a row slice in place.  ``vec_mat_logs`` is the one
 vector-matrix product, and it owns the bound on its gather: a product that
 gathers more than BLOCK_ELEMENTS elements is summed a block of the
-matrix's rows at a time.  Elements are held in the
-smallest unsigned dtype that holds 2q - 2, so a sum a + b and a difference
-a - b + p of two elements never wrap.  That makes GF(p) reduction a
+matrix's rows at a time, and of the vectors too when they are many.
+Elements are held in the smallest unsigned dtype that holds 2q - 2, so a
+sum a + b and a difference a - b + p of two elements never wrap.  That
+makes GF(p) reduction a
 comparison, not a division: with t = a + b, t - p wraps above t exactly
 when t < p, so minimum(t, t - p) is t mod p; with t = a - b, t wraps
 exactly when a < b, and then t + p is a - b + p, below t.  Negation needs
@@ -109,10 +110,16 @@ class FieldArrays:
     def vec_mat_logs(self, log_v, log_mat):
         """v . M, one per row of a 2-D v, from the logs.  A product that
         gathers at most BLOCK_ELEMENTS elements is one gather and one sum; a
-        larger one is gathered and summed a block of M's rows at a time."""
+        larger one is gathered and summed a block of M's rows at a time, and
+        when one row of M against every row of v is over the bound, a block
+        of v's rows at a time as well."""
         gathered = log_v.size * log_mat.shape[1]
         if gathered <= BLOCK_ELEMENTS:
             return self.sum(self.elements(log_v[..., None] + log_mat), axis=-2)
+        step = max(1, BLOCK_ELEMENTS // log_mat.shape[1])  # rows of v per block
+        if log_v.ndim == 2 and len(log_v) > step:
+            return np.concatenate([self.vec_mat_logs(log_v[start:start + step], log_mat)
+                                   for start in range(0, len(log_v), step)])
         step = max(1, BLOCK_ELEMENTS * len(log_mat) // gathered)  # rows of M per block
         out = None
         for start in range(0, len(log_mat), step):

@@ -2,36 +2,37 @@
 
 A codeword is the vector of evaluations of a message polynomial of degree
 less than k at n distinct field elements (the defining set).  One decoder,
-Gao's interpolate / partial extended Euclid / divide algorithm, corrects
-errors and erasures together: e errors and f erasures whenever
-2e + f <= n - k, in O(n^2) field operations.  It runs on numpy field arrays
-(``arrays``) against two members of the code built on its first decode:
-``RSCode.g0``, the node product, and ``RSCode.lagrange``, the Lagrange basis
-as int32 logs (about 4 n^2 bytes).  Interpolation is then one gather per
-block of basis rows, and erasures enter as the factor prod (x - x_e), which
-the Euclid steps carry along.  Each quotient term of the Euclid steps and of
-the final division costs one gather and one in-place update: the scaled row
-is ``exp[c:].take(log_row)``, which is ``elements(c + log_row)`` without the
-sum, on a log row cast to intp once per step (``take`` converts int32
-indices on every call), and ``FieldArrays.sub`` writes the difference into
-the row's slice through ``out=``.  The division divides by the divisor made
-monic, so a term's log is the log of the remainder's top coefficient, with
-no modulo, and the quotient stays in place above the remainder.  The code's
-node powers (``RSCode.log_powers``) serve the generator, ``evaluate``
-(encode and the code-file load check) and re-encode.
+the key-equation decoder of Sugiyama, Kasahara, Hirasawa and Namekawa
+(1975), corrects errors and erasures together: e errors and f erasures
+whenever 2e + f <= n - k.  It runs on numpy field arrays (``arrays``)
+against ``RSCode.decode_tables``, built on a code's first decode: the node
+powers x_j^t for t < n - k and the column multipliers v_j as int32 logs
+(about 4 n (n - k) bytes), and the code's ``interpolation_table``.  The
+n - k syndromes are one ``FieldArrays.vec_mat_logs``; erasures enter as the
+factor prod (x - x_e), which multiplies the syndromes once.  Each quotient
+term of the Euclid steps costs one gather and one in-place update: the
+scaled row is ``exp[c:].take(log_row)``, which is ``elements(c + log_row)``
+without the sum, on a log row cast to intp once per step (``take`` converts
+int32 indices on every call), and ``FieldArrays.sub`` writes the difference
+into the row's slice through ``out=``.  The locator's roots are one more
+``vec_mat_logs``, and the message is read off the first k nodes, those the
+locator and the erasures leave alone, with the others interpolated.  The
+code's node powers (``RSCode.log_powers``) serve the generator, ``evaluate``
+(encode and the code-file load check) and the decoder's re-encode.
 The constructions build a subcode from its values instead.  ``root_logs``
 gives, for every row at once, the logs of the product of (x_j - x_z) over
 the row's roots z, from node differences taken a block of columns at a
 time.  ``interpolation_table`` turns values at the first k nodes into
 coefficients with one ``FieldArrays.vec_mat_logs``: it is the Lagrange basis
-of those nodes, built by the decoder's synthetic division and kept
-read-only across codes, least recently used first out, within
-INTERPOLATION_CACHE_BYTES (4 MiB) in all.  ``_poly_mul`` is the one
-polynomial product, batched over leading axes; ``_node_product``, a product
-tree of it, builds the node products g0 both Lagrange tables start from.
-Beyond ``vec_mat_logs``, which bounds its own gather, only ``_combine``'s
-row gather and the table builds (``log_powers``, ``root_logs`` and
-``_lagrange_logs``) block by hand, by ``arrays.BLOCK_ELEMENTS``.
+of those nodes, built by synthetic division and kept read-only across
+codes, least recently used first out, within INTERPOLATION_CACHE_BYTES
+(4 MiB) in all.  ``_poly_mul`` is the one polynomial product, batched over
+leading axes; ``_node_product``, a product tree of it, builds the node
+products that the interpolation table and the erasure factor start from.
+Beyond ``vec_mat_logs``, which bounds its own gather, only the table builds
+(``log_powers``, ``decode_tables``, ``root_logs`` and ``_lagrange_logs``),
+the node weights prod (x_j - x_i) (``_log_weights``) and the decoder's
+interpolation block by hand, by ``arrays.BLOCK_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +51,8 @@ from .arrays import FieldArrays, field_arrays, symbols
 from .errors import DecodingError, GuardExceededError
 from .field import GF, _as_int
 
-# bytes a code's decode tables may take: 4 n (n + k) of int32 logs plus the
-# n x n quotients built on the way, so n = 4096 fits and n = 8192 does not
+# bytes a code's decode tables may take: 4 n (n - k) of int32 node powers,
+# 4 n of multiplier logs and the 4 k^2 of the interpolation table
 TABLE_BYTES_GUARD = 256 << 20
 # bytes the interpolation tables kept across constructions may take in all,
 # each counted with its node tuple by sys.getsizeof
@@ -96,24 +98,35 @@ class RSCode:
         return powers
 
     @functools.cached_property
-    def g0(self) -> np.ndarray:
-        """The coefficients of prod (x - x_j) over all nodes."""
-        return _node_product(field_arrays(self.gf), _node_tables(self.gf, tuple(self.nodes))[0])
-
-    @functools.cached_property
-    def lagrange(self) -> np.ndarray:
-        """n x n int32 logs: row j the coefficients of the Lagrange basis
-        polynomial L_j of the nodes (``_lagrange_logs``).  Raises
-        GuardExceededError before allocating when it and the node powers
+    def decode_tables(self) -> DecodeTables:
+        """The tables ``decode`` reads, built on its first call a block of
+        arrays.BLOCK_ELEMENTS at a time; not a field, so equality and hashing
+        ignore them.  Raises GuardExceededError before allocating when they
         exceed TABLE_BYTES_GUARD."""
-        n = self.n
-        # int32 Lagrange logs and node powers, plus the n x n quotients while building
-        needed = 4 * n * (n + self.k) + n * n * field_arrays(self.gf).dtype.itemsize
+        n, k = self.n, self.k
+        needed = 4 * (n * (n - k) + n + k * k)
         if needed > TABLE_BYTES_GUARD:
             raise GuardExceededError(
                 "decode tables for n=%d need %d bytes, over the guard of %d"
                 % (n, needed, TABLE_BYTES_GUARD))
-        return _lagrange_logs(self.gf, _node_tables(self.gf, tuple(self.nodes))[0], self.g0)
+        fa, order = field_arrays(self.gf), self.gf.q - 1
+        x, log_x = _node_tables(self.gf, tuple(self.nodes))
+        powers = np.empty((n, n - k), dtype=np.int32)
+        for rows in _row_blocks(n, n):
+            np.remainder(np.multiply.outer(log_x[rows], np.arange(n - k)), order,
+                         out=powers[rows])
+        if 0 in self.nodes:
+            powers[self.nodes.index(0), 1:] = fa.zero_log
+        log_v = (-_log_weights(fa, x) % order).astype(np.int32)
+        return DecodeTables(powers, log_v, interpolation_table(self))
+
+
+class DecodeTables(NamedTuple):
+    """A code's decode tables (``RSCode.decode_tables``), as int32 logs."""
+
+    powers: np.ndarray  # n x (n - k): x_j^t for t < n - k, 0^0 = 1
+    log_v: np.ndarray  # n, below q - 1: v_j = 1 / prod over i != j of (x_j - x_i)
+    interpolation: np.ndarray  # k x k: the code's interpolation_table
 
 
 def default_defining_set(gf: GF, n: int) -> tuple[int, ...]:
@@ -207,22 +220,31 @@ _interpolation_tables = _TableCache()
 
 
 def decode(code: RSCode, received, erasures=()):
-    """Correct e errors and f erasures whenever 2e + f <= n - k (Gao, 2003).
+    """Correct e errors and f erasures whenever 2e + f <= n - k, by the
+    key equation (Sugiyama, Kasahara, Hirasawa and Namekawa, 1975).
 
     Returns (message coefficients, error positions among the unerased
-    symbols).  With g0 = prod (x - x_j) over all nodes, Gamma = prod (x - x_e)
-    over the erased ones and L_j the Lagrange basis of the nodes, the sum
-    h = sum y_j Gamma(x_j) L_j over the unerased symbols is Gamma g1, where g1
-    interpolates the N = n - f unerased symbols, and g0 is Gamma times the
-    product over the unerased nodes.  A partial extended Euclid run on
-    (g0, h) therefore takes the steps it would take on those two cofactors:
-    it stops at the first remainder g with deg g - f < (N + k) / 2, and the
-    message is g / (Gamma v), v the Bezout coefficient of h.  Both loops run
-    one Python step per quotient term, each one gather off a view of the exp
-    table and one in-place ``FieldArrays.sub`` (see the module docstring).
-    Raises DecodingError when fewer than k symbols are left, the division is
-    inexact or exceeds the degree bound, or the re-encoded result disagrees
-    with the unerased symbols in more than floor((N - k) / 2) places.
+    symbols).  Erased symbols read 0.  The syndromes
+    S_t = sum_j v_j y_j x_j^t, t < n - k, v_j = 1 / prod over i != j of
+    (x_j - x_i), vanish on every codeword: sum_j v_j p(x_j) is the x^(n-1)
+    coefficient of the polynomial that takes p's values at the nodes.  With
+    sigma = prod (x - x_j) over the e error nodes, Gamma the same over the
+    f erased ones and S* the reversed syndromes, sigma Gamma S* agrees
+    modulo x^(n-k) with a polynomial of degree below e + f.  So B, the M =
+    n - k - f coefficients of Gamma S* from x^f on, times sigma agrees
+    modulo x^M with one of degree below e.  A partial extended Euclid run
+    on (x^M, B) stops at the first remainder of degree below M / 2, and its
+    Bezout coefficient of B is sigma up to a constant whenever 2e <= M.
+    Each step is one gather off a view of the exp table and one in-place
+    ``FieldArrays.sub`` (see the module docstring).  The codeword at each
+    of the first k nodes is the received symbol where the node is neither
+    erased nor a root of sigma, and elsewhere the value there of the
+    polynomial through the first k nodes that are; the interpolation table
+    turns those k values into the message.  Raises DecodingError when
+    fewer than k symbols are left, when sigma does not have deg sigma
+    roots, all at unerased nodes, or when the re-encoded message disagrees
+    with the N = n - f unerased symbols in more than floor((N - k) / 2)
+    places.
     """
     gf = code.gf
     n, k = code.n, code.k
@@ -231,35 +253,63 @@ def decode(code: RSCode, received, erasures=()):
     word = symbols(received, gf.q, "received symbols")
     keep = np.ones(n, dtype=bool)
     keep[symbols(list(erasures), n, "erasure positions")] = False
-    kept, erased = np.flatnonzero(keep), np.flatnonzero(~keep)
-    f = len(erased)
+    f = n - int(np.count_nonzero(keep))
     if n - f < k:
         raise DecodingError("only %d unerased symbols, need %d" % (n - f, k))
 
-    fa, order, lagrange = field_arrays(gf), gf.q - 1, code.lagrange
-    y = word.astype(fa.dtype)
-    if f:
-        # log Gamma(x_j) at the unerased nodes; Gamma interpolates those
-        # values and is zero at the erased nodes
-        x = _node_tables(gf, tuple(code.nodes))[0]
-        log_gamma = fa.log_sub(x[kept, None], x[erased]).sum(axis=1) % order
-        gamma = _combine(fa, log_gamma, kept, lagrange)[:f + 1]
-    else:
-        log_gamma = np.zeros(n, dtype=np.int32)
-    nonzero = y[kept] != 0
-    h = _combine(fa, (fa.logs(y[kept[nonzero]]) + log_gamma[nonzero]) % order,
-                 kept[nonzero], lagrange)
+    fa, order, tables = field_arrays(gf), gf.q - 1, code.decode_tables
+    x = _node_tables(gf, tuple(code.nodes))[0]
+    y = np.where(keep, word, 0).astype(fa.dtype)
+    log_y = fa.logs(y)
+    m = n - k - f
+    sigma = np.ones(1, dtype=fa.dtype)
+    if m:
+        # v_j y_j is one gather, so its log is below q - 1 or zero_log
+        b = fa.vec_mat_logs(fa.logs(fa.elements(tables.log_v + log_y)), tables.powers)[::-1]
+        if f:
+            b = _poly_mul(fa, _node_product(fa, x[~keep]), b)[f:f + m]
+        sigma = _locator(fa, b, m)
+    known = keep.copy()
+    if len(sigma) > 1:
+        known[_roots(fa, tables.powers, sigma, keep)] = False
 
-    # a row holds r in [0, n] and v in [n + 1, 2n + 1], so one slice update
+    # the codeword at the first k nodes: y where known, and elsewhere
+    # sum over j in K of y_j L_j, L_j the Lagrange basis of K, the first k
+    # known nodes, as logs: log L_j(x_b) = sum over i != j of
+    # log (x_b - x_i) - log (x_j - x_i), a block of rows at a time
+    log_c = log_y[:k].copy()
+    bad = np.flatnonzero(~known[:k])
+    if len(bad):
+        kk = np.flatnonzero(known)[:k]
+        xk, log_yk = x[kk], log_y[kk, None]
+        log_w = _log_weights(fa, xk)
+        for rows in _row_blocks(len(bad), k):
+            b = bad[rows]
+            numerators = fa.log_sub(x[b, None], xk)
+            log_l = numerators.sum(axis=1, keepdims=True) - numerators - log_w
+            log_c[b] = fa.logs(fa.vec_mat_logs(log_l % order, log_yk)[:, 0])
+    message = fa.vec_mat_logs(log_c, tables.interpolation)
+
+    values = fa.vec_mat_logs(fa.logs(message), code.log_powers)
+    positions = np.flatnonzero(keep & (values != y))
+    if len(positions) > (n - f - k) // 2:
+        raise DecodingError("no codeword lies within the decoding radius")
+    return message.tolist(), positions.tolist()
+
+
+def _locator(fa: FieldArrays, b, m: int) -> np.ndarray:
+    """The Bezout coefficient of b, ascending, at the first remainder of a
+    partial extended Euclid run on (x^m, b) whose degree is below m / 2."""
+    # a row holds r in [0, m] and v in [m + 1, 2m + 1], so one slice update
     # subtracts c x^s times one row from the other in both halves at once
-    a0, a1 = np.zeros((2, 2 * n + 2), dtype=fa.dtype)
-    a0[:n + 1] = code.g0
-    a1[:n] = h
-    a1[n + 1] = 1
-    d0, d1, dv1 = n, _degree(a1, n), 0  # deg r0, deg r1, deg v1
-    log, exp = fa.log, fa.exp
-    while 2 * (d1 - f) >= n - f + k:
-        width = n + 2 + dv1
+    a0, a1 = np.zeros((2, 2 * m + 2), dtype=fa.dtype)
+    a0[m] = 1
+    a1[:m] = b
+    a1[m + 1] = 1
+    d0, d1, dv1 = m, _degree(a1, m), 0  # deg r0, deg r1, deg v1
+    order, log, exp = fa.q - 1, fa.log, fa.exp
+    while 2 * d1 >= m:
+        width = m + 2 + dv1
         log_a1 = fa.logs(a1[:width]).astype(np.intp)
         inv_lead = order - int(log_a1[d1])
         dv1 += d0 - d1  # the degree of v0 - quotient * v1
@@ -271,36 +321,18 @@ def decode(code: RSCode, received, erasures=()):
             fa.sub(row, exp[(int(log[a0[d0]]) + inv_lead) % order:].take(log_a1), out=row)
             d0 = _degree(a0, d0 - 1)
         a0, a1, d0, d1 = a1, a0, d1, d0
-    r1, v1 = a1[:d1 + 1], a1[n + 1:n + 2 + dv1]
+    return a1[m + 1:m + 2 + dv1]
 
-    divisor = _poly_mul(fa, gamma, v1) if f else v1
-    message = np.zeros(k, dtype=fa.dtype)
-    if d1 >= 0:
-        dw = len(divisor) - 1
-        if not 0 <= d1 - dw < k:
-            raise DecodingError("no codeword lies within the decoding radius")
-        # divide by divisor / lead, which is monic: r1[i] is then the next
-        # quotient term, and it stays in place; that quotient is lead times
-        # the message.  A zero term needs no branch: exp[zero_log:] is zero
-        # wherever log_w reaches
-        inv_lead = order - log[divisor[dw]]
-        log_w = fa.logs(fa.elements(fa.logs(divisor[:dw]) + inv_lead)).astype(np.intp)
-        for i in range(d1, dw - 1, -1):
-            row = r1[i - dw:i]
-            fa.sub(row, exp[log[r1[i]]:].take(log_w), out=row)
-        if r1[:dw].any():
-            raise DecodingError("no codeword lies within the decoding radius")
-        message[:d1 - dw + 1] = fa.elements(fa.logs(r1[dw:]) + inv_lead)
 
-    values = _combine(fa, fa.logs(message), np.arange(k), code.log_powers)
-    positions = kept[values[kept] != y[kept]].tolist()
-    # Cannot fire once v divides the remainder exactly: the message then
-    # agrees with the received word wherever v is nonzero, so at most
-    # deg v <= floor((N - k) / 2) symbols differ.  It stays as the stated
-    # guard of the decoder's contract, cheap next to the Euclid steps.
-    if len(positions) > (n - f - k) // 2:
-        raise DecodingError("corruption exceeds the unique-decoding radius")
-    return message.tolist(), positions
+def _roots(fa: FieldArrays, powers, sigma, keep) -> np.ndarray:
+    """The node indices where sigma (ascending, len(sigma) <= the powers'
+    width) vanishes.  Raises DecodingError unless there are deg sigma of
+    them, all at nodes that ``keep`` marks unerased."""
+    values = fa.vec_mat_logs(fa.logs(sigma), powers[:, :len(sigma)].T)
+    roots = np.flatnonzero(values == 0)
+    if len(roots) != len(sigma) - 1 or not keep[roots].all():
+        raise DecodingError("no codeword lies within the decoding radius")
+    return roots
 
 
 def erasure_decode(code: RSCode, received, erased=()) -> list:
@@ -319,29 +351,29 @@ def _lagrange_logs(gf: GF, x, g0) -> np.ndarray:
     quotients[n - 1] = 1
     for i in range(n - 1, 0, -1):
         quotients[i - 1] = fa.add(g0[i], fa.mul(x, quotients[i]))
+    scale = fa.elements(-_log_weights(fa, x) % order)  # 1 / g0'(x_j)
     lagrange = np.empty((n, n), dtype=np.int32)
     for rows in _row_blocks(n, n):
-        # log g0'(x_j) = sum over i != j of log (x_j - x_i)
+        lagrange[rows] = fa.logs(fa.mul(quotients[:, rows].T, scale[rows, None]))
+    return lagrange
+
+
+def _log_weights(fa: FieldArrays, x) -> np.ndarray:
+    """int64: entry j the log of prod over i != j of (x_j - x_i) for the
+    distinct elements x, unreduced (a sum of logs below q - 1), from node
+    differences taken a block of rows at a time."""
+    out = np.empty(len(x), dtype=np.int64)
+    for rows in _row_blocks(len(x), len(x)):
         logs = fa.log_sub(x[rows, None], x)
         np.fill_diagonal(logs[:, rows], 0)
-        scale = fa.inv(fa.elements(logs.sum(axis=1) % order))
-        lagrange[rows] = fa.logs(fa.mul(quotients[:, rows].T, scale[:, None]))
-    return lagrange
+        out[rows] = logs.sum(axis=1)
+    return out
 
 
 def _row_blocks(count: int, width: int):
     step = max(1, arrays.BLOCK_ELEMENTS // width)
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
-
-
-def _combine(fa: FieldArrays, log_coeffs, rows, table) -> np.ndarray:
-    """sum over r of c_r * table[rows[r]], with c_r and the table given as
-    logs (the log of a nonzero c_r below q - 1): one gather per block of rows."""
-    out = np.zeros(table.shape[1], dtype=fa.dtype)
-    for block in _row_blocks(len(rows), table.shape[1]):
-        out = fa.add(out, fa.vec_mat_logs(log_coeffs[block], table.take(rows[block], axis=0)))
-    return out
 
 
 def _poly_mul(fa: FieldArrays, a, b) -> np.ndarray:

@@ -164,14 +164,6 @@ def test_combine_matches_a_scalar_sum_across_row_blocks(monkeypatch, p, m, block
     table = _random_elements(fa, rng, (8, 9))
     coeffs = _random_elements(fa, rng, 8)
     coeffs[1:3] = [0, 1]
-    log_table = fa.logs(table)
-    rows_all = np.arange(8)
-    got = rs._combine(fa, fa.logs(coeffs), rows_all, log_table)
-    assert got.dtype == fa.dtype
-    assert got.tolist() == _scalar_vec_mat(gf, coeffs.tolist(), table.tolist())
-    subset = np.array([6, 0, 3, 5, 7])
-    got = rs._combine(fa, fa.logs(coeffs[:5]), subset, log_table)
-    assert got.tolist() == _scalar_vec_mat(gf, coeffs[:5].tolist(), table[subset].tolist())
     # vec_mat_logs blocks its own gather, on a 2-D v and a 1-D one; on the
     # table's first 3 columns, 7 and 16 make blocks of 2 and 5 rows of a 1-D v
     vs = _random_elements(fa, rng, (3, 8))
@@ -183,6 +175,27 @@ def test_combine_matches_a_scalar_sum_across_row_blocks(monkeypatch, p, m, block
         assert got.tolist() == [_scalar_vec_mat(gf, v, mat.tolist()) for v in vs.tolist()]
         one = fa.vec_mat_logs(fa.logs(coeffs), fa.logs(mat))
         assert one.dtype == fa.dtype and one.tolist() == got[0].tolist()
+
+
+@pytest.mark.parametrize("p, m", GATHER_FIELDS)
+def test_vec_mat_logs_is_the_same_product_at_every_block_size(monkeypatch, p, m):
+    # 40 rows of v against a 12 x 9 matrix: 4320 elements gathered whole;
+    # below that bound the rows of M are split, and once one row of M
+    # against all of v is over it (360 elements) the rows of v as well
+    gf = GF(p, m)
+    fa = field_arrays(gf)
+    rng = np.random.default_rng(fa.q + 2)
+    vs = _random_elements(fa, rng, (40, 12))
+    vs[3] = 0
+    mat = _random_elements(fa, rng, (12, 9))
+    want = [_scalar_vec_mat(gf, v, mat.tolist()) for v in vs.tolist()]
+    log_vs, log_mat = fa.logs(vs), fa.logs(mat)
+    for block in (1, 5, 9, 100, 359, 360, 1000, 4319, 4320):
+        monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", block)
+        got = fa.vec_mat_logs(log_vs, log_mat)
+        assert got.dtype == fa.dtype and got.shape == (40, 9), block
+        assert got.tolist() == want, block
+        assert fa.vec_mat_logs(log_vs[7], log_mat).tolist() == want[7], block
 
 
 @pytest.mark.parametrize("p, m", GATHER_FIELDS)

@@ -445,6 +445,158 @@ def test_decode_matches_scalar_reference_on_stream_shapes(n, gf, k):
                     == outcome(scalar_decode, code, received, erased)), (trial, errors, erasures)
 
 
+@pytest.mark.parametrize("n, gf, k", STREAM_SHAPES, ids=repr)
+def test_decode_mixed_errors_and_erasures_match_scalar_reference(n, gf, k):
+    # 0 < f < n - k with at least one error: the erasure factor multiplies
+    # the syndromes; within the radius, at it and one error beyond it
+    rng = random.Random(n * 7 + k)
+    code = RSCode(gf, default_defining_set(gf, n), k)
+    for trial in range(8):
+        f = rng.randint(1, n - k - 2)
+        t = (n - k - f) // 2
+        for e in (rng.randint(1, t), t, t + 1):
+            received, erased = corrupted_word(rng, code, e, f)
+            got = outcome(decode, code, received, erased)
+            assert got == outcome(scalar_decode, code, received, erased), (trial, e, f)
+            assert isinstance(got, tuple) or e > t
+
+
+def word_with(rng, code, errors, erased):
+    """A codeword of a random message with the positions ``errors`` changed
+    and the positions ``erased`` set to random values."""
+    gf = code.gf
+    received = encode(code, [rng.randrange(gf.q) for _ in range(code.k)])
+    for j in erased:
+        received[j] = rng.randrange(gf.q)
+    for j in errors:
+        received[j] = gf.add(received[j], rng.randrange(1, gf.q))
+    return received
+
+
+@pytest.mark.parametrize("gf", PARITY_FIELDS, ids=repr)
+def test_decode_at_node_zero_matches_scalar_reference(gf):
+    # node 0 is the first default node: 0^0 = 1 and 0^t = 0 in the syndromes
+    # and in the locator's root search
+    rng = random.Random(3 * gf.q)
+    for n in sorted({min(gf.q, 7), min(gf.q, 40)}):
+        for k in sorted({1, n // 3 + 1, n - 2}):
+            code = RSCode(gf, default_defining_set(gf, n), k)
+            for trial in range(6):
+                # even trials erase node 0, so they erase at least one symbol
+                f = min(trial % 3 + (not trial % 2), n - k)
+                t = (n - k - f) // 2
+                picks = rng.sample(range(1, n), f + t)
+                if trial % 2:  # node 0 as an error, beyond the radius when t = 0
+                    errors, erased = ([0] + picks[f:])[:max(t, 1)], sorted(picks[:f])
+                else:  # node 0 as an erasure
+                    errors, erased = picks[f:], sorted([0] + picks[:f - 1])
+                received = word_with(rng, code, errors, erased)
+                got = outcome(decode, code, received, erased)
+                assert got == outcome(scalar_decode, code, received, erased), (n, k, trial)
+                if len(errors) <= t:
+                    assert got[1] == sorted(errors), (n, k, trial)
+
+
+@pytest.mark.parametrize("gf", PARITY_FIELDS, ids=repr)
+def test_decode_at_full_rate_matches_scalar_reference(gf):
+    # k = n: every word is a codeword, and one erasure leaves too few symbols
+    rng = random.Random(5 * gf.q)
+    for n in sorted({1, 2, min(gf.q, 9), min(gf.q, 33)}):
+        code = RSCode(gf, default_defining_set(gf, n), n)
+        for erased in ([], [rng.randrange(n)]):
+            received = [rng.randrange(gf.q) for _ in range(n)]
+            got = outcome(decode, code, received, erased)
+            assert got == outcome(scalar_decode, code, received, erased), (n, erased)
+            if not erased:
+                assert got[1] == [] and encode(code, got[0]) == received
+
+
+@pytest.mark.parametrize("gf", PARITY_FIELDS, ids=repr)
+def test_decode_refuses_an_error_beside_n_minus_k_minus_1_erasures(gf):
+    # f = n - k leaves the k unerased symbols no redundancy: every word is
+    # some codeword there, and one changed symbol gives that codeword.  One
+    # erasure fewer leaves k + 1 symbols, and one changed symbol is refused
+    rng = random.Random(7 * gf.q)
+    n = min(gf.q, 30)
+    for k in sorted({1, n // 2, n - 1}):
+        code = RSCode(gf, default_defining_set(gf, n), k)
+        for f in (n - k, n - k - 1):
+            for _ in range(4):
+                order = rng.sample(range(n), f + 1)
+                erased = sorted(order[1:])
+                received = word_with(rng, code, order[:1], erased)
+                got = outcome(decode, code, received, erased)
+                assert got == outcome(scalar_decode, code, received, erased), (k, f, erased)
+                if f == n - k:
+                    assert got[1] == [] and not any(
+                        a != b for j, (a, b) in enumerate(zip(encode(code, got[0]), received))
+                        if j not in erased), (k, erased)
+                else:
+                    assert got == "no codeword lies within the decoding radius", (k, erased)
+
+
+def test_locator_roots_refuse_a_short_or_erased_root_set():
+    # over GF(7) on the nodes (0, 1, 3, 2, 6, 4, 5): a locator is accepted
+    # only with deg sigma distinct roots, all at unerased nodes
+    gf = GF(7)
+    code = RSCode(gf, default_defining_set(gf, 7), 2)
+    fa, powers = field_arrays(gf), code.decode_tables.powers
+    keep = np.ones(7, dtype=bool)
+
+    def roots(coefficients, keep=keep):
+        try:
+            return rs._roots(fa, powers, np.array(coefficients, dtype=fa.dtype), keep).tolist()
+        except DecodingError as exc:
+            return str(exc)
+
+    assert roots([3, 3, 1]) == [1, 2]  # (x - 1)(x - 3)
+    assert roots([0, 6, 1]) == [0, 1]  # x (x - 1): node 0 is a root
+    assert roots([1, 0, 1]) == "no codeword lies within the decoding radius"  # x^2 + 1
+    assert roots([1, 5, 1]) == "no codeword lies within the decoding radius"  # (x - 1)^2
+    erased = keep.copy()
+    erased[2] = False
+    assert roots([3, 3, 1], erased) == "no codeword lies within the decoding radius"
+
+
+def test_an_uncached_interpolation_table_is_built_once_per_code(monkeypatch):
+    # a table over INTERPOLATION_CACHE_BYTES is not kept across codes, so
+    # the decode tables hold the one the code built
+    gf = GF(2, 6)
+    code = RSCode(gf, default_defining_set(gf, 40), 24)
+    monkeypatch.setattr(rs, "_interpolation_tables", rs._TableCache())
+    monkeypatch.setattr(rs, "INTERPOLATION_CACHE_BYTES", 4 * 24 * 24 - 1)
+    builds = []
+    lagrange_logs = rs._lagrange_logs
+    monkeypatch.setattr(rs, "_lagrange_logs", lambda *a: builds.append(1) or lagrange_logs(*a))
+    rng = random.Random(40)
+    for errors, erasures in ((3, 0), (0, 16), (2, 5)):
+        received, erased = corrupted_word(rng, code, errors, erasures)
+        assert (outcome(decode, code, received, erased)
+                == outcome(scalar_decode, code, received, erased))
+    assert len(builds) == 1
+    rs.interpolation_table(code)
+    assert len(builds) == 2
+
+
+def test_evaluate_bounds_its_gather_over_many_messages():
+    # 2000 messages of the [255, 128] code over GF(2^8) against the 128 x 255
+    # node powers: one row of them against every message is 510,000 elements,
+    # so the messages are split into blocks too
+    gf = GF(2, 8)
+    code = RSCode(gf, default_defining_set(gf, 255), 128)
+    rng = random.Random(2000)
+    messages = [[rng.randrange(gf.q) for _ in range(128)] for _ in range(2000)]
+    want = evaluate(code, messages[:3])
+    tracemalloc.start()
+    try:
+        got = evaluate(code, messages)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[:3] == want and len(got) == 2000
+    assert peak < 7.4 * (1 << 20), peak
+
+
 @st.composite
 def parity_words(draw):
     gf = draw(st.sampled_from(PARITY_FIELDS))
@@ -468,28 +620,43 @@ def test_decode_tables_are_built_once_and_stay_out_of_equality():
     gf = GF(2, 6)
     nodes = default_defining_set(gf, 40)
     code, twin = RSCode(gf, nodes, 12), RSCode(gf, nodes, 12)
-    assert not {"g0", "lagrange"} & set(vars(code))
+    assert "decode_tables" not in vars(code)
     msg = list(range(12))
     word = encode(code, msg)
     word[3] ^= 5
     assert decode(code, word) == (msg, [3])
-    g0, lagrange = vars(code)["g0"], vars(code)["lagrange"]
+    tables = vars(code)["decode_tables"]
     assert decode(code, word, (7,)) == (msg, [3])
-    assert code.g0 is g0 and code.lagrange is lagrange
+    assert code.decode_tables is tables
     assert code == twin and hash(code) == hash(twin) and repr(code) == repr(twin)
-    assert not {"g0", "lagrange"} & set(vars(twin))
+    assert "decode_tables" not in vars(twin)
     assert {code: 1}[twin] == 1
+    # node-major powers x_j^t for t < n - k with 0^0 = 1, logs of
+    # v_j = 1 / prod (x_j - x_i) over i != j below q - 1, and the code's
+    # interpolation table
+    fa = field_arrays(gf)
+    assert tables.powers.shape == (40, 28) and tables.powers.dtype == np.int32
+    assert fa.elements(tables.powers).tolist() == [[gf.pow(x, t) for t in range(28)]
+                                                   for x in nodes]
+    assert tables.log_v.dtype == np.int32 and 0 <= tables.log_v.min() <= tables.log_v.max() < 63
+    for j, x in enumerate(nodes):
+        prod = 1
+        for i, other in enumerate(nodes):
+            if i != j:
+                prod = gf.mul(prod, gf.sub(x, other))
+        assert gf.mul(int(fa.elements(tables.log_v[j])), prod) == 1
+    assert tables.interpolation is rs.interpolation_table(code)
 
 
 def test_decode_tables_guard_refuses_before_allocating(monkeypatch):
-    # a full-length code over GF(2^16) would need about 24 GiB of tables
+    # a full-length code over GF(2^16) would need 12 to 16 GiB of tables
     gf = GF(31)
     code = RSCode(gf, default_defining_set(gf, 31), 11)
-    needed = 4 * 31 * (31 + 11) + 31 * 31 * field_arrays(gf).dtype.itemsize
+    needed = 4 * (31 * (31 - 11) + 31 + 11 * 11)
     monkeypatch.setattr(rs, "TABLE_BYTES_GUARD", needed - 1)
     with pytest.raises(GuardExceededError, match="n=31 need %d bytes" % needed):
         decode(code, [0] * 31)
-    assert not {"g0", "lagrange"} & set(vars(code))
+    assert "decode_tables" not in vars(code)
     monkeypatch.setattr(rs, "TABLE_BYTES_GUARD", needed)
     assert decode(code, [0] * 31) == ([0] * 11, [])
 
@@ -517,6 +684,24 @@ def test_a_warm_decode_keeps_no_table_indexed_by_field_element():
             tracemalloc.stop()
         assert decoded == message, (errors, erasures)
         assert peak < 8 << 20, (errors, erasures, peak)
+
+
+def test_a_warm_high_rate_decode_interpolates_a_block_at_a_time():
+    # at k = 960 a k x k array of node-difference logs, with the intp copy
+    # of its indices that take makes, would take about 14 MiB
+    gf = GF(2, 16)
+    code = RSCode(gf, default_defining_set(gf, 1024), 960)
+    rng = random.Random(960)
+    decode(code, encode(code, [0] * code.k))  # builds the decode tables
+    for errors, erasures in ((32, 0), (0, 64), (10, 40)):
+        received, erased = corrupted_word(rng, code, errors, erasures)
+        tracemalloc.start()
+        try:
+            decode(code, received, erased)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (errors, erasures, peak)
 
 
 # -- vanishing polynomials: the node product tree -----------------------------
@@ -549,6 +734,7 @@ def test_vanishing_matches_the_scalar_reference(case):
 def test_decode_tables_node_product_is_the_monic_vanishing_polynomial(p, m, n):
     gf = GF(p, m)
     code = RSCode(gf, default_defining_set(gf, n), n // 3)
-    g0 = code.g0
-    assert g0.dtype == field_arrays(gf).dtype
+    fa = field_arrays(gf)
+    g0 = rs._node_product(fa, np.array(code.nodes, dtype=fa.dtype))
+    assert g0.dtype == fa.dtype
     assert g0.tolist() == poly_from_roots(gf, code.nodes)
