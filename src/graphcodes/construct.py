@@ -40,10 +40,12 @@ generator the two agree: the zero columns Z of the Vandermonde generator
 have the monic prod_{j in Z} (X - x_j) as their first canonical
 left-nullspace vector, and its codeword is nonzero off Z.
 
-A ``CodeSpec`` keeps the logs of its matrices for encode, fast read and
-decode as members built on first use: ``log_G``, ``log_T`` and ``log_R``,
-the last a right inverse of T.  The one elimination left here builds
-``log_R``, of [T | I_s], for a spec that is not systematic.
+A ``CodeSpec`` keeps two tables for encode, fast read and decode as
+members built on first use: ``log_G``, the logs of G, and ``log_R``, the
+decode table: the information positions P where the decoder reads a
+corrected codeword c, and the logs of R with m = c_P R.  A systematic spec
+reads its matched columns, where R is I.  The one elimination left here,
+of [T | I_s], builds R for a spec that is not systematic.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +66,13 @@ from .linalg import left_nullspace_basis, rref
 from .rs import RSCode, default_defining_set, evaluate, interpolation_table, root_logs
 
 
+class MessageMap(NamedTuple):
+    """A spec's decode table (``CodeSpec.log_R``)."""
+
+    positions: np.ndarray  # P: the node indices m is read at
+    logs: np.ndarray | None  # |P| x s int32 logs of R, G[:, P] R = I; None when R is I
+
+
 @dataclass(eq=False)
 class CodeSpec:
     """A constructed code: field, RS layer, transform T, generator G = T.G_RS.
@@ -71,10 +81,10 @@ class CodeSpec:
     generator: the constructions set it, and ``from_dict`` sets it once G
     has matched T . G_RS.  A spec built by hand leaves it False.
 
-    ``log_G``, ``log_T`` and ``log_R`` hold the spec's matrices as int32
-    logs on field arrays (``arrays``) for encode, fast read and decode,
-    each built on its first use.  They are not fields, so they never enter
-    repr or ``to_dict``, and the spec compares by identity.
+    ``log_G``, G as int32 logs on field arrays (``arrays``), and
+    ``log_R``, the decode table, are built on their first use by encode,
+    fast read and decode.  They are not fields, so they never enter repr or
+    ``to_dict``, and the spec compares by identity.
     """
 
     gf: GF
@@ -110,27 +120,25 @@ class CodeSpec:
         return field_arrays(self.gf).logs(self.G)
 
     @functools.cached_property
-    def log_T(self) -> np.ndarray:
-        """T (s x k) as int32 logs, built on the first decode."""
-        return field_arrays(self.gf).logs(self.T)
+    def log_R(self) -> MessageMap:
+        """Where the decoder reads m off a corrected codeword c, built on
+        the first decode: m = c_P R, P the information positions and
+        G[:, P] R = I, so every codeword m G gives back its m.
 
-    @functools.cached_property
-    def log_R(self) -> np.ndarray:
-        """The logs of a k x s right inverse R of T (T R = I), built on the
-        first decode, so that m = u R solves m T = u.
-
-        For a systematic spec, G = T V with V the RS generator and the
-        matched columns of G unit columns, so T V_M = I: R is V_M, the
-        matched columns of the code's node-power table, and no elimination
-        runs.  Otherwise R holds the inverse of T's pivot columns P in their
-        rows and zeros elsewhere, read off one elimination of [T | I_s]:
-        while T has rank s, every pivot lies in T, and the rows E of the I_s
-        block satisfy E . T[:, P] = I.
+        A systematic spec holds a unit column of G per row at its matched
+        columns: P is those and R is I, so nothing is built.  Otherwise P is
+        the first k nodes, where c is u V_K, u = m T the RS message and V_K
+        those nodes' columns of the RS generator, and R is V_K's inverse,
+        the code's interpolation table, times a right inverse of T.  That
+        one holds the inverse of T's pivot columns in their rows and zeros
+        elsewhere, read off one elimination of [T | I_s]: while T has rank
+        s, every pivot lies in T, and the rows E of the I_s block satisfy
+        E . T[:, pivots] = I.
         """
+        if self.systematic:
+            return MessageMap(np.array(self.matching), None)
         fa, T = field_arrays(self.gf), self.T
         s, k = len(T), len(T[0])
-        if self.systematic:
-            return self.rs.log_powers[:, list(self.matching)]
         rows, pivots = rref(self.gf, np.hstack((T, np.eye(s, dtype=fa.dtype))))
         rank = sum(c < k for c in pivots)
         if rank < s:
@@ -138,7 +146,8 @@ class CodeSpec:
                 "transform matrix has rank %d < s=%d; decoding is ambiguous" % (rank, s))
         log_R = np.full((k, s), fa.zero_log, dtype=np.int32)
         log_R[pivots] = fa.logs(rows)[:, k:]
-        return log_R
+        return MessageMap(np.arange(k), fa.logs(
+            fa.vec_mat_logs(interpolation_table(self.rs), log_R)))
 
     def to_dict(self) -> dict:
         if self.rs is None:

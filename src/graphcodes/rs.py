@@ -9,16 +9,24 @@ against ``RSCode.decode_tables``, built on a code's first decode: the node
 powers x_j^t for t < n - k and the column multipliers v_j as int32 logs
 (about 4 n (n - k) bytes), and the code's ``interpolation_table``.  The
 n - k syndromes are one ``FieldArrays.vec_mat_logs``; erasures enter as the
-factor prod (x - x_e), which multiplies the syndromes once.  Each quotient
+factor prod (x - x_e), and only the coefficients of its product with the
+syndromes that the Euclid steps read are taken, one more ``vec_mat_logs``
+against a window that slides along the syndromes' logs.  Each quotient
 term of the Euclid steps costs one gather and one in-place update: the
 scaled row is ``exp[c:].take(log_row)``, which is ``elements(c + log_row)``
 without the sum, on a log row cast to intp once per step (``take`` converts
 int32 indices on every call), and ``FieldArrays.sub`` writes the difference
 into the row's slice through ``out=``.  The locator's roots are one more
-``vec_mat_logs``, and the message is read off the first k nodes, those the
-locator and the erasures leave alone, with the others interpolated.  The
-code's node powers (``RSCode.log_powers``) serve the generator, ``evaluate``
-(encode and the code-file load check) and the decoder's re-encode.
+``vec_mat_logs``.  Those steps are ``_locate``, and ``_corrected_logs``
+reads the corrected codeword at any chosen nodes: the received symbol
+where the locator and the erasures leave a node alone, and elsewhere the
+value interpolated through the first k nodes that are left alone.
+``decode`` reads it at the first k nodes, turns that into the message with
+the interpolation table and re-encodes it as its acceptance check; a
+subcode's decoder (``verify.subcode_decode``) reads it at the subcode's
+information positions only.  The code's node powers (``RSCode.log_powers``)
+serve the generator, ``evaluate`` (encode and the code-file load check) and
+``decode``'s re-encode.
 The constructions build a subcode from its values instead.  ``root_logs``
 gives, for every row at once, the logs of the product of (x_j - x_z) over
 the row's roots z, from node differences taken a block of columns at a
@@ -224,27 +232,60 @@ def decode(code: RSCode, received, erasures=()):
     key equation (Sugiyama, Kasahara, Hirasawa and Namekawa, 1975).
 
     Returns (message coefficients, error positions among the unerased
-    symbols).  Erased symbols read 0.  The syndromes
-    S_t = sum_j v_j y_j x_j^t, t < n - k, v_j = 1 / prod over i != j of
-    (x_j - x_i), vanish on every codeword: sum_j v_j p(x_j) is the x^(n-1)
-    coefficient of the polynomial that takes p's values at the nodes.  With
-    sigma = prod (x - x_j) over the e error nodes, Gamma the same over the
-    f erased ones and S* the reversed syndromes, sigma Gamma S* agrees
-    modulo x^(n-k) with a polynomial of degree below e + f.  So B, the M =
-    n - k - f coefficients of Gamma S* from x^f on, times sigma agrees
-    modulo x^M with one of degree below e.  A partial extended Euclid run
-    on (x^M, B) stops at the first remainder of degree below M / 2, and its
-    Bezout coefficient of B is sigma up to a constant whenever 2e <= M.
-    Each step is one gather off a view of the exp table and one in-place
-    ``FieldArrays.sub`` (see the module docstring).  The codeword at each
-    of the first k nodes is the received symbol where the node is neither
-    erased nor a root of sigma, and elsewhere the value there of the
-    polynomial through the first k nodes that are; the interpolation table
-    turns those k values into the message.  Raises DecodingError when
-    fewer than k symbols are left, when sigma does not have deg sigma
-    roots, all at unerased nodes, or when the re-encoded message disagrees
+    symbols).  Erased symbols read 0.  ``_locate`` finds the symbols the
+    errors leave alone, and ``_corrected_logs`` gives the codeword at the
+    first k nodes from them; the interpolation table turns those k values
+    into the message.  Raises DecodingError when fewer than k symbols are
+    left, when the error locator does not have as many roots as its
+    degree, all at unerased nodes, or when the re-encoded message disagrees
     with the N = n - f unerased symbols in more than floor((N - k) / 2)
     places.
+    """
+    word = _locate(code, received, erasures)
+    fa = field_arrays(code.gf)
+    log_c = _corrected_logs(code, word, np.arange(code.k))
+    message = fa.vec_mat_logs(log_c, code.decode_tables.interpolation)
+    values = fa.vec_mat_logs(fa.logs(message), code.log_powers)
+    return message.tolist(), word.errors(values, code.k).tolist()
+
+
+class _Word(NamedTuple):
+    """A received word as ``_locate`` leaves it."""
+
+    x: np.ndarray  # the nodes as field elements
+    keep: np.ndarray  # bool, n: the unerased symbols
+    known: np.ndarray  # bool, n: the unerased symbols at no root of the locator
+    y: np.ndarray  # the symbols, erased ones read 0
+    log_y: np.ndarray  # their logs
+
+    def errors(self, values, k: int) -> np.ndarray:
+        """The unerased positions where the codeword ``values`` differs
+        from y.  Raises DecodingError when they are more than
+        floor((N - k) / 2), N the unerased count."""
+        positions = np.flatnonzero(self.keep & (values != self.y))
+        if len(positions) > (int(np.count_nonzero(self.keep)) - k) // 2:
+            raise DecodingError("no codeword lies within the decoding radius")
+        return positions
+
+
+def _locate(code: RSCode, received, erasures) -> _Word:
+    """The received word with its errors located, for ``decode`` and for a
+    subcode's decoder.
+
+    The syndromes S_t = sum_j v_j y_j x_j^t, t < n - k, v_j = 1 / prod over
+    i != j of (x_j - x_i), vanish on every codeword: sum_j v_j p(x_j) is
+    the x^(n-1) coefficient of the polynomial that takes p's values at the
+    nodes.  With sigma = prod (x - x_j) over the e error nodes, Gamma the
+    same over the f erased ones and S* the reversed syndromes,
+    sigma Gamma S* agrees modulo x^(n-k) with a polynomial of degree below
+    e + f.  So B, the M = n - k - f coefficients of Gamma S* from x^f on,
+    times sigma agrees modulo x^M with one of degree below e.  A partial
+    extended Euclid run on (x^M, B) stops at the first remainder of degree
+    below M / 2, and its Bezout coefficient of B is sigma up to a constant
+    whenever 2e <= M.  Each step is one gather off a view of the exp table
+    and one in-place ``FieldArrays.sub`` (see the module docstring).
+    Raises DecodingError when fewer than k symbols are left or when sigma
+    does not have deg sigma roots, all at unerased nodes.
     """
     gf = code.gf
     n, k = code.n, code.k
@@ -257,44 +298,48 @@ def decode(code: RSCode, received, erasures=()):
     if n - f < k:
         raise DecodingError("only %d unerased symbols, need %d" % (n - f, k))
 
-    fa, order, tables = field_arrays(gf), gf.q - 1, code.decode_tables
+    fa, tables = field_arrays(gf), code.decode_tables
     x = _node_tables(gf, tuple(code.nodes))[0]
     y = np.where(keep, word, 0).astype(fa.dtype)
     log_y = fa.logs(y)
     m = n - k - f
-    sigma = np.ones(1, dtype=fa.dtype)
+    known = keep
     if m:
         # v_j y_j is one gather, so its log is below q - 1 or zero_log
         b = fa.vec_mat_logs(fa.logs(fa.elements(tables.log_v + log_y)), tables.powers)[::-1]
         if f:
-            b = _poly_mul(fa, _node_product(fa, x[~keep]), b)[f:f + m]
+            # coefficient f + j of Gamma S* is the sum over i <= f of
+            # Gamma_i b_(f + j - i): Gamma against the (f + 1) x m window
+            # W[i, j] = b_(f + j - i), a view of b's logs with no copy
+            log_b = fa.logs(b)
+            step = log_b.itemsize
+            window = np.ndarray((f + 1, m), log_b.dtype, log_b, f * step, (-step, step))
+            b = fa.vec_mat_logs(fa.logs(_node_product(fa, x[~keep])), window)
         sigma = _locator(fa, b, m)
-    known = keep.copy()
-    if len(sigma) > 1:
-        known[_roots(fa, tables.powers, sigma, keep)] = False
+        if len(sigma) > 1:
+            known = keep.copy()
+            known[_roots(fa, tables.powers, sigma, keep)] = False
+    return _Word(x, keep, known, y, log_y)
 
-    # the codeword at the first k nodes: y where known, and elsewhere
-    # sum over j in K of y_j L_j, L_j the Lagrange basis of K, the first k
-    # known nodes, as logs: log L_j(x_b) = sum over i != j of
-    # log (x_b - x_i) - log (x_j - x_i), a block of rows at a time
-    log_c = log_y[:k].copy()
-    bad = np.flatnonzero(~known[:k])
+
+def _corrected_logs(code: RSCode, word: _Word, positions) -> np.ndarray:
+    """The logs of the corrected codeword at the node indices ``positions``:
+    log y where the node is known, and elsewhere the log of
+    sum over j in K of y_j L_j, L_j the Lagrange basis of K, the first k
+    known nodes.  log L_j(x_b) = sum over i != j of log (x_b - x_i) -
+    log (x_j - x_i), taken a block of rows at a time."""
+    fa, order, k, x = field_arrays(code.gf), code.gf.q - 1, code.k, word.x
+    log_c = word.log_y[positions]
+    bad = np.flatnonzero(~word.known[positions])
     if len(bad):
-        kk = np.flatnonzero(known)[:k]
-        xk, log_yk = x[kk], log_y[kk, None]
+        kk = np.flatnonzero(word.known)[:k]
+        xk, log_yk = x[kk], word.log_y[kk, None]
         log_w = _log_weights(fa, xk)
         for rows in _row_blocks(len(bad), k):
-            b = bad[rows]
-            numerators = fa.log_sub(x[b, None], xk)
+            numerators = fa.log_sub(x[positions[bad[rows]], None], xk)
             log_l = numerators.sum(axis=1, keepdims=True) - numerators - log_w
-            log_c[b] = fa.logs(fa.vec_mat_logs(log_l % order, log_yk)[:, 0])
-    message = fa.vec_mat_logs(log_c, tables.interpolation)
-
-    values = fa.vec_mat_logs(fa.logs(message), code.log_powers)
-    positions = np.flatnonzero(keep & (values != y))
-    if len(positions) > (n - f - k) // 2:
-        raise DecodingError("no codeword lies within the decoding radius")
-    return message.tolist(), positions.tolist()
+            log_c[bad[rows]] = fa.logs(fa.vec_mat_logs(log_l % order, log_yk)[:, 0])
+    return log_c
 
 
 def _locator(fa: FieldArrays, b, m: int) -> np.ndarray:
@@ -361,13 +406,12 @@ def _lagrange_logs(gf: GF, x, g0) -> np.ndarray:
 def _log_weights(fa: FieldArrays, x) -> np.ndarray:
     """int64: entry j the log of prod over i != j of (x_j - x_i) for the
     distinct elements x, unreduced (a sum of logs below q - 1), from node
-    differences taken a block of rows at a time."""
+    differences taken a block of rows at a time.  Row j's one zero
+    difference, at i = j, adds zero_log to its sum, and is taken off."""
     out = np.empty(len(x), dtype=np.int64)
     for rows in _row_blocks(len(x), len(x)):
-        logs = fa.log_sub(x[rows, None], x)
-        np.fill_diagonal(logs[:, rows], 0)
-        out[rows] = logs.sum(axis=1)
-    return out
+        out[rows] = fa.log_sub(x[rows, None], x).sum(axis=1)
+    return np.subtract(out, fa.zero_log, out=out)
 
 
 def _row_blocks(count: int, width: int):

@@ -12,12 +12,16 @@ has full rank and one, for T's rank, otherwise.  Its result is a
 ``verdict`` judges a spec by its ``verification_report``; it owns every
 rule the CLI's ``verify`` applies.
 Encoding, fast read and decoding run on field arrays against the spec's
-own log tables, ``CodeSpec.log_G``, ``log_T`` and ``log_R``: the logs of G,
-of T and of a right inverse R of T, each built on first use.  Decoding runs
-the RS layer (``rs.decode``) first, then takes m = u . R and keeps m only if
-m . T = u.  For a systematic spec R is the RS generator's matched columns,
-the node powers x_{M_i}^r, so no elimination runs; other specs run one, of
-[T | I_s].  Every elimination here is ``linalg``'s, on field arrays.
+own tables, each built on first use: ``CodeSpec.log_G``, the logs of G, and
+``CodeSpec.log_R``, the decode table.  Decoding is one pass from the word
+to the message: the RS layer's syndromes, locator and roots
+(``rs._locate``), the corrected codeword at the spec's information
+positions P alone (``rs._corrected_logs``), m = those values times R, and
+one check that m . G lies within the decoding radius of the unerased
+symbols.  For a systematic spec P is the matched columns and R is I, so no
+elimination runs and no RS message is formed; other specs read the first
+k nodes and run one elimination, of [T | I_s], to build R.  Every
+elimination here is ``linalg``'s, on field arrays.
 """
 
 from __future__ import annotations
@@ -158,23 +162,38 @@ def subcode_encode(spec: CodeSpec, message) -> list:
 
 
 def subcode_decode(spec: CodeSpec, received, erasures=()) -> list:
-    """Recover the message: RS-decode to the transform image u, then solve
-    m . T = u as m = u . R, R a right inverse of T.
+    """Recover the message in one pass from the word: locate the errors in
+    the RS layer, read the corrected codeword c at the information
+    positions P alone, and take m = c_P R (``CodeSpec.log_R``).
 
     e symbol errors and f erased positions are corrected together whenever
     2e + f <= n - k.  Every symbol must lie in [0, q), but the values at
-    erased positions are otherwise ignored.  Raises DecodingError when T has
-    rank below s or u lies outside T's row space.
+    erased positions are otherwise ignored.  m is kept only if m . G
+    differs from the N = n - f unerased symbols in at most
+    floor((N - k) / 2) places: that radius holds one RS codeword at most,
+    so m . G is then the word ``rs.decode`` corrects to.  Raises
+    DecodingError as ``rs.decode`` does, then when T has rank below s, then
+    when the corrected word lies outside the code; a refusal for T's rank
+    or by the final check runs ``rs.decode`` to tell these apart.
     """
     if spec.rs is None:
         raise ValueError("spec carries no defining set; cannot decode")
-    u, _ = rs.decode(spec.rs, received, erasures)
+    erasures = list(erasures)  # a refusal reads them twice
+    try:
+        positions, log_R = spec.log_R
+    except DecodingError:  # T's rank, refused after the RS layer's refusals
+        rs.decode(spec.rs, received, erasures)
+        raise
+    word = rs._locate(spec.rs, received, erasures)
     fa = field_arrays(spec.gf)
-    u = np.array(u, dtype=fa.dtype)
-    m = fa.vec_mat_logs(fa.logs(u), spec.log_R)
-    if not np.array_equal(fa.vec_mat_logs(fa.logs(m), spec.log_T), u):
+    log_m = rs._corrected_logs(spec.rs, word, positions)
+    m = fa.elements(log_m) if log_R is None else fa.vec_mat_logs(log_m, log_R)
+    try:
+        word.errors(_encode(spec, m), spec.k)
+    except DecodingError:
+        rs.decode(spec.rs, received, erasures)
         raise DecodingError(
-            "decoded word lies outside the code (likely corruption beyond radius)")
+            "decoded word lies outside the code (likely corruption beyond radius)") from None
     return m.tolist()
 
 

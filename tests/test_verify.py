@@ -686,6 +686,59 @@ def test_non_systematic_specs_decode_as_the_scalar_solve(p, m):
     assert not seen[False, True]
 
 
+STREAM_SHAPES = [(31, 31, 1, "systematic-dsys"), (63, 2, 6, "systematic-dsys"),
+                 (255, 2, 8, "systematic-dsys"), (63, 2, 6, "generic")]
+STREAM_DELIVERIES = ("clean", "errors", "erasures", "mixed", "beyond", "random", "foreign")
+
+
+def stream_word(rng, spec, delivery):
+    """(received, erasures) for one delivery at a benchmark-sized code."""
+    gf, n, k = spec.gf, spec.n, spec.k
+    t = (n - k) // 2
+    received = vec_mat(gf, [rng.randrange(gf.q) for _ in range(spec.s)], spec.G)
+    erasures, errors = [], 0
+    if delivery == "random":
+        received = [rng.randrange(gf.q) for _ in range(n)]
+    elif delivery == "foreign":  # an RS codeword, outside the subcode while s < k
+        received = encode(spec.rs, [rng.randrange(gf.q) for _ in range(k)])
+    elif delivery == "erasures":
+        erasures = rng.sample(range(n), n - k)
+    elif delivery == "mixed":
+        f = rng.randint(1, n - k - 2)
+        erasures, errors = rng.sample(range(n), f), rng.randint(1, (n - k - f) // 2)
+    elif delivery != "clean":
+        errors = rng.randint(1, t) if delivery == "errors" else t + 1
+    for j in rng.sample(sorted(set(range(n)) - set(erasures)), errors):
+        received[j] = gf.add(received[j], rng.randrange(1, gf.q))
+    for j in erasures:
+        received[j] = 0
+    return received, sorted(erasures)
+
+
+@pytest.mark.parametrize("n, p, m, mode", STREAM_SHAPES)
+def test_stream_sized_specs_decode_as_the_scalar_solve(n, p, m, mode):
+    """At the decode-stream shapes (16 x n graphs at density 0.75) and on
+    one non-systematic spec, the one-pass decoder returns the message or
+    the DecodingError text of rs.decode followed by the scalar solve, on
+    every delivery; a foreign RS codeword is refused as outside the code."""
+    rng = random.Random("stream/%d" % n)
+    g = random_graph(rng, 16, n, 0.75)
+    spec = SOLVE_BUILDERS[mode](g, GF(p, m))
+    assert spec.systematic == (mode != "generic")
+    seen = Counter()
+    for delivery in STREAM_DELIVERIES:
+        for _ in range(6):
+            received, erasures = stream_word(rng, spec, delivery)
+            got = outcome(subcode_decode, spec, received, erasures)
+            assert got == outcome(scalar_subcode_decode, spec, received, erasures), delivery
+            seen[delivery, got if isinstance(got, str) else "decoded"] += 1
+    for delivery in ("clean", "errors", "erasures", "mixed"):
+        assert seen[delivery, "decoded"] == 6
+    assert seen["foreign", "decoded word lies outside the code "
+                "(likely corruption beyond radius)"] == 6
+    assert seen["random", "no codeword lies within the decoding radius"]
+
+
 def refuse_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("elimination ran")
@@ -722,14 +775,16 @@ def test_unit_columns_decide_the_route(monkeypatch):
 
 def test_spec_tables_are_built_once_and_decode_tables_only_on_decode(ref_graph, gf7):
     spec = systematic_dsys(ref_graph, gf7)
-    tables = {"log_G", "log_T", "log_R"}
+    tables = {"log_G", "log_R"}
     assert not tables & set(vars(spec))
     codeword = subcode_encode(spec, [2, 5, 1])
     log_G = vars(spec)["log_G"]
     assert systematic_fast_read(spec, codeword) == ([2, 5, 1], True)
-    assert spec.log_G is log_G and not {"log_T", "log_R"} & set(vars(spec))
+    assert spec.log_G is log_G and "log_R" not in vars(spec)
     assert subcode_decode(spec, codeword) == [2, 5, 1]
-    log_T, log_R = vars(spec)["log_T"], vars(spec)["log_R"]
+    log_R = vars(spec)["log_R"]
     assert subcode_decode(spec, codeword) == [2, 5, 1]
-    assert spec.log_G is log_G and spec.log_T is log_T and spec.log_R is log_R
+    assert spec.log_G is log_G and spec.log_R is log_R
+    # a systematic spec reads m at its matched columns, with no map
+    assert log_R.positions.tolist() == list(spec.matching) and log_R.logs is None
     assert not tables & set(spec.to_dict()) and "log_" not in repr(spec)
