@@ -141,9 +141,10 @@ def symbols(values, q: int, what: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values)
     if not arr.size:
         return arr.astype(np.int64)
-    kind = arr.dtype.kind
-    if (arr.ndim != ndim or kind not in "iu" or (kind == "i" and arr.min() < 0)
-            or arr.max() >= q):
+    # read as unsigned, a negative entry lies beyond every q, so one maximum
+    # checks both ends
+    if (arr.ndim != ndim or arr.dtype.kind not in "iu"
+            or arr.view(arr.dtype.str.replace("i", "u")).max() >= q):
         raise ValueError("%s must lie in [0, %d)" % (what, q))
     return arr
 

@@ -53,6 +53,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 from typing import NamedTuple
 
 import numpy as np
@@ -237,17 +239,19 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
     zero count, lies below k; so G = T . G_RS.
 
     The one check that the rows fit the RS dimension: a row with k or more
-    zeros raises ``InfeasibleError``."""
-    fa, zero = field_arrays(rs.gf), ~np.asarray(rows, dtype=bool)
-    counts = np.add.reduce(zero, axis=1)
-    if counts.max() >= rs.k:
-        i = int(np.argmax(counts >= rs.k))
+    zeros raises ``InfeasibleError``.  ``rows`` are tuples of the ints 0
+    and 1, as ``ConstraintGraph.adjacency`` and ``matched_adjacency`` give
+    them."""
+    counts = [row.count(0) for row in rows]
+    if max(counts) >= rs.k:
+        i = next(i for i, c in enumerate(counts) if c >= rs.k)
         raise InfeasibleError(
             "row %d needs %d zeros but the RS dimension is only %d" % (i, counts[i], rs.k))
+    fa, zero = field_arrays(rs.gf), np.equal(rows, 0)
     log_G = root_logs(rs, zero)
     if matching is not None:  # row i's matched node is no root: its entry is a log
         log_G -= log_G.take(matching, axis=1).diagonal()[:, None]
-        log_G %= rs.gf.q - 1
+    log_G %= rs.gf.q - 1
     log_G[zero] = fa.zero_log
     T = fa.vec_mat_logs(log_G[:, :rs.k], interpolation_table(rs))
     return CodeSpec(gf=rs.gf, rs=rs, T=T.tolist(),
@@ -435,12 +439,12 @@ def rs_nullspace_construct(g: ConstraintGraph, gf: GF, k: int | None = None, nod
 
 def validity_check(g: ConstraintGraph, G) -> bool:
     """True iff every structural zero of the adjacency matrix is zero in G."""
-    if len(G) != g.s or any(len(r) != g.n for r in G):
+    if len(G) != g.s or set(map(len, G)) != {g.n}:
         raise ValueError("generator shape %dx%d does not match graph %dx%d"
                          % (len(G), len(G[0]) if G else 0, g.s, g.n))
-    return all(a or v == 0
-               for arow, grow in zip(g.adjacency, G)
-               for a, v in zip(arow, grow))
+    # compress picks a row's entries at the adjacency's zeros
+    return not any(any(compress(grow, map(not_, arow)))
+                   for arow, grow in zip(g.adjacency, G))
 
 
 def systematic_columns_ok(G, matching) -> bool:

@@ -55,6 +55,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+# Python's int type alone: values whose set of types lies within it hold no
+# bool or float, which compare equal to ints (True == 1, 1.0 == 1), so a test
+# by value such as set(row) <= {0, 1}, or a cache keyed by equality, is exact
+_INT = frozenset((int,))
+
+
 def _as_int(v):
     """v as an int if it is a Python or numpy integer other than a bool, else None."""
     try:
@@ -163,6 +169,9 @@ class GF:
             self.alpha = int(alpha)
 
         self._build_tables()
+        # every table cache keys on the field, so its hash is taken once, of
+        # ints alone (None's hash is an address), so a copy keeps a valid one
+        self._hash = hash((self.p, self.m, self.alpha, self._red or 0))
 
     # -- construction helpers ------------------------------------------------
 
@@ -283,7 +292,7 @@ class GF:
                 == (other.p, other.m, other.alpha, other._red))
 
     def __hash__(self):
-        return hash((self.p, self.m, self.alpha, self._red))
+        return self._hash
 
     def __repr__(self):
         if self.m == 1:

@@ -24,7 +24,7 @@ from itertools import compress
 from operator import or_
 
 from .errors import GuardExceededError, NoMatchingError
-from .field import _as_int
+from .field import _INT, _as_int
 
 SUBSET_GUARD = 20
 
@@ -51,7 +51,6 @@ def _bit(v) -> int:
     raise ValueError("adjacency entries must be 0 or 1, got %r" % (v,))
 
 
-_INT = frozenset((int,))
 _BITS = frozenset((0, 1))
 
 
@@ -262,15 +261,16 @@ def check_matching(g: ConstraintGraph, matching) -> tuple[int, ...]:
     matching = tuple(matching)
     if len(matching) != g.s:
         raise ValueError("matching must assign all %d rows" % g.s)
-    cols = tuple(map(_as_int, matching))
+    cols = matching if set(map(type, matching)) <= _INT else tuple(map(_as_int, matching))
     if None in cols:
         i = cols.index(None)
         raise ValueError("matched pair (%d, %r) is not an edge: a column is an integer"
                          % (i, matching[i]))
     if len(set(cols)) != g.s:
         raise ValueError("matching columns are not distinct")
-    for i, c in enumerate(cols):
-        if not 0 <= c < g.n or g.adjacency[i][c] != 1:
+    n = g.n
+    for i, (c, row) in enumerate(zip(cols, g.adjacency)):
+        if not 0 <= c < n or row[c] != 1:
             raise ValueError("matched pair (%d, %r) is not an edge" % (i, c))
     return cols
 
@@ -278,12 +278,14 @@ def check_matching(g: ConstraintGraph, matching) -> tuple[int, ...]:
 def matched_adjacency(g: ConstraintGraph, matching) -> tuple[tuple[int, ...], ...]:
     """The adjacency rows, each matched column zeroed except at its own row."""
     matching = check_matching(g, matching)
-    rows = [list(r) for r in g.adjacency]
-    for i, c in enumerate(matching):
-        for r in range(g.s):
-            if r != i:
-                rows[r][c] = 0
-    return tuple(tuple(r) for r in rows)
+    rows = []
+    for own, row in zip(matching, g.adjacency):
+        row = list(row)
+        for c in matching:
+            row[c] = 0
+        row[own] = 1  # an edge, as check_matching ensures
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def row_zero_stats(obj):

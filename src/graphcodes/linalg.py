@@ -2,9 +2,10 @@
 
 Matrices come in as lists of row lists or element arrays and go out as lists
 of row lists of Python ints.  One row reduction, ``_rref``, serves ``rref``,
-``rank``, ``solve`` and ``left_nullspace_basis``: per pivot, the pivot row is
-scaled by one product with the pivot's inverse, and every other row is
-cleared at once by one outer-product gather and one ``sub``.  ``vec_mat``
+``rank``, ``solve`` and ``left_nullspace_basis``: per pivot, one gather
+turns the pivot column into the factors over the pivot, and every other row
+is cleared at once by one outer-product gather and one ``sub``; the pivot
+rows are scaled to a leading 1 once, at the end.  ``vec_mat``
 and ``matmul`` are one ``vec_mat_logs`` each.  The scalar elimination that
 this replaced is kept in the tests as the reference.
 """
@@ -19,26 +20,37 @@ from .arrays import field_arrays
 def _rref(fa, mat):
     """(reduced row echelon form of mat as a new element array, pivot columns).
 
-    The pivot of column c is its first nonzero entry at or below the row
-    the next pivot goes to, swapped up into that row.
+    The pivot of column c is its nonzero entry of least log at or below the
+    row the next pivot goes to, swapped up into that row; any nonzero entry
+    serves, as the reduced form is unique.  Its column's logs, read once,
+    give the pivot and, shifted by the pivot's inverse and gathered back to
+    logs, the factors a[j, c] / a[r, c] that clear column c off every other
+    row: one outer-product gather and one ``sub``.  The pivot rows are
+    scaled to a leading 1 at the end, all at once.
     """
     a = np.array(mat, dtype=fa.dtype)
     nr, nc = a.shape
-    pivots = []
+    order, zero_log = fa.q - 1, fa.zero_log
+    pivots, inverses = [], []  # the pivot columns, and the logs of 1 / pivot
     for c in range(nc):
         r = len(pivots)
         if r == nr:
             break
-        below = np.flatnonzero(a[r:, c])
-        if not below.size:
+        log_col = fa.logs(a[:, c])
+        p = r + int(log_col[r:].argmin())
+        if log_col[p] == zero_log:
             continue
-        if below[0]:
-            a[[r, r + below[0]]] = a[[r + below[0], r]]
-        a[r] = fa.mul(a[r], fa.inv(a[r, c]))
-        factors = a[:, c].copy()
-        factors[r] = 0
-        a = fa.sub(a, fa.elements(fa.logs(factors)[:, None] + fa.logs(a[r])))
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+            log_col[[r, p]] = log_col[[p, r]]
+        inverses.append(order - int(log_col[r]))
+        # a sum of two logs below q - 1, or zero_log plus one: an element
+        factors = fa.logs(fa.elements(log_col + inverses[-1]))
+        factors[r] = zero_log  # the pivot row stays
+        a = fa.sub(a, fa.elements(factors[:, None] + fa.logs(a[r])))
         pivots.append(c)
+    if pivots:  # later pivots leave each pivot's own column alone
+        a[:len(pivots)] = fa.elements(fa.logs(a[:len(pivots)]) + np.array(inverses)[:, None])
     return a, pivots
 
 

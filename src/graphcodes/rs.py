@@ -29,12 +29,20 @@ serve the generator, ``evaluate`` (encode and the code-file load check) and
 ``decode``'s re-encode.
 The constructions build a subcode from its values instead.  ``root_logs``
 gives, for every row at once, the logs of the product of (x_j - x_z) over
-the row's roots z, from node differences taken a block of columns at a
-time.  ``interpolation_table`` turns values at the first k nodes into
-coefficients with one ``FieldArrays.vec_mat_logs``: it is the Lagrange basis
-of those nodes, built by synthetic division and kept read-only across
-codes, least recently used first out, within INTERPOLATION_CACHE_BYTES
-(4 MiB) in all.  ``_poly_mul`` is the one polynomial product, batched over
+the row's roots z: one integer product of the row masks with the node set's
+difference table, or, above n = 128, with node differences taken a block
+of columns at a time.  ``interpolation_table`` turns values at the first k
+nodes into coefficients with one ``FieldArrays.vec_mat_logs``: it is the
+Lagrange basis of those nodes, built by synthetic division and kept
+read-only across codes, least recently used first out, within
+INTERPOLATION_CACHE_BYTES (4 MiB) in all.  A node set is checked and
+tabled once, on its first code, and kept for the 64 sets used last
+(``_node_tables``): ``arrays.symbols`` checks it, and its nodes, their logs
+and, when n^2 <= arrays.BLOCK_ELEMENTS (n <= 128), the n x n int32 logs of
+the node differences are kept read-only.  That is at most 12 bytes a node
+and 64 KiB a difference table, 4 MiB of difference tables in all.  The
+tables are keyed by value, where True == 1, so ``RSCode`` passes only exact
+ints as they are.  ``_poly_mul`` is the one polynomial product, batched over
 leading axes; ``_node_product``, a product tree of it, builds the node
 products that the interpolation table and the erasure factor start from.
 Beyond ``vec_mat_logs``, which bounds its own gather, only the table builds
@@ -57,7 +65,7 @@ import numpy as np
 from . import arrays
 from .arrays import FieldArrays, field_arrays, symbols
 from .errors import DecodingError, GuardExceededError
-from .field import GF, _as_int
+from .field import _INT, GF, _as_int
 
 # bytes a code's decode tables may take: 4 n (n - k) of int32 node powers,
 # 4 n of multiplier logs and the 4 k^2 of the interpolation table
@@ -79,11 +87,13 @@ class RSCode:
         n = len(self.nodes)
         if n == 0 or n > self.gf.q:
             raise ValueError("need 1 <= n <= q, got n=%d, q=%d" % (n, self.gf.q))
-        # a bool, a float or a string reads None, so symbols refuses the
-        # object array, as it refuses a k or an adjacency entry that is no integer
-        symbols(list(map(_as_int, self.nodes)), self.gf.q, "defining set")
-        if len(set(self.nodes)) != n:
-            raise ValueError("defining set elements must be distinct")
+        nodes = tuple(self.nodes)
+        # _node_tables checks a node set once and keeps it by value, where
+        # True == 1 and 1.0 == 1, so only exact ints reach it as they are;
+        # _as_int reads a bool, a float or a string as None, which it refuses
+        if not set(map(type, nodes)) <= _INT:
+            nodes = tuple(map(_as_int, nodes))
+        _node_tables(self.gf, nodes)
         k = _as_int(self.k)  # an integer before it sizes a table
         if k is None or not 1 <= k <= n:
             raise ValueError("k must lie in [1, %d] and be an integer, got %r" % (n, self.k))
@@ -96,7 +106,7 @@ class RSCode:
     def log_powers(self) -> np.ndarray:
         """k x n int32 logs of x_j^r, 0^0 = 1; not a field, so equality and hashing ignore it."""
         fa, order = field_arrays(self.gf), self.gf.q - 1
-        log_x = _node_tables(self.gf, tuple(self.nodes))[1]
+        log_x = _node_tables(self.gf, tuple(self.nodes)).log_x
         powers = np.empty((self.k, self.n), dtype=np.int32)
         for rows in _row_blocks(self.k, self.n):  # r log x_j in int64, a block at a time
             np.remainder(np.multiply.outer(np.arange(rows.start, rows.stop), log_x), order,
@@ -118,7 +128,7 @@ class RSCode:
                 "decode tables for n=%d need %d bytes, over the guard of %d"
                 % (n, needed, TABLE_BYTES_GUARD))
         fa, order = field_arrays(self.gf), self.gf.q - 1
-        x, log_x = _node_tables(self.gf, tuple(self.nodes))
+        x, log_x, _ = _node_tables(self.gf, tuple(self.nodes))
         powers = np.empty((n, n - k), dtype=np.int32)
         for rows in _row_blocks(n, n):
             np.remainder(np.multiply.outer(log_x[rows], np.arange(n - k)), order,
@@ -164,18 +174,21 @@ def encode(code: RSCode, message) -> list:
 
 
 def root_logs(code: RSCode, zero) -> np.ndarray:
-    """s x n int64: entry (i, j) the log of prod (x_j - x_z) over the nodes
-    x_z with zero[i, z], where j is no root of row i (at a root the product
-    is 0 and the entry is no log of it).  One integer product of the zero
-    mask with the node-difference logs per block of at most
-    arrays.BLOCK_ELEMENTS of them, so no n x n table exists."""
-    fa, order = field_arrays(code.gf), code.gf.q - 1
-    x = _node_tables(code.gf, tuple(code.nodes))[0]
-    zero = np.asarray(zero, dtype=bool)
+    """s x n int64 for the s x n bool mask zero: entry (i, j) a log of
+    prod (x_j - x_z) over the nodes x_z with zero[i, z], unreduced (a sum of
+    logs below q - 1), where j is no root of row i (at a root the product
+    is 0 and the entry is no log of it).  One integer product of the mask
+    with the node-difference logs: the node set's n x n table when it has
+    one (n^2 <= arrays.BLOCK_ELEMENTS, ``_node_tables``), and otherwise
+    differences taken a block of at most arrays.BLOCK_ELEMENTS at a time."""
+    tables = _node_tables(code.gf, tuple(code.nodes))
+    if tables.log_diff is not None:
+        return np.matmul(zero, tables.log_diff, dtype=np.int64)
+    fa, x = field_arrays(code.gf), tables.x
     out = np.empty((len(zero), code.n), dtype=np.int64)
     for cols in _row_blocks(code.n, code.n):
         out[:, cols] = np.matmul(zero, fa.log_sub(x[cols, None], x).T, dtype=np.int64)
-    return np.remainder(out, order, out=out)
+    return out
 
 
 def interpolation_table(code: RSCode) -> np.ndarray:
@@ -186,7 +199,7 @@ def interpolation_table(code: RSCode) -> np.ndarray:
     key = (code.gf, tuple(code.nodes[:code.k]))
     table = _interpolation_tables.get(key)
     if table is None:
-        x = _node_tables(code.gf, tuple(code.nodes))[0][:code.k]
+        x = _node_tables(code.gf, tuple(code.nodes)).x[:code.k]
         table = _lagrange_logs(code.gf, x, _node_product(field_arrays(code.gf), x))
         table.flags.writeable = False
         _interpolation_tables.put(key, table)
@@ -299,7 +312,7 @@ def _locate(code: RSCode, received, erasures) -> _Word:
         raise DecodingError("only %d unerased symbols, need %d" % (n - f, k))
 
     fa, tables = field_arrays(gf), code.decode_tables
-    x = _node_tables(gf, tuple(code.nodes))[0]
+    x = _node_tables(gf, tuple(code.nodes)).x
     y = np.where(keep, word, 0).astype(fa.dtype)
     log_y = fa.logs(y)
     m = n - k - f
@@ -446,16 +459,30 @@ def _node_product(fa: FieldArrays, x) -> np.ndarray:
     return level[0, :n + 1]
 
 
+class _NodeTables(NamedTuple):
+    """A node set's tables (``_node_tables``), read-only."""
+
+    x: np.ndarray  # the nodes as field elements
+    log_x: np.ndarray  # their logs in int64 (for r log x_j)
+    # int32, entry (z, j) the log of x_j - x_z (zero_log at z = j); None
+    # unless the table fits one block, n^2 <= arrays.BLOCK_ELEMENTS
+    log_diff: np.ndarray | None
+
+
 @functools.lru_cache(maxsize=64)
-def _node_tables(gf: GF, nodes: tuple[int, ...]):
-    """The nodes as field elements and their logs in int64 (for r log x_j).
-    Kept per node set, since a design builds many codes on one; at most 12
-    bytes a node, read-only, as every caller shares them."""
+def _node_tables(gf: GF, nodes: tuple[int, ...]) -> _NodeTables:
+    """The node set's tables, built on its first code, which is where the
+    set is checked: every node a symbol of gf and none twice.  A set that
+    fails is not kept; the byte bound is in the module docstring."""
     fa = field_arrays(gf)
-    x = np.array(nodes, dtype=fa.dtype)
-    tables = x, fa.logs(x).astype(np.int64)
+    x = symbols(nodes, gf.q, "defining set").astype(fa.dtype)
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("defining set elements must be distinct")
+    log_diff = fa.log_sub(x, x[:, None]) if len(x) ** 2 <= arrays.BLOCK_ELEMENTS else None
+    tables = _NodeTables(x, fa.logs(x).astype(np.int64), log_diff)
     for a in tables:
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
     return tables
 
 

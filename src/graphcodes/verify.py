@@ -78,33 +78,27 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
         raise GuardExceededError(
             "enumeration of %d codewords exceeds the guard %d" % (total, guard))
 
-    # tables[i][:, x] is the row x . G[i] as a column
+    # tables[i][:, x] is the row x . G[i] as a column; fa.log[:q] holds the
+    # logs of the elements 0 .. q - 1
     fa = field_arrays(gf)
-    tables, add, neg = fa.mul(np.arange(q), Gm[:, :, None]), fa.add, fa.neg
+    tables = fa.elements(fa.log[:q] + fa.logs(Gm)[:, :, None])
+    add, neg = fa.add, fa.neg
 
     # Codewords are columns.  span[:, i] encodes message i over the last r
     # rows (q^r <= BLOCK), in message order, so its messages whose first
     # nonzero symbol is 1 are the columns q^k .. 2 q^k - 1 for each k < r.
     # lead1 holds those, then G[s-1-r] + span: every such message whose
-    # leading 1 lies in the last r + 1 rows, in lex order.
+    # leading 1 lies in the last r + 1 rows, in lex order.  The span starts
+    # as the last row's table, or for r = 0 as its column 0, the zero word.
     r = 0
     while r < s - 1 and q ** (r + 1) <= BLOCK:
         r += 1
-    span = np.zeros((n, 1), dtype=tables.dtype)
-    for i in range(s - 1, s - 1 - r, -1):
+    span = tables[s - 1][:, :q if r else 1]
+    for i in range(s - 2, s - 1 - r, -1):
         span = add(tables[i][:, :, None], span[:, None]).reshape(n, -1)
     lead1 = np.concatenate([span[:, q ** k:2 * q ** k] for k in range(r)]
                            + [add(tables[s - 1 - r][:, 1:2], span)], axis=1)
-    weight_dtype = np.min_scalar_type(n + 1)
-
-    def lead1_message(j):
-        """The j-th message whose first nonzero symbol is 1, in lex order."""
-        k = 0  # q^k such messages have their leading 1 at row s-1-k
-        while j >= q ** k:
-            j -= q ** k
-            k += 1
-        return (0,) * (s - 1 - k) + (1,) + tuple(
-            int(d) for d in np.unravel_index(j, (q,) * k))
+    weight_dtype = np.min_scalar_type(n)
 
     def blocks():
         """The weights of those messages' codewords, a block at a time, in
@@ -119,27 +113,41 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
                 # prefix + span[:, j] is nonzero exactly where span[:, j] != -prefix
                 yield (span != neg(prefix)[:, None]).sum(axis=0, dtype=weight_dtype)
 
-    hist = np.zeros(n + 1, dtype=np.int64)
-    best_w, best_j, zeros, offset = n + 1, None, 0, 0
+    hist = np.zeros(n + 1, dtype=np.int64) if with_histogram else None
+    # best is the least weight less one so far: the weights are taken less
+    # one in their unsigned dtype, which wraps a zero codeword's to the
+    # dtype's largest value, at least n, so it never counts
+    best, best_j, zeros, offset = n, None, 0, 0
     for w in blocks():  # ties keep the earlier (lex smaller) witness
         if with_histogram:
             hist += np.bincount(w, minlength=n + 1)
-        zero = w == 0
-        zeros += int(np.count_nonzero(zero))
-        w[zero] = n + 1  # zero codewords never count
-        j = int(np.argmin(w))
-        if w[j] < best_w:
-            best_w, best_j = int(w[j]), offset + j
+        zeros += len(w) - np.count_nonzero(w)
+        w -= 1
+        j = int(w.argmin())
+        if w[j] < best:
+            best, best_j = int(w[j]), offset + j
         offset += len(w)
 
-    if best_w > n:
+    if best_j is None:
         raise ValueError("generator spans only the zero codeword")
     kernel, rank_G = (q - 1) * zeros + 1, s  # kernel = q^(s - rank)
     while kernel > 1:
         kernel //= q
         rank_G -= 1
+    # best_j counts the messages whose first nonzero symbol is 1 in lex
+    # order: q^k of them have it at row s-1-k, their digits after it j's
+    # base-q digits
+    j, k = best_j, 0
+    while j >= q ** k:
+        j -= q ** k
+        k += 1
+    digits = []
+    for _ in range(k):
+        j, d = divmod(j, q)
+        digits.append(d)
+    witness = (0,) * (s - 1 - k) + (1,) + tuple(reversed(digits))
     return DistanceReport(
-        best_w, best_w, lead1_message(best_j), "exhaustive", rank_G,
+        best + 1, best + 1, witness, "exhaustive", rank_G,
         {w: int(c) * (q - 1) for w, c in enumerate(hist) if c} if with_histogram else None)
 
 

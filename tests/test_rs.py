@@ -106,6 +106,51 @@ def test_code_validation(gf7):
         RSCode(gf7, (0, 1, 9), 2)  # out of field
 
 
+def test_a_kept_node_set_still_refuses_equal_sets_of_non_symbols():
+    # node sets are checked once and kept by value, where True == 1 and
+    # 1.0 == 1: a set equal to a kept one must still be refused as before
+    gf = GF(7)
+    nodes = (0, 1, 2, 3, 4, 5, 6)
+    RSCode(gf, nodes, 4)
+    outside = r"^defining set must lie in \[0, 7\)$"
+    for bad, message in (((0, True, 2, 3, 4, 5, 6), outside),
+                         ((0, 1.0, 2, 3, 4, 5, 6), outside),
+                         ((0, 1, 2, 3, 4, 5, -1), outside),
+                         ((0, 1, 2, 3, 4, 5, 7), outside),
+                         ((0, 1, 2, 3, 4, 5, 5), r"^defining set elements must be distinct$")):
+        with pytest.raises(ValueError, match=message):
+            RSCode(gf, bad, 4)
+    code = RSCode(gf, tuple(map(np.int64, nodes)), 4)
+    assert code == RSCode(gf, nodes, 4)
+    assert generator_matrix(code) == generator_matrix(RSCode(gf, nodes, 4))
+
+
+@pytest.mark.parametrize("p, m", [(131, 1), (2, 8)], ids=["GF131", "GF256"])
+def test_root_logs_match_a_plain_product_of_node_differences(p, m):
+    # n = 7 and n = 128 read the node set's kept difference table, n = 129
+    # (n^2 > BLOCK_ELEMENTS) takes the differences a block at a time; each
+    # code has a node set of its own, so a table kept for another set shows
+    gf = GF(p, m)
+    fa = field_arrays(gf)
+    rng = random.Random(p)
+    for n in (7, 128, 129):
+        for _ in range(2):
+            nodes = tuple(rng.sample(range(gf.q), n))
+            code = RSCode(gf, nodes, n)
+            kept = rs._node_tables(gf, nodes).log_diff is not None
+            assert kept == (n * n <= arrays.BLOCK_ELEMENTS)
+            zero = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(3)])
+            got = fa.elements(rs.root_logs(code, zero) % (gf.q - 1))
+            for i, row in enumerate(zero.tolist()):
+                roots = [x for x, z in zip(nodes, row) if z]
+                for j, x in enumerate(nodes):
+                    if not row[j]:
+                        want = 1
+                        for root in roots:
+                            want = gf.mul(want, gf.sub(x, root))
+                        assert got[i, j] == want
+
+
 def test_generator_shape_and_rows(gf7):
     code = RSCode(gf7, default_defining_set(gf7, 7), 4)
     gen = generator_matrix(code)
