@@ -141,10 +141,17 @@ def symbols(values, q: int, what: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values)
     if not arr.size:
         return arr.astype(np.int64)
-    # read as unsigned, a negative entry lies beyond every q, so one maximum
-    # checks both ends
-    if (arr.ndim != ndim or arr.dtype.kind not in "iu"
-            or arr.view(arr.dtype.str.replace("i", "u")).max() >= q):
+    kind, bits = arr.dtype.kind, 8 * arr.dtype.itemsize
+    if arr.ndim != ndim or kind not in "iu":
+        bad = True
+    elif kind == "i" and q > 1 << (bits - 1):
+        # every non-negative entry of this dtype lies below q
+        bad = arr.min() < 0
+    else:
+        # read as unsigned, a negative entry lies at or above 2^(bits-1) >= q,
+        # so one maximum checks both ends
+        bad = arr.view(arr.dtype.str.replace("i", "u")).max() >= q
+    if bad:
         raise ValueError("%s must lie in [0, %d)" % (what, q))
     return arr
 

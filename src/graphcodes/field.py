@@ -169,9 +169,6 @@ class GF:
             self.alpha = int(alpha)
 
         self._build_tables()
-        # every table cache keys on the field, so its hash is taken once, of
-        # ints alone (None's hash is an address), so a copy keeps a valid one
-        self._hash = hash((self.p, self.m, self.alpha, self._red or 0))
 
     # -- construction helpers ------------------------------------------------
 
@@ -292,7 +289,7 @@ class GF:
                 == (other.p, other.m, other.alpha, other._red))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.p, self.m, self.alpha, self._red))
 
     def __repr__(self):
         if self.m == 1:

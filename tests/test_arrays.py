@@ -258,3 +258,20 @@ def test_add_and_sub_refuse_the_same_operands_over_both_field_kinds(p, m):
                 op(bad, a)
         for good in (a, a[::-1].copy(), fa.dtype.type(3), 3):
             assert op(a, good).dtype == fa.dtype
+
+
+@pytest.mark.parametrize("q", [7, 127, 128, 129, 255, 256, 2 ** 15, 2 ** 15 + 1, 2 ** 16])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16])
+def test_symbols_refuses_every_negative_and_every_entry_from_q_up(dtype, q):
+    # a negative entry would index a log table from its end; over GF(2^8) an
+    # int8 -1 read as unsigned is 255 < 256, so it must not pass as one
+    info = np.iinfo(dtype)
+    for v in {0, 1, q - 1, q, info.max, -1, -2, info.min}:
+        if not info.min <= v <= info.max:
+            continue
+        for arr in (np.array([0, v, 0], dtype=dtype), np.array([v, 0, v, 0], dtype=dtype)[::2]):
+            if 0 <= v < q:
+                assert arrays.symbols(arr, q, "entries") is arr
+            else:
+                with pytest.raises(ValueError, match=r"entries must lie in \[0, %d\)" % q):
+                    arrays.symbols(arr, q, "entries")

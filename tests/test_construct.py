@@ -557,11 +557,14 @@ def test_subcode_transform_matches_the_scalar_reference(case):
 
 
 @pytest.mark.parametrize("block", [arrays.BLOCK_ELEMENTS, 40])
-def test_subcode_rows_do_not_depend_on_the_block_size(monkeypatch, block):
+def test_subcode_rows_do_not_depend_on_the_block_size(request, monkeypatch, block):
     # 40 elements split both the node-difference columns and the
-    # interpolation gather into several blocks
+    # interpolation gather into several blocks; a node set's difference
+    # table is kept only if it fits one block, so the sets are built afresh
     monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", block)
     monkeypatch.setattr(rs, "_interpolation_tables", rs._TableCache())
+    rs._node_tables.cache_clear()
+    request.addfinalizer(rs._node_tables.cache_clear)
     rng = random.Random(41)
     for gf in (GF(13), GF(2, 4)):
         for _ in range(20):

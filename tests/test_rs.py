@@ -387,6 +387,20 @@ def test_encode_and_decode_reject_out_of_range_symbols(gf7, symbol):
         decode(code, [symbol] + [0] * 6)
 
 
+@pytest.mark.parametrize("m, dtype", [(8, np.int8), (16, np.int16)])
+def test_small_signed_arrays_holding_negatives_are_refused_over_gf_2m(m, dtype):
+    # q exceeds the dtype's largest value, so only a test for negatives finds them
+    gf = GF(2, m)
+    n = 255
+    code = RSCode(gf, default_defining_set(gf, n), 4)
+    with pytest.raises(ValueError, match="message symbols must lie in"):
+        encode(code, np.array([-1] * 4, dtype=dtype))
+    with pytest.raises(ValueError, match="received symbols must lie in"):
+        decode(code, np.array([-1] + [0] * (n - 1), dtype=dtype))
+    with pytest.raises(ValueError, match="erasure positions must lie in"):
+        erasure_decode(code, [0] * n, np.array([3, -2], dtype=np.int8))
+
+
 def test_erasure_index_validation(gf7):
     code = RSCode(gf7, default_defining_set(gf7, 7), 4)
     with pytest.raises(ValueError):
