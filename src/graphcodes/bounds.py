@@ -14,7 +14,12 @@ other one, so a matching's score depends only on its set of matched columns,
 never on which row holds which column.  Both ``k_sys`` searches work on that
 set: the exact search visits each column set once, remembering at most
 EXPLORED_CAP of them, and the fallback scores a move of one row by the rows
-it raises and lowers.
+it raises and lowers.  The exact search runs on the graph's row masks: one
+int holds every row's zero count, a field of n + 2 bits each, and another
+holds every row mask in the same fields, so taking column c adds the
+column's rows, (packed >> c) & ones, to all counts in one addition, and one
+more addition and one AND test every count against the best k so far.  It
+builds no support tuples and no per-column row lists.
 
 Both searches are exponential by nature, so each runs exhaustively only up
 to a row count: SUBSET_GUARD rows for the ``d_min`` walk, MATCHING_GUARD
@@ -34,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import compress
 from operator import and_
 
 from .graph import (ConstraintGraph, bits_mask, check_matching, check_subset_limit,
@@ -156,53 +160,57 @@ def matching_k(g: ConstraintGraph, matching) -> int:
     return g.n - min((g.row_mask(i) & ~matched).bit_count() for i in range(g.s))
 
 
-def _column_rows(g: ConstraintGraph) -> list[tuple[int, ...]]:
-    """For each column, the rows adjacent to it, in order."""
-    return [tuple(compress(range(g.s), col)) for col in zip(*g.adjacency)]
-
-
 def _k_sys_exact(g: ConstraintGraph, k_floor: int) -> Bound:
-    s, n = g.s, g.n
-    supports = [g.support(i) for i in range(s)]
-    col_rows = _column_rows(g)
-    cur_zeros = [n - len(supports[i]) for i in range(s)]
+    masks, s, n = g._masks, g.s, g.n
+    # Row r's zero count and row r's mask each sit in bits [w r, w (r + 1))
+    # of one int, so (packed >> c) & ones marks the rows adjacent to column
+    # c.  A field holds at most n < 2^(w - 2), so adding 2^(w-1) - 1 - b to
+    # every count sets a field's top bit exactly where its count exceeds b.
+    w = n + 2
+    ones = ((1 << w * s) - 1) // ((1 << w) - 1)
+    top = ones << w - 1
+    packed = zeros = 0
+    for m in reversed(masks):
+        packed = packed << w | m
+        zeros = zeros << w | n - m.bit_count()
     assign = [0] * s
-    best: list = [None, None]  # k, matching
+    # k, matching, and the lift that flags a count of k - 1 or more: a leaf
+    # must beat k, so every row keeps at most k - 2 zeros; n + 1 starts it
+    best: list = [n + 1, None, top - ones * n]
     # Once rows 0..i-1 hold the columns of U, the zero counts depend on U
     # alone, so a second visit to U, after its subtree was searched, cannot
     # beat the best found since.
     explored: set = set()
 
-    def dfs(i: int, used: int):
-        if best[0] == k_floor:
-            return
-        if i == s:
-            k_here = max(cur_zeros) + 1
-            if best[0] is None or k_here < best[0]:
-                best[0] = k_here
-                best[1] = tuple(assign)
-            return
-        for c in supports[i]:
-            if used >> c & 1:
-                continue
-            nxt = used | 1 << c
+    def dfs(i: int, used: int, zeros: int) -> bool:
+        """Search rows i.. on; True once the k_min floor is reached."""
+        own = 1 << w * i  # row i keeps its own column
+        free = masks[i] & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            nxt = used | bit
             if nxt in explored:
                 continue
-            for r in col_rows[c]:
-                cur_zeros[r] += 1
-            cur_zeros[i] -= 1  # row i keeps its own column
+            c = bit.bit_length() - 1
+            nxt_zeros = zeros + (packed >> c & ones) - own
             # zeros only grow as the matching extends, so this is a lower bound
-            if best[0] is None or max(cur_zeros) + 1 < best[0]:
-                # a reached leaf always improves, so it never recurs
-                if i + 1 < s and len(explored) < EXPLORED_CAP:
+            if nxt_zeros + best[2] & top:
+                continue
+            assign[i] = c
+            if i + 1 < s:
+                if len(explored) < EXPLORED_CAP:
                     explored.add(nxt)
-                assign[i] = c
-                dfs(i + 1, nxt)
-            for r in col_rows[c]:
-                cur_zeros[r] -= 1
-            cur_zeros[i] += 1
+                if dfs(i + 1, nxt, nxt_zeros):
+                    return True
+            else:  # a reached leaf always improves, so it never recurs
+                k = n - min([(m & ~nxt).bit_count() for m in masks])
+                best[:] = k, tuple(assign), top - ones * (k - 1)
+                if k == k_floor:
+                    return True
+        return False
 
-    dfs(0, 0)
+    dfs(0, 0, zeros)
     return Bound(best[0], best[0], best[1], "exhaustive")
 
 
@@ -249,30 +257,31 @@ def k_sys_search(g: ConstraintGraph, max_exact_s=None) -> Bound:
     ``exact_limit(max_exact_s, MATCHING_GUARD)``, the heuristic above it.
 
     A matching is scored by its set of matched columns alone.  The exact
-    search assigns rows in order, depth-first, visiting each set of columns
-    taken by the rows so far once; it prunes any partial assignment whose
-    zero counts already rule out an improvement and stops early once the
-    k_min floor is reached.  The heuristic improves the Hall matching by
-    moving one row at a time to a free column, taking the first move that
-    lowers k; a swap of two rows' columns keeps the column set, so none is
-    tried.  Its result is an upper bound with no floor, so it is never
+    search assigns rows in order, depth-first, each row's free columns in
+    order off its mask, visiting each set of columns taken by the rows so
+    far once; it prunes any partial assignment whose packed zero counts
+    already rule out an improvement and stops once the k_min floor is
+    reached.  The heuristic improves the Hall matching by moving one row at
+    a time to a free column, taking the first move that lowers k; a swap of
+    two rows' columns keeps the column set, so none is tried.  Its result is an upper bound with no floor, so it is never
     ``exact``, even where it meets k_min or s: "exact" marks the exact search.
     """
     start = find_matching(g)  # raises NoMatchingError with a Hall witness
     if g.s > exact_limit(max_exact_s, MATCHING_GUARD):
         return g._solve("k_sys heuristic", lambda: _k_sys_heuristic(g, start))
-    # the subset limit is never below the matching limit, so this cannot raise
-    k_floor = g.n - d_min_bound(g, max_exact_s).value + 1
-    return g._solve("k_sys exact", lambda: _k_sys_exact(g, k_floor))
+    # the subset limit is never below the matching limit, so d_min_bound
+    # cannot raise; a stored search needs no k_min floor
+    return g._solve("k_sys exact", lambda: _k_sys_exact(
+        g, g.n - d_min_bound(g, max_exact_s).value + 1))
 
 
 def fully_connected_columns(g: ConstraintGraph):
     """Columns adjacent to every message row."""
-    common = reduce(and_, map(g.row_mask, range(g.s)))
+    common = reduce(and_, g._masks)
     return [j for j in range(g.n) if common >> j & 1]
 
 
 def bounds_report(g: ConstraintGraph, max_exact_s=None) -> BoundsReport:
     """Aggregate report; ``k_sys`` is the heuristic's above its limit."""
     return BoundsReport(g.n, d_min_bound(g, max_exact_s), k_sys_search(g, max_exact_s),
-                        len(fully_connected_columns(g)))
+                        reduce(and_, g._masks).bit_count())

@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import not_
 from typing import NamedTuple
 
@@ -247,12 +247,12 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
         i = next(i for i, c in enumerate(counts) if c >= rs.k)
         raise InfeasibleError(
             "row %d needs %d zeros but the RS dimension is only %d" % (i, counts[i], rs.k))
-    fa, zero = field_arrays(rs.gf), np.equal(rows, 0)
+    fa, zero = field_arrays(rs.gf), ~np.array(rows, dtype=bool)
     log_G = root_logs(rs, zero)
     if matching is not None:  # row i's matched node is no root: its entry is a log
         log_G -= log_G.take(matching, axis=1).diagonal()[:, None]
     log_G %= rs.gf.q - 1
-    log_G[zero] = fa.zero_log
+    np.putmask(log_G, zero, fa.zero_log)
     T = fa.vec_mat_logs(log_G[:, :rs.k], interpolation_table(rs))
     return CodeSpec(gf=rs.gf, rs=rs, T=T.tolist(),
                     G=fa.elements(log_G).tolist(), mode=mode, matching=matching,
@@ -442,9 +442,8 @@ def validity_check(g: ConstraintGraph, G) -> bool:
     if len(G) != g.s or set(map(len, G)) != {g.n}:
         raise ValueError("generator shape %dx%d does not match graph %dx%d"
                          % (len(G), len(G[0]) if G else 0, g.s, g.n))
-    # compress picks a row's entries at the adjacency's zeros
-    return not any(any(compress(grow, map(not_, arow)))
-                   for arow, grow in zip(g.adjacency, G))
+    # compress picks the entries at the adjacency's zeros, all rows in one pass
+    return not any(compress(chain.from_iterable(G), map(not_, chain.from_iterable(g.adjacency))))
 
 
 def systematic_columns_ok(G, matching) -> bool:

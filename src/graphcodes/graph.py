@@ -80,7 +80,8 @@ def bits_mask(bits) -> int:
 @dataclass(frozen=True)
 class ConstraintGraph:
     """Validated s x n binary adjacency matrix, s <= n, held as tuples of the
-    ints 0 and 1 whatever integer type the entries came in."""
+    ints 0 and 1 whatever integer type the entries came in; ``s`` and ``n``
+    are plain attributes, set once the rows are read."""
 
     adjacency: tuple[tuple[int, ...], ...]
 
@@ -106,18 +107,9 @@ class ConstraintGraph:
         bare = ~reduce(or_, masks) & (1 << n) - 1
         if bare:
             raise ValueError("code column %d has no edges" % ((bare & -bare).bit_length() - 1))
-        object.__setattr__(self, "_masks", masks)
-        # completed searches, by name; not a field, so equality, hashing and
-        # repr ignore it
-        object.__setattr__(self, "_solved", {})
-
-    @property
-    def s(self) -> int:
-        return len(self.adjacency)
-
-    @property
-    def n(self) -> int:
-        return len(self.adjacency[0])
+        # the sizes, the row masks and the completed searches, by name, are
+        # not fields, so equality, hashing and repr ignore them
+        self.__dict__.update(s=s, n=n, _masks=masks, _solved={})
 
     def row_mask(self, i: int) -> int:
         return self._masks[i]
@@ -129,11 +121,10 @@ class ConstraintGraph:
         """search(), run on the first call for this name only.  A search that
         raises stores nothing, so the next call runs it again.  Callers check
         their guards before calling this."""
-        try:
-            return self._solved[name]
-        except KeyError:
+        result = self._solved.get(name)
+        if result is None:  # no search returns None
             result = self._solved[name] = search()
-            return result
+        return result
 
     @classmethod
     def from_rows(cls, rows) -> "ConstraintGraph":
@@ -213,16 +204,21 @@ def hall_check(g: ConstraintGraph, max_exact_s=None):
     return False, min_surplus(g, stop=-1)[1]
 
 
-def _augment(g: ConstraintGraph, i: int, owner: dict, match: list, seen: set) -> bool:
-    for c in g.support(i):
-        if c in seen:
-            continue
-        seen.add(c)
-        if c not in owner or _augment(g, owner[c], owner, match, seen):
+def _augment(masks, i: int, owner: dict, match: list, seen: list) -> bool:
+    """Kuhn's augmenting path from row i over its columns in order; seen[0]
+    is the mask of the columns tried, so its lowest clear bit in row i's mask
+    is the next column."""
+    while True:
+        free = masks[i] & ~seen[0]
+        if not free:
+            return False
+        bit = free & -free
+        seen[0] |= bit
+        c = bit.bit_length() - 1
+        if c not in owner or _augment(masks, owner[c], owner, match, seen):
             owner[c] = i
             match[i] = c
             return True
-    return False
 
 
 def find_matching(g: ConstraintGraph) -> tuple[int, ...]:
@@ -233,22 +229,26 @@ def find_matching(g: ConstraintGraph) -> tuple[int, ...]:
 
 
 def _hall_matching(g: ConstraintGraph) -> tuple[int, ...]:
+    masks = g._masks
     owner: dict[int, int] = {}
     match: list = [None] * g.s
-    for i in range(g.s):
-        for c in g.support(i):
-            if c not in owner:
-                owner[c] = i
-                match[i] = c
-                break
+    taken = 0
+    for i, m in enumerate(masks):  # each row takes its first free column
+        free = m & ~taken
+        if free:
+            bit = free & -free
+            taken |= bit
+            match[i] = bit.bit_length() - 1
+            owner[match[i]] = i
     for i in range(g.s):
         if match[i] is not None:
             continue
-        seen: set = set()
-        if not _augment(g, i, owner, match, seen):
-            witness = tuple(sorted({i} | {owner[c] for c in seen}))
+        seen = [0]
+        if not _augment(masks, i, owner, match, seen):
+            cols = [c for c in owner if seen[0] >> c & 1]
+            witness = tuple(sorted({i} | {owner[c] for c in cols}))
             raise NoMatchingError(
-                "rows %s share only %d neighboring columns" % (list(witness), len(seen)),
+                "rows %s share only %d neighboring columns" % (list(witness), len(cols)),
                 witness=witness)
     return tuple(match)
 

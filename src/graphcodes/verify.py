@@ -2,9 +2,16 @@
 
 The distance oracle (distance of a linear code = minimum nonzero codeword
 weight) encodes one message per scalar class: the (q^s - 1)/(q - 1) messages
-whose first nonzero symbol is 1.  It builds them in vectorized blocks from
-per-row tables of x . G[i], with no digit arithmetic, and its field
-arithmetic comes from ``arrays``.  Its guard still counts all q^s messages.
+whose first nonzero symbol is 1.  It weighs them in blocks from per-row
+tables of x . G[i], with no digit arithmetic, and its field arithmetic
+comes from ``arrays``.  The span of the last rows, the lower ones, is built
+once; a block is one broadcast comparison of it with a run of targets, -c
+for the codewords c of messages over the other rows, since c + lower[:, j]
+is nonzero exactly where lower[:, j] differs from -c.  That comparison, n
+bools for each of the block's at most max(BLOCK, 2q) messages, is the
+largest temporary a block allocates: no span of all the messages, no sum
+of one and no concatenation of one is built.  Its guard still counts all
+q^s messages.
 It also counts the messages that encode to zero, which gives the rank of G,
 so ``verification_report`` runs no elimination when a consistent spec's G
 has full rank and one, for T's rank, otherwise.  Its result is a
@@ -26,7 +33,6 @@ elimination here is ``linalg``'s, on field arrays.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,49 +88,66 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
     # logs of the elements 0 .. q - 1
     fa = field_arrays(gf)
     tables = fa.elements(fa.log[:q] + fa.logs(Gm)[:, :, None])
-    add, neg = fa.add, fa.neg
+    add, sub, m1 = fa.add, fa.sub, gf.neg(1)
 
-    # Codewords are columns.  span[:, i] encodes message i over the last r
-    # rows (q^r <= BLOCK), in message order, so its messages whose first
-    # nonzero symbol is 1 are the columns q^k .. 2 q^k - 1 for each k < r.
-    # lead1 holds those, then G[s-1-r] + span: every such message whose
-    # leading 1 lies in the last r + 1 rows, in lex order.  The span starts
-    # as the last row's table, or for r = 0 as its column 0, the zero word.
-    r = 0
-    while r < s - 1 and q ** (r + 1) <= BLOCK:
-        r += 1
-    span = tables[s - 1][:, :q if r else 1]
-    for i in range(s - 2, s - 1 - r, -1):
-        span = add(tables[i][:, :, None], span[:, None]).reshape(n, -1)
-    lead1 = np.concatenate([span[:, q ** k:2 * q ** k] for k in range(r)]
-                           + [add(tables[s - 1 - r][:, 1:2], span)], axis=1)
+    # Codewords are columns.  The last l rows are the lower ones: lower[:, j]
+    # encodes message j over them, in message order, so its messages whose
+    # first nonzero symbol is 1 are the columns q^k .. 2 q^k - 1 for k < l.
+    # The first u = s - l rows, the upper ones, give the targets: -c for the
+    # codeword c of each upper message whose first nonzero symbol is 1, in
+    # lex order, after -0 when l > 0.  c + lower[:, j] is nonzero where
+    # lower[:, j] differs from -c, so one broadcast comparison of lower with
+    # a run of targets weighs a block of messages.  Target 0 keeps only the
+    # lower messages whose first nonzero symbol is 1, every other target
+    # every lower message: in all, each message whose first nonzero symbol
+    # is 1, once, in lex order.
+    # Two upper rows cost one subtraction of n x q elements and waste about
+    # a q-th of the comparisons, on target 0's other lower messages, so
+    # l = s - 2 as far as q^(l + 1) <= BLOCK allows.  One lower row is its
+    # own table, so at s = 2 one upper row costs no arithmetic and q - 1
+    # wasted columns: l = 1.  At s = 1, l = 0 and lower is the zero word.
+    ell = min(s - 1, 1)
+    while ell < s - 2 and q ** (ell + 2) <= BLOCK:
+        ell += 1
+    u, first = s - ell, int(ell > 0)  # first: the count of targets 0
+    lower = tables[s - 1][:, :q if ell else 1]
+    for i in range(s - 2, u - 1, -1):
+        lower = add(tables[i][:, :, None], lower[:, None]).reshape(n, -1)
+    # The targets whose leading 1 lies in row i are -(G[i] + span) =
+    # -G[i] - span, span the codewords of rows i + 1 .. u - 1 in message
+    # order, and -G[i] is column m1 = -1 of tables[i] (m1 = 1 over GF(2^m)),
+    # so row u - 1 gives -0 and -G[u - 1], its columns 0 and m1.
+    targets = tables[u - 1][:, 0:m1 + 1:m1][:, 1 - first:]
+    span = tables[u - 1]
+    for i in range(u - 2, -1, -1):
+        targets = np.concatenate([targets, sub(tables[i][:, m1:m1 + 1], span)], axis=1)
+        if i:
+            span = add(tables[i][:, :, None], span[:, None]).reshape(n, -1)
+    targets = targets[:, :, None]
+    lower = lower[:, None]
+    # targets per block, at least two, so that the first holds a message
+    step = max(2, BLOCK // lower.shape[2])
     weight_dtype = np.min_scalar_type(n)
 
-    def blocks():
-        """The weights of those messages' codewords, a block at a time, in
-        lex order of the messages: lead1, then a leading 1 further left, one
-        block per choice of the digits between it and the span's rows."""
-        yield (lead1 != 0).sum(axis=0, dtype=weight_dtype)
-        for lead in range(s - 2 - r, -1, -1):
-            for middle in itertools.product(range(q), repeat=s - 1 - r - lead):
-                prefix = tables[lead][:, 1]
-                for i, x in enumerate(middle, lead + 1):
-                    prefix = add(prefix, tables[i][:, x])
-                # prefix + span[:, j] is nonzero exactly where span[:, j] != -prefix
-                yield (span != neg(prefix)[:, None]).sum(axis=0, dtype=weight_dtype)
-
     hist = np.zeros(n + 1, dtype=np.int64) if with_histogram else None
-    # best is the least weight less one so far: the weights are taken less
-    # one in their unsigned dtype, which wraps a zero codeword's to the
-    # dtype's largest value, at least n, so it never counts
-    best, best_j, zeros, offset = n, None, 0, 0
-    for w in blocks():  # ties keep the earlier (lex smaller) witness
+    best, best_j, zeros, offset = n + 1, None, 0, 0  # best: the least weight so far
+    for start in range(0, targets.shape[1], step):
+        # w: the weights of a block's messages, in lex order
+        w = (lower != targets[:, start:start + step]).sum(axis=0, dtype=weight_dtype)
+        if start or not first:
+            w = w.reshape(-1)
+        else:  # target 0 keeps the lower messages whose first nonzero symbol is 1
+            w = np.concatenate([w[0, q ** k:2 * q ** k] for k in range(ell)] + [w[1:]],
+                               axis=None)
         if with_histogram:
             hist += np.bincount(w, minlength=n + 1)
-        zeros += len(w) - np.count_nonzero(w)
-        w -= 1
-        j = int(w.argmin())
-        if w[j] < best:
+        j = int(w.argmin())  # ties keep the earlier (lex smaller) witness
+        if not w[j]:  # some messages encode to zero: count them, search the rest
+            nonzero = np.flatnonzero(w)
+            zeros += len(w) - len(nonzero)
+            if len(nonzero):
+                j = int(nonzero[w.take(nonzero).argmin()])
+        if 0 < w[j] < best:
             best, best_j = int(w[j]), offset + j
         offset += len(w)
 
@@ -147,7 +170,7 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
         digits.append(d)
     witness = (0,) * (s - 1 - k) + (1,) + tuple(reversed(digits))
     return DistanceReport(
-        best + 1, best + 1, witness, "exhaustive", rank_G,
+        best, best, witness, "exhaustive", rank_G,
         {w: int(c) * (q - 1) for w, c in enumerate(hist) if c} if with_histogram else None)
 
 

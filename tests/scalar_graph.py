@@ -37,10 +37,6 @@ def scalar_support(rows, i: int):
     return tuple(j for j, v in enumerate(rows[i]) if v)
 
 
-def scalar_column_rows(rows):
-    return [[r for r in range(len(rows)) if rows[r][c]] for c in range(len(rows[0]))]
-
-
 def scalar_column_masks(rows):
     return [sum(1 << r for r in range(len(rows)) if rows[r][c]) for c in range(len(rows[0]))]
 

@@ -406,6 +406,26 @@ def test_k_sys_searches_equal_the_reference_searches():
         checked += 1
 
 
+def test_k_sys_searches_that_must_prove_equal_the_reference():
+    # graphs with k_sys above the k_min floor: the search runs on to a proof,
+    # through every prune of the packed zero counts, not just to a first
+    # leaf at the floor
+    rng = random.Random(1531)
+    proofs = 0
+    while proofs < 40:
+        s = rng.randint(5, 8)
+        g = random_graph(rng, s, rng.randint(s, s + 5), density=rng.choice(CORPUS_DENSITIES))
+        try:
+            find_matching(g)
+        except NoMatchingError:
+            continue
+        k_floor = g.n - d_min_bound(g).value + 1
+        want = reference_k_sys_exact(g, k_floor)
+        if want.value > k_floor:
+            assert bounds._k_sys_exact(g, k_floor) == want
+            proofs += 1
+
+
 def test_heuristic_equals_the_reference_above_the_guard():
     rng = random.Random(1213)
     checked = 0

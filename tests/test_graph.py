@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REF_MATCHED, REF_ROWS, random_dims, random_graph
-from graphcodes.bounds import _column_rows, fully_connected_columns
+from graphcodes.bounds import fully_connected_columns
 from graphcodes.construct import mds_nullspace_construct
 from graphcodes.errors import GuardExceededError, NoMatchingError
 from graphcodes.field import GF
@@ -14,8 +14,8 @@ from graphcodes.graph import (ConstraintGraph, bits_mask, check_matching, find_m
                               hall_check, load_graph, matched_adjacency,
                               neighborhood_size, row_zero_stats)
 from graphcodes.rs import RSCode, default_defining_set, generator_matrix
-from scalar_graph import (scalar_column_masks, scalar_column_rows,
-                          scalar_fully_connected_columns, scalar_rows, scalar_support)
+from scalar_graph import (scalar_column_masks, scalar_fully_connected_columns, scalar_rows,
+                          scalar_support)
 
 
 def brute_has_matching(rows):
@@ -331,7 +331,6 @@ def test_large_graphs_match_the_per_entry_reference(key, s, n, density):
     for source in (rows, np.array(rows)):
         g = ConstraintGraph(source)
         assert _read_graph(source) == want
-        assert _column_rows(g) == list(map(tuple, scalar_column_rows(want[0])))
         assert list(map(bits_mask, zip(*g.adjacency))) == scalar_column_masks(want[0])
 
 

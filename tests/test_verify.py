@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -220,6 +221,23 @@ def test_distance_skips_zero_codewords_of_deficient_generators():
 def test_distance_rejects_malformed_generators(p, m, G):
     with pytest.raises(ValueError):
         min_distance_exhaustive(G, GF(p, m))
+
+
+def test_distance_oracle_holds_one_block_comparison_at_a_time():
+    # 3 x 255 over GF(2^8): a block compares the lower rows' span with 256
+    # targets, one n x BLOCK bool temporary of 16 MiB; the whole n x q^2
+    # span, the lead row's sum and their concatenation peaked at 96 MiB
+    gf = GF(2, 8)
+    rng = random.Random(255)
+    G = [[rng.randrange(gf.q) for _ in range(255)] for _ in range(3)]
+    tracemalloc.start()
+    try:
+        rep = min_distance_exhaustive(G, gf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.value, rep.witness, rep.rank) == (247, (1, 76, 251), 3)
+    assert peak < 24 << 20, peak
 
 
 def test_distance_guard():
