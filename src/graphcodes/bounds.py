@@ -162,6 +162,28 @@ def matching_k(g: ConstraintGraph, matching) -> int:
 
 def _k_sys_exact(g: ConstraintGraph, k_floor: int) -> Bound:
     masks, s, n = g._masks, g.s, g.n
+    # The search's first leaf is the greedy matching, each row in turn on
+    # its first free column: no prune fires on the way down, as a row's
+    # count reaches n only once every column of it is taken, and nothing is
+    # explored yet.  When that leaf meets the k_min floor the search stops
+    # there, so it is the answer, read with none of the search's set-up.
+    # Otherwise the search starts from it: a leaf must beat the best so
+    # far, so no other leaf is taken before it, and a node it prunes on its
+    # way down holds no better leaf and is pruned again on any later visit.
+    incumbent = n + 1, None
+    taken, greedy = 0, []
+    for m in masks:
+        free = m & ~taken
+        if not free:
+            break
+        bit = free & -free
+        taken |= bit
+        greedy.append(bit.bit_length() - 1)
+    else:
+        k = n - min([(m & ~taken).bit_count() for m in masks])
+        if k == k_floor:
+            return Bound(k, k, tuple(greedy), "exhaustive")
+        incumbent = k, tuple(greedy)
     # Row r's zero count and row r's mask each sit in bits [w r, w (r + 1))
     # of one int, so (packed >> c) & ones marks the rows adjacent to column
     # c.  A field holds at most n < 2^(w - 2), so adding 2^(w-1) - 1 - b to
@@ -175,8 +197,8 @@ def _k_sys_exact(g: ConstraintGraph, k_floor: int) -> Bound:
         zeros = zeros << w | n - m.bit_count()
     assign = [0] * s
     # k, matching, and the lift that flags a count of k - 1 or more: a leaf
-    # must beat k, so every row keeps at most k - 2 zeros; n + 1 starts it
-    best: list = [n + 1, None, top - ones * n]
+    # must beat k, so every row keeps at most k - 2 zeros
+    best: list = [*incumbent, top - ones * (incumbent[0] - 1)]
     # Once rows 0..i-1 hold the columns of U, the zero counts depend on U
     # alone, so a second visit to U, after its subtree was searched, cannot
     # beat the best found since.
@@ -261,9 +283,12 @@ def k_sys_search(g: ConstraintGraph, max_exact_s=None) -> Bound:
     order off its mask, visiting each set of columns taken by the rows so
     far once; it prunes any partial assignment whose packed zero counts
     already rule out an improvement and stops once the k_min floor is
-    reached.  The heuristic improves the Hall matching by moving one row at
-    a time to a free column, taking the first move that lowers k; a swap of
-    two rows' columns keeps the column set, so none is tried.  Its result is an upper bound with no floor, so it is never
+    reached.  Its first leaf, each row on its first free column, is read
+    before any of its set-up: at the floor it is the answer, and otherwise
+    the search starts from it.  The heuristic improves the Hall matching by
+    moving one row at a time to a free column, taking the first move that
+    lowers k; a swap of two rows' columns keeps the column set, so none is
+    tried.  Its result is an upper bound with no floor, so it is never
     ``exact``, even where it meets k_min or s: "exact" marks the exact search.
     """
     start = find_matching(g)  # raises NoMatchingError with a Hall witness

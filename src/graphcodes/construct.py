@@ -40,12 +40,15 @@ generator the two agree: the zero columns Z of the Vandermonde generator
 have the monic prod_{j in Z} (X - x_j) as their first canonical
 left-nullspace vector, and its codeword is nonzero off Z.
 
-A ``CodeSpec`` keeps two tables for encode, fast read and decode as
-members built on first use: ``log_G``, the logs of G, and ``log_R``, the
-decode table: the information positions P where the decoder reads a
-corrected codeword c, and the logs of R with m = c_P R.  A systematic spec
-reads its matched columns, where R is I.  The one elimination left here,
-of [T | I_s], builds R for a spec that is not systematic.
+A ``CodeSpec`` keeps two tables for the audit, encode, fast read and
+decode: ``log_G``, the int32 logs of G, and ``log_R``, the decode table:
+the information positions P where the decoder reads a corrected codeword
+c, and the logs of R with m = c_P R.  ``_subcode`` builds G as its logs
+and stores them on the spec it returns, so ``verify`` takes them as built;
+any other spec builds its ``log_G`` from G on first use.  ``log_R`` is
+built on the first decode.  A systematic spec reads its matched columns,
+where R is I.  The one elimination left here, of [T | I_s], builds R for a
+spec that is not systematic.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .arrays import field_arrays, symbols
 from .bounds import MODES, Bound, d_min_bound, fully_connected_columns, k_sys_search
 from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF, _as_int
-from .graph import ConstraintGraph, check_matching, find_matching, matched_adjacency
+from .graph import ConstraintGraph, _matched_rows, check_matching, find_matching
 from .linalg import left_nullspace_basis, rref
 from .rs import RSCode, default_defining_set, evaluate, interpolation_table, root_logs
 
@@ -83,10 +86,12 @@ class CodeSpec:
     generator: the constructions set it, and ``from_dict`` sets it once G
     has matched T . G_RS.  A spec built by hand leaves it False.
 
-    ``log_G``, G as int32 logs on field arrays (``arrays``), and
-    ``log_R``, the decode table, are built on their first use by encode,
-    fast read and decode.  They are not fields, so they never enter repr or
-    ``to_dict``, and the spec compares by identity.
+    ``log_G``, G as int32 logs on field arrays (``arrays``), is stored by
+    the construction that built G, and built from G on first use on any
+    other spec (one read by ``from_dict``, one built by hand, or one that
+    ``dataclasses.replace`` gave a new G).  ``log_R``, the decode table, is
+    built on the first decode.  They are not fields, so they never enter
+    repr or ``to_dict``, and the spec compares by identity.
     """
 
     gf: GF
@@ -118,8 +123,10 @@ class CodeSpec:
 
     @functools.cached_property
     def log_G(self) -> np.ndarray:
-        """G (s x n) as int32 logs, built on the first encode or fast read."""
-        return field_arrays(self.gf).logs(self.G)
+        """G (s x n) as int32 logs: stored by the construction that built
+        them, and on any other spec built from G on first use, once its
+        entries pass ``arrays.symbols``."""
+        return field_arrays(self.gf).logs(symbols(self.G, self.gf.q, "G entries", ndim=2))
 
     @functools.cached_property
     def log_R(self) -> MessageMap:
@@ -252,12 +259,14 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
     if matching is not None:  # row i's matched node is no root: its entry is a log
         log_G -= log_G.take(matching, axis=1).diagonal()[:, None]
     log_G %= rs.gf.q - 1
-    np.putmask(log_G, zero, fa.zero_log)
+    np.putmask(log_G, zero, fa.zero_log)  # now exactly fa.logs(G)
     T = fa.vec_mat_logs(log_G[:, :rs.k], interpolation_table(rs))
-    return CodeSpec(gf=rs.gf, rs=rs, T=T.tolist(),
+    spec = CodeSpec(gf=rs.gf, rs=rs, T=T.tolist(),
                     G=fa.elements(log_G).tolist(), mode=mode, matching=matching,
                     claimed_distance=claimed_distance, distance_exact=distance_exact,
                     consistent=True)
+    spec.__dict__["log_G"] = log_G  # where the cached property keeps it
+    return spec
 
 
 def generic_subcode(g: ConstraintGraph, gf: GF, nodes=None, k=None,
@@ -308,7 +317,8 @@ def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
     sub_matching = find_matching(sub)
     matching = tuple(cols[c] for c in sub_matching)
 
-    return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, matching),
+    # a matching of g, from the search on g's columns outside the reserved ones
+    return _subcode(RSCode(gf, nodes, k), _matched_rows(g, matching),
                     "systematic-dmin", matching, claimed_distance=d_min, distance_exact=True)
 
 
@@ -333,7 +343,8 @@ def _matched_subcode(g: ConstraintGraph, gf: GF, nodes, k, mode: str,
     nodes = _defining_set(g, gf, nodes)
     k_sys = k_sys_search(g, max_exact_s)
     k = k_sys.value if k is None else k
-    return _subcode(RSCode(gf, nodes, k), matched_adjacency(g, k_sys.witness),
+    # the witness is a matching of g that the search found: no second check
+    return _subcode(RSCode(gf, nodes, k), _matched_rows(g, k_sys.witness),
                     mode, k_sys.witness, claimed_distance=g.n - k + 1,
                     distance_exact=_claim_exact(k_sys, k))
 
@@ -399,7 +410,7 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
         k_sys = k_sys_search(g, max_exact_s)
         exact = _claim_exact(k_sys, k)
         matching = check_matching(g, k_sys.witness if matching is None else matching)
-        rows = matched_adjacency(g, matching)
+        rows = _matched_rows(g, matching)
     else:
         matching, rows = None, g.adjacency
     zero = np.asarray(rows) == 0

@@ -277,7 +277,12 @@ def check_matching(g: ConstraintGraph, matching) -> tuple[int, ...]:
 
 def matched_adjacency(g: ConstraintGraph, matching) -> tuple[tuple[int, ...], ...]:
     """The adjacency rows, each matched column zeroed except at its own row."""
-    matching = check_matching(g, matching)
+    return _matched_rows(g, check_matching(g, matching))
+
+
+def _matched_rows(g: ConstraintGraph, matching: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """``matched_adjacency`` of a matching known to be one of g's, as
+    ``check_matching`` returns it or a search of g found it."""
     rows = []
     for own, row in zip(matching, g.adjacency):
         row = list(row)

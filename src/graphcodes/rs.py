@@ -42,9 +42,13 @@ and, when n^2 <= arrays.BLOCK_ELEMENTS (n <= 128), the n x n int32 logs of
 the node differences are kept read-only.  That is at most 12 bytes a node
 and 64 KiB a difference table, 4 MiB of difference tables in all.  The
 tables are keyed by value, where True == 1, so ``RSCode`` passes only exact
-ints as they are.  ``_poly_mul`` is the one polynomial product, batched over
-leading axes; ``_node_product``, a product tree of it, builds the node
-products that the interpolation table and the erasure factor start from.
+ints as they are.  Each ``RSCode`` keeps the tables of the set it checked
+(``RSCode.node_tables``), and its node powers, its decode tables,
+``root_logs``, a missing interpolation table and ``_locate`` read them off
+the code, with no second key lookup.  ``_poly_mul`` is the one polynomial
+product, batched over leading axes; ``_node_product``, a product tree of
+it, builds the node products that the interpolation table and the erasure
+factor start from.
 Beyond ``vec_mat_logs``, which bounds its own gather, only the table builds
 (``log_powers``, ``decode_tables``, ``root_logs`` and ``_lagrange_logs``),
 the node weights prod (x_j - x_i) (``_log_weights``) and the decoder's
@@ -93,10 +97,14 @@ class RSCode:
         # _as_int reads a bool, a float or a string as None, which it refuses
         if not set(map(type, nodes)) <= _INT:
             nodes = tuple(map(_as_int, nodes))
-        _node_tables(self.gf, nodes)
+        tables = _node_tables(self.gf, nodes)
         k = _as_int(self.k)  # an integer before it sizes a table
         if k is None or not 1 <= k <= n:
             raise ValueError("k must lie in [1, %d] and be an integer, got %r" % (n, self.k))
+        # the checked node set's tables, kept on the code so that its table
+        # builds and its decoder look no key up again; not a field, so
+        # equality, hashing and repr ignore them
+        self.__dict__["node_tables"] = tables
 
     @property
     def n(self) -> int:
@@ -106,7 +114,7 @@ class RSCode:
     def log_powers(self) -> np.ndarray:
         """k x n int32 logs of x_j^r, 0^0 = 1; not a field, so equality and hashing ignore it."""
         fa, order = field_arrays(self.gf), self.gf.q - 1
-        log_x = _node_tables(self.gf, tuple(self.nodes)).log_x
+        log_x = self.node_tables.log_x
         powers = np.empty((self.k, self.n), dtype=np.int32)
         for rows in _row_blocks(self.k, self.n):  # r log x_j in int64, a block at a time
             np.remainder(np.multiply.outer(np.arange(rows.start, rows.stop), log_x), order,
@@ -128,7 +136,7 @@ class RSCode:
                 "decode tables for n=%d need %d bytes, over the guard of %d"
                 % (n, needed, TABLE_BYTES_GUARD))
         fa, order = field_arrays(self.gf), self.gf.q - 1
-        x, log_x, _ = _node_tables(self.gf, tuple(self.nodes))
+        x, log_x, _ = self.node_tables
         powers = np.empty((n, n - k), dtype=np.int32)
         for rows in _row_blocks(n, n):
             np.remainder(np.multiply.outer(log_x[rows], np.arange(n - k)), order,
@@ -174,20 +182,22 @@ def encode(code: RSCode, message) -> list:
 
 
 def root_logs(code: RSCode, zero) -> np.ndarray:
-    """s x n int64 for the s x n bool mask zero: entry (i, j) a log of
-    prod (x_j - x_z) over the nodes x_z with zero[i, z], unreduced (a sum of
-    logs below q - 1), where j is no root of row i (at a root the product
-    is 0 and the entry is no log of it).  One integer product of the mask
-    with the node-difference logs: the node set's n x n table when it has
-    one (n^2 <= arrays.BLOCK_ELEMENTS, ``_node_tables``), and otherwise
-    differences taken a block of at most arrays.BLOCK_ELEMENTS at a time."""
-    tables = _node_tables(code.gf, tuple(code.nodes))
+    """s x n int32 for the s x n bool mask zero: entry (i, j) a log of
+    prod (x_j - x_z) over the nodes x_z with zero[i, z], where j is no root
+    of row i (at a root the product is 0 and the entry is no log of it).
+    One integer product of the mask with the node-difference logs: the
+    code's n x n table when its node set has one (n^2 <=
+    arrays.BLOCK_ELEMENTS, ``_node_tables``), unreduced sums of at most 128
+    of its entries, which int32 holds; otherwise differences taken a block
+    of at most arrays.BLOCK_ELEMENTS at a time, each block's sums taken in
+    int64 and reduced modulo q - 1."""
+    tables = code.node_tables
     if tables.log_diff is not None:
-        return np.matmul(zero, tables.log_diff, dtype=np.int64)
-    fa, x = field_arrays(code.gf), tables.x
-    out = np.empty((len(zero), code.n), dtype=np.int64)
+        return zero @ tables.log_diff  # bool times int32 is int32
+    fa, x, order = field_arrays(code.gf), tables.x, code.gf.q - 1
+    out = np.empty((len(zero), code.n), dtype=np.int32)
     for cols in _row_blocks(code.n, code.n):
-        out[:, cols] = np.matmul(zero, fa.log_sub(x[cols, None], x).T, dtype=np.int64)
+        out[:, cols] = np.matmul(zero, fa.log_sub(x[cols, None], x).T, dtype=np.int64) % order
     return out
 
 
@@ -199,7 +209,7 @@ def interpolation_table(code: RSCode) -> np.ndarray:
     key = (code.gf, tuple(code.nodes[:code.k]))
     table = _interpolation_tables.get(key)
     if table is None:
-        x = _node_tables(code.gf, tuple(code.nodes)).x[:code.k]
+        x = code.node_tables.x[:code.k]
         table = _lagrange_logs(code.gf, x, _node_product(field_arrays(code.gf), x))
         table.flags.writeable = False
         _interpolation_tables.put(key, table)
@@ -312,7 +322,7 @@ def _locate(code: RSCode, received, erasures) -> _Word:
         raise DecodingError("only %d unerased symbols, need %d" % (n - f, k))
 
     fa, tables = field_arrays(gf), code.decode_tables
-    x = _node_tables(gf, tuple(code.nodes)).x
+    x = code.node_tables.x
     y = np.where(keep, word, 0).astype(fa.dtype)
     log_y = fa.logs(y)
     m = n - k - f

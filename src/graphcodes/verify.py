@@ -14,13 +14,17 @@ of one and no concatenation of one is built.  Its guard still counts all
 q^s messages.
 It also counts the messages that encode to zero, which gives the rank of G,
 so ``verification_report`` runs no elimination when a consistent spec's G
-has full rank and one, for T's rank, otherwise.  Its result is a
-``DistanceReport``, an exact ``bounds.Bound`` that carries the rank too.
+has full rank and one, for T's rank, otherwise.  ``min_distance_exhaustive``
+is its boundary: it checks G's shape and symbols, takes G's logs, and
+returns a ``DistanceReport``, an exact ``bounds.Bound`` that carries the
+rank too.  The enumeration itself, ``_min_distance``, runs on int32 logs,
+and ``verification_report`` hands it the spec's ``CodeSpec.log_G``, which
+a construction stores as it built it.
 ``verdict`` judges a spec by its ``verification_report``; it owns every
 rule the CLI's ``verify`` applies.
 Encoding, fast read and decoding run on field arrays against the spec's
-own tables, each built on first use: ``CodeSpec.log_G``, the logs of G, and
-``CodeSpec.log_R``, the decode table.  Decoding is one pass from the word
+own tables: ``CodeSpec.log_G``, the logs of G, and ``CodeSpec.log_R``, the
+decode table, built on the first decode.  Decoding is one pass from the word
 to the message: the RS layer's syndromes, locator and roots
 (``rs._locate``), the corrected codeword at the spec's information
 positions P alone (``rs._corrected_logs``), m = those values times R, and
@@ -76,8 +80,17 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
     """
     if len(G) == 0 or len(G[0]) == 0 or any(len(r) != len(G[0]) for r in G):
         raise ValueError("generator must be a non-empty rectangular matrix")
-    Gm = symbols(G, gf.q, "generator entries", ndim=2)
-    s, n = Gm.shape
+    log_G = field_arrays(gf).logs(symbols(G, gf.q, "generator entries", ndim=2))
+    value, witness, rank_G, hist = _min_distance(log_G, gf, guard, with_histogram)
+    return DistanceReport(value, value, witness, "exhaustive", rank_G, hist)
+
+
+def _min_distance(log_G, gf: GF, guard: int, with_histogram: bool):
+    """(distance, witness, rank, histogram or None) of the generator whose
+    int32 logs are log_G (s x n, as ``FieldArrays.logs`` gives them), for
+    ``min_distance_exhaustive``, which checks G, and for
+    ``verification_report``, which reads a spec's ``log_G``."""
+    s, n = log_G.shape
     q = gf.q
     total = q ** s
     if total > guard:
@@ -87,7 +100,7 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
     # tables[i][:, x] is the row x . G[i] as a column; fa.log[:q] holds the
     # logs of the elements 0 .. q - 1
     fa = field_arrays(gf)
-    tables = fa.elements(fa.log[:q] + fa.logs(Gm)[:, :, None])
+    tables = fa.elements(fa.log[:q] + log_G[:, :, None])
     add, sub, m1 = fa.add, fa.sub, gf.neg(1)
 
     # Codewords are columns.  The last l rows are the lower ones: lower[:, j]
@@ -127,18 +140,23 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
     lower = lower[:, None]
     # targets per block, at least two, so that the first holds a message
     step = max(2, BLOCK // lower.shape[2])
-    weight_dtype = np.min_scalar_type(n)
 
     hist = np.zeros(n + 1, dtype=np.int64) if with_histogram else None
     best, best_j, zeros, offset = n + 1, None, 0, 0  # best: the least weight so far
     for start in range(0, targets.shape[1], step):
-        # w: the weights of a block's messages, in lex order
-        w = (lower != targets[:, start:start + step]).sum(axis=0, dtype=weight_dtype)
-        if start or not first:
-            w = w.reshape(-1)
-        else:  # target 0 keeps the lower messages whose first nonzero symbol is 1
-            w = np.concatenate([w[0, q ** k:2 * q ** k] for k in range(ell)] + [w[1:]],
-                               axis=None)
+        # w: the weights of a block's messages, in lex order; a weight is at
+        # most n <= q, so the elements' dtype holds it
+        w = (lower != targets[:, start:start + step]).sum(axis=0, dtype=fa.dtype)
+        w = w.reshape(-1)
+        if not start and first:
+            # target 0 keeps the lower messages whose first nonzero symbol
+            # is 1.  At l = 1 that is (0, ..., 0, 1) alone, and its multiple
+            # (0, ..., 0, q - 1), which weighs as much, sits just before the
+            # next target's messages
+            if ell == 1:
+                w = w[q - 1:]
+            else:
+                w = np.concatenate([w[q ** k:2 * q ** k] for k in range(ell)] + [w[q ** ell:]])
         if with_histogram:
             hist += np.bincount(w, minlength=n + 1)
         j = int(w.argmin())  # ties keep the earlier (lex smaller) witness
@@ -147,8 +165,9 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
             zeros += len(w) - len(nonzero)
             if len(nonzero):
                 j = int(nonzero[w.take(nonzero).argmin()])
-        if 0 < w[j] < best:
-            best, best_j = int(w[j]), offset + j
+        least = int(w[j])
+        if 0 < least < best:
+            best, best_j = least, offset + j
         offset += len(w)
 
     if best_j is None:
@@ -169,8 +188,7 @@ def min_distance_exhaustive(G, gf: GF, guard: int = ENUM_GUARD,
         j, d = divmod(j, q)
         digits.append(d)
     witness = (0,) * (s - 1 - k) + (1,) + tuple(reversed(digits))
-    return DistanceReport(
-        best, best, witness, "exhaustive", rank_G,
+    return best, witness, rank_G, (
         {w: int(c) * (q - 1) for w, c in enumerate(hist) if c} if with_histogram else None)
 
 
@@ -250,12 +268,12 @@ def verification_report(spec: CodeSpec, g, guard: int = ENUM_GUARD) -> dict:
     ``consistent`` spec guarantees, rank_G <= rank_T <= s, so rank_T is s
     when G has full rank; otherwise one elimination runs, on T.
     """
-    report = min_distance_exhaustive(spec.G, spec.gf, guard)
+    distance, witness, rank_G, _ = _min_distance(spec.log_G, spec.gf, guard, False)
     return {
-        "distance": report.value,
-        "witness_message": list(report.witness),
-        "rank_G": report.rank,
-        "rank_T": (spec.s if spec.consistent and report.rank == spec.s
+        "distance": distance,
+        "witness_message": list(witness),
+        "rank_G": rank_G,
+        "rank_T": (spec.s if spec.consistent and rank_G == spec.s
                    else rank(spec.gf, spec.T)),
         "valid_pattern": validity_check(g, spec.G),
         "systematic": spec.systematic,

@@ -5,15 +5,18 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_linalg
 from conftest import REF_G, random_dims, random_graph
 from graphcodes import construct, linalg, rs, verify
+from graphcodes.arrays import field_arrays
 from graphcodes.construct import (CodeSpec, generic_subcode, rs_nullspace_construct,
                                   systematic_columns_ok, systematic_dmin, systematic_dsys)
-from graphcodes.errors import DecodingError, GuardExceededError, InconsistentCodeError
+from graphcodes.errors import (DecodingError, GuardExceededError, InconsistentCodeError,
+                               InfeasibleError, NoMatchingError)
 from graphcodes.field import GF
 from graphcodes.graph import ConstraintGraph, load_graph
 from graphcodes.rs import RSCode, default_defining_set, encode, generator_matrix
@@ -290,6 +293,32 @@ def test_distance_report_rank_matches_elimination(p, m, s_max):
                     assert min_distance_exhaustive(G, gf).rank == scalar_linalg.rank(gf, G)
 
 
+@pytest.mark.parametrize("p, m", [(7, 1), (11, 1), (2, 3), (2, 4)])
+def test_constructions_hand_the_audit_the_logs_of_G(p, m):
+    """Each construction stores the int32 logs of the G it built, and the
+    audit on them reports what it reports on the same code read back from
+    its file, whose logs are built from G on first use."""
+    gf = GF(p, m)
+    fa = field_arrays(gf)
+    rng = random.Random(9100 + 10 * p + m)
+    builds = (generic_subcode, systematic_dmin, systematic_dsys, rs_nullspace_construct)
+    built = Counter()
+    while min(built[b] for b in builds) < 3:
+        g = random_graph(rng, *random_dims(rng, 4, min(gf.q, 9)),
+                         density=rng.choice((0.35, 0.55, 0.75, 0.9)))
+        for build in builds:
+            try:
+                spec = build(g, gf)
+            except (InfeasibleError, NoMatchingError):
+                continue
+            assert spec.log_G.dtype == np.int32
+            assert np.array_equal(spec.log_G, fa.logs(spec.G))
+            loaded = CodeSpec.from_dict(spec.to_dict())
+            assert "log_G" not in vars(loaded)
+            assert verification_report(spec, g) == verification_report(loaded, g)
+            built[build] += 1
+
+
 def test_verification_report_runs_one_elimination(ref_graph, gf7, monkeypatch):
     """A constructed spec has rank_G <= rank_T <= s, so a full-rank G runs
     no elimination; a rank-deficient one runs one, on T."""
@@ -382,6 +411,11 @@ SYMBOL_ENTRY_POINTS = {
     "CodeSpec.from_dict defining_set": lambda spec, g, bad: _load_with(spec, "defining_set", bad),
     "CodeSpec.from_dict k": lambda spec, g, bad: _load_with(spec, "k", bad),
     "subcode_encode": lambda spec, g, bad: subcode_encode(spec, _swap([1, 2, 3], bad, spec.gf.q)),
+    # a spec given another G builds the logs of G on first use, and checks G first
+    "subcode_encode G": lambda spec, g, bad: subcode_encode(
+        dataclasses.replace(spec, G=_swap_row(spec.G, bad, spec.gf.q)), [1, 2, 3]),
+    "verification_report G": lambda spec, g, bad: verification_report(
+        dataclasses.replace(spec, G=_swap_row(spec.G, bad, spec.gf.q)), g),
     "subcode_decode word": lambda spec, g, bad: subcode_decode(
         spec, _swap(spec.G[0], bad, spec.gf.q)),
     "subcode_decode erasures": lambda spec, g, bad: subcode_decode(
@@ -527,12 +561,22 @@ def test_verdict_holds_the_distance_to_its_claim(ref_graph, gf7, claimed, exact,
         [] if problem is None else [problem])
 
 
+def assert_logs_follow_G(tampered, spec):
+    """tampered, a dataclasses.replace of the constructed spec with another
+    G, holds the logs of its own G."""
+    assert "log_G" in vars(spec) and "log_G" not in vars(tampered)
+    assert np.array_equal(tampered.log_G, field_arrays(spec.gf).logs(tampered.G))
+    assert not np.array_equal(tampered.log_G, spec.log_G)
+
+
 def test_verdict_flags_matched_columns_that_are_no_identity(ref_graph, gf7):
     spec = systematic_dsys(ref_graph, gf7)
     # row 0 of T and of G times 2: G = T . G_RS still, with the same zeros
     # and the same code, but G's matched column 0 holds a 2
     scaled = dataclasses.replace(spec, T=[[2 * v % 7 for v in spec.T[0]]] + spec.T[1:],
                                  G=[[2 * v % 7 for v in spec.G[0]]] + spec.G[1:])
+    # the audit reads the logs of the new G, not those the construction stored
+    assert_logs_follow_G(scaled, spec)
     report = verification_report(scaled, ref_graph)
     assert report["valid_pattern"] and report["distance"] == 4
     assert verdict(scaled, report) == ["matched columns do not form an identity"]
@@ -547,6 +591,7 @@ def test_verdict_flags_a_generator_off_the_zero_pattern(ref_graph, gf7):
     # claiming only distance 1 keeps the claim out of it
     tampered = dataclasses.replace(spec, G=G, claimed_distance=1, distance_exact=False,
                                    consistent=False)
+    assert_logs_follow_G(tampered, spec)
     report = verification_report(tampered, ref_graph)
     assert not report["valid_pattern"] and report["systematic"]
     assert verdict(tampered, report) == ["generator violates the adjacency zero pattern"]
@@ -791,12 +836,22 @@ def test_unit_columns_decide_the_route(monkeypatch):
     assert subcode_decode(spec, received) == message
 
 
-def test_spec_tables_are_built_once_and_decode_tables_only_on_decode(ref_graph, gf7):
+def test_spec_tables_are_built_once_and_decode_tables_only_on_decode(ref_graph, gf7,
+                                                                   monkeypatch):
+    built = []
+
+    def kept(code, zero):  # the array the construction turns into the logs of G
+        built.append(rs.root_logs(code, zero))
+        return built[-1]
+
+    monkeypatch.setattr(construct, "root_logs", kept)
     spec = systematic_dsys(ref_graph, gf7)
     tables = {"log_G", "log_R"}
-    assert not tables & set(vars(spec))
-    codeword = subcode_encode(spec, [2, 5, 1])
+    # the construction stores the logs of G it built; the decode table waits
     log_G = vars(spec)["log_G"]
+    assert log_G is built[0] and log_G.dtype == np.int32
+    assert "log_R" not in vars(spec)
+    codeword = subcode_encode(spec, [2, 5, 1])
     assert systematic_fast_read(spec, codeword) == ([2, 5, 1], True)
     assert spec.log_G is log_G and "log_R" not in vars(spec)
     assert subcode_decode(spec, codeword) == [2, 5, 1]
