@@ -13,12 +13,14 @@ scaled by the constant of log c (below q - 1, or ``zero_log`` for zero) is
 ``c + log_row`` temporary, on intp logs: ``take`` converts int32 indices on
 every call (1.3 us against 0.9 at 300 entries).  ``sub`` takes ``out=``, so
 a caller can update a row slice in place.  ``vec_mat_logs`` is the one
-vector-matrix product, and it owns the bound on its gather: a product that
-gathers more than BLOCK_ELEMENTS elements is summed a block of the
-matrix's rows at a time, and of the vectors too when they are many.  Over
-GF(p) a product within the bound is one integer matmul of the elements
-instead, reduced mod p: it gathers nothing, and at the sizes of a small
-code's transform rows it costs about two thirds of a gather and a sum.
+vector-matrix product, one algorithm per kind of field.  Over GF(p) it is
+an integer matmul of the elements, reduced mod p once: it gathers no
+products, and at the sizes of a small code's transform rows it costs about
+two thirds of a gather and a sum.  Over GF(2^m), which has no matmul for
+its XOR sum, it gathers the products and sums them, and it owns the bound
+on that gather: a product that gathers more than BLOCK_ELEMENTS elements is
+summed a block of the matrix's rows at a time, and of the vectors too when
+they are many.
 Elements are held in the smallest unsigned dtype that holds 2q - 2, so a
 sum a + b and a difference a - b + p of two elements never wrap.  That
 makes GF(p) reduction a
@@ -73,8 +75,7 @@ class FieldArrays:
         self.logs, self.elements = self.log.take, self.exp.take
         dtype = self.dtype
         # over GF(p), vec_mat_logs multiplies elements gathered from this
-        # int64 copy of exp over the logs [0, zero_log], which numpy's matmul
-        # takes with no cast; an XOR sum has no matmul
+        # int64 copy of exp, which numpy's matmul takes with no cast
         self._exp64 = None
         if gf.p == 2:
             def xor(a, b, out=None):  # the explicit dtype refuses what GF(p) refuses
@@ -106,7 +107,7 @@ class FieldArrays:
             self.log_sub = lambda a, b: self.log.take(
                 np.subtract(a, b, dtype=np.intp), mode="wrap")
             self.sum = lambda a, axis=0: (np.add.reduce(a, axis=axis) % p).astype(dtype)
-            self._exp64 = self.exp[:self.zero_log + 1].astype(np.int64)
+            self._exp64 = self.exp.astype(np.int64)
 
     def mul(self, a, b):
         return self.elements(self.logs(a) + self.logs(b))
@@ -116,18 +117,30 @@ class FieldArrays:
         return self.elements((self.q - 1) - self.logs(a))
 
     def vec_mat_logs(self, log_v, log_mat):
-        """v . M, one per row of a 2-D v, from the logs.  A product that
-        gathers at most BLOCK_ELEMENTS elements is one gather and one sum,
-        or over GF(p) one integer matmul of the elements reduced mod p (its
-        sums of at most BLOCK_ELEMENTS products below p^2 fit int64); a
-        larger one is gathered and summed a block of M's rows at a time, and
-        when one row of M against every row of v is over the bound, a block
-        of v's rows at a time as well."""
+        """v . M, one per row of a 2-D v, from the logs.
+
+        Over GF(p), an integer matmul of the elements, a block of
+        BLOCK_ELEMENTS elements of M at a time so that M's int64 copy stays
+        bounded, summed in int64 and reduced mod p once: a product of two
+        elements lies below p^2 < 2^32, so fewer than 2^31 rows of M never
+        overflow.  Over GF(2^m), a product that gathers at most
+        BLOCK_ELEMENTS elements is one gather and one sum; a larger one is
+        gathered and summed a block of M's rows at a time, and when one row
+        of M against every row of v is over the bound, a block of v's rows
+        at a time as well."""
+        if self._exp64 is not None:
+            exp64 = self._exp64
+            v = exp64.take(log_v)
+            step = BLOCK_ELEMENTS // (log_mat.shape[1] or 1) or 1  # rows of M per block
+            if len(log_mat) <= step:
+                out = np.matmul(v, exp64.take(log_mat))
+            else:
+                out = sum(np.matmul(v[..., start:start + step],
+                                    exp64.take(log_mat[start:start + step]))
+                          for start in range(0, len(log_mat), step))
+            return (out % self.q).astype(self.dtype)
         gathered = log_v.size * log_mat.shape[1]
         if gathered <= BLOCK_ELEMENTS:
-            if self._exp64 is not None:
-                products = np.matmul(self._exp64.take(log_v), self._exp64.take(log_mat))
-                return (products % self.q).astype(self.dtype)
             return self.sum(self.elements(log_v[..., None] + log_mat), axis=-2)
         step = max(1, BLOCK_ELEMENTS // log_mat.shape[1])  # rows of v per block
         if log_v.ndim == 2 and len(log_v) > step:

@@ -41,8 +41,8 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import and_
 
-from .graph import (ConstraintGraph, bits_mask, check_matching, check_subset_limit,
-                    exact_limit, find_matching, min_surplus)
+from .graph import (ConstraintGraph, _greedy_matching, bits_mask, check_matching,
+                    check_subset_limit, exact_limit, find_matching, min_surplus)
 
 MATCHING_GUARD = 12
 # Column sets the exact k_sys search remembers.  Past the cap it stops
@@ -157,30 +157,29 @@ def _d_min_exhaustive(g: ConstraintGraph) -> Bound:
 def matching_k(g: ConstraintGraph, matching) -> int:
     """Max row zeros + 1 of the matched adjacency: row i loses the others' matched columns."""
     matched = sum(1 << c for c in check_matching(g, matching))
-    return g.n - min((g.row_mask(i) & ~matched).bit_count() for i in range(g.s))
+    return _leaf_k(g._masks, g.n, matched)
+
+
+def _leaf_k(masks, n: int, matched: int) -> int:
+    """k of a matching whose columns are the mask matched: n minus the
+    fewest columns a row keeps."""
+    return n - min([(m & ~matched).bit_count() for m in masks])
 
 
 def _k_sys_exact(g: ConstraintGraph, k_floor: int) -> Bound:
     masks, s, n = g._masks, g.s, g.n
     # The search's first leaf is the greedy matching, each row in turn on
-    # its first free column: no prune fires on the way down, as a row's
-    # count reaches n only once every column of it is taken, and nothing is
-    # explored yet.  When that leaf meets the k_min floor the search stops
+    # its first free column (the Hall matching's first pass): no prune
+    # fires on the way down, as a row's count reaches n only once every
+    # column of it is taken, and nothing is explored yet.  When that leaf meets the k_min floor the search stops
     # there, so it is the answer, read with none of the search's set-up.
     # Otherwise the search starts from it: a leaf must beat the best so
     # far, so no other leaf is taken before it, and a node it prunes on its
     # way down holds no better leaf and is pruned again on any later visit.
     incumbent = n + 1, None
-    taken, greedy = 0, []
-    for m in masks:
-        free = m & ~taken
-        if not free:
-            break
-        bit = free & -free
-        taken |= bit
-        greedy.append(bit.bit_length() - 1)
-    else:
-        k = n - min([(m & ~taken).bit_count() for m in masks])
+    greedy, taken = _greedy_matching(masks)
+    if None not in greedy:
+        k = _leaf_k(masks, n, taken)
         if k == k_floor:
             return Bound(k, k, tuple(greedy), "exhaustive")
         incumbent = k, tuple(greedy)
@@ -226,7 +225,7 @@ def _k_sys_exact(g: ConstraintGraph, k_floor: int) -> Bound:
                 if dfs(i + 1, nxt, nxt_zeros):
                     return True
             else:  # a reached leaf always improves, so it never recurs
-                k = n - min([(m & ~nxt).bit_count() for m in masks])
+                k = _leaf_k(masks, n, nxt)
                 best[:] = k, tuple(assign), top - ones * (k - 1)
                 if k == k_floor:
                     return True

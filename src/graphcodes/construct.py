@@ -33,7 +33,7 @@ code exists exactly when every row has fewer than k zeros.  The library's
 general-MDS path, ``mds_nullspace_construct``, builds each row from any MDS
 generator instead, as a spec with no RS layer: a left-nullspace combination
 of the columns that must vanish, mixed and scaled on field arrays, each
-basis times the generator one ``vec_mat_logs``, gathered a block of the
+basis times the generator one ``vec_mat_logs``, taken a block of the
 generator's rows at a time when it is large.  Its k is the generator's row
 count, and its row loop makes the same zero-count check once.  Over an RS
 generator the two agree: the zero columns Z of the Vandermonde generator
@@ -91,7 +91,11 @@ class CodeSpec:
     other spec (one read by ``from_dict``, one built by hand, or one that
     ``dataclasses.replace`` gave a new G).  ``log_R``, the decode table, is
     built on the first decode.  They are not fields, so they never enter
-    repr or ``to_dict``, and the spec compares by identity.
+    repr or ``to_dict``, and the spec compares by identity.  Both are kept
+    for the spec's life, so its G is changed only through
+    ``dataclasses.replace``, which gives a spec that builds its own: a G
+    changed in place, or assigned anew, would leave the audit, encode and
+    decode on the old one's tables.
     """
 
     gf: GF
@@ -125,8 +129,10 @@ class CodeSpec:
     def log_G(self) -> np.ndarray:
         """G (s x n) as int32 logs: stored by the construction that built
         them, and on any other spec built from G on first use, once its
-        entries pass ``arrays.symbols``."""
-        return field_arrays(self.gf).logs(symbols(self.G, self.gf.q, "G entries", ndim=2))
+        entries pass ``arrays.symbols``.  Read-only either way."""
+        log_G = field_arrays(self.gf).logs(symbols(self.G, self.gf.q, "G entries", ndim=2))
+        log_G.flags.writeable = False
+        return log_G
 
     @functools.cached_property
     def log_R(self) -> MessageMap:
@@ -265,6 +271,7 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
                     G=fa.elements(log_G).tolist(), mode=mode, matching=matching,
                     claimed_distance=claimed_distance, distance_exact=distance_exact,
                     consistent=True)
+    log_G.flags.writeable = False
     spec.__dict__["log_G"] = log_G  # where the cached property keeps it
     return spec
 

@@ -228,18 +228,22 @@ def find_matching(g: ConstraintGraph) -> tuple[int, ...]:
     return g._solve("matching", lambda: _hall_matching(g))
 
 
+def _greedy_matching(masks) -> tuple[list, int]:
+    """Each row in turn on its first free column: the rows' columns, None
+    for a row left with no free column, and the mask of the columns taken."""
+    match, taken = [], 0
+    for m in masks:
+        free = m & ~taken
+        bit = free & -free
+        taken |= bit
+        match.append(bit.bit_length() - 1 if free else None)
+    return match, taken
+
+
 def _hall_matching(g: ConstraintGraph) -> tuple[int, ...]:
     masks = g._masks
-    owner: dict[int, int] = {}
-    match: list = [None] * g.s
-    taken = 0
-    for i, m in enumerate(masks):  # each row takes its first free column
-        free = m & ~taken
-        if free:
-            bit = free & -free
-            taken |= bit
-            match[i] = bit.bit_length() - 1
-            owner[match[i]] = i
+    match, _ = _greedy_matching(masks)  # then the rows left are augmented
+    owner = {c: i for i, c in enumerate(match) if c is not None}
     for i in range(g.s):
         if match[i] is not None:
             continue

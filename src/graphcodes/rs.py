@@ -49,7 +49,7 @@ the code, with no second key lookup.  ``_poly_mul`` is the one polynomial
 product, batched over leading axes; ``_node_product``, a product tree of
 it, builds the node products that the interpolation table and the erasure
 factor start from.
-Beyond ``vec_mat_logs``, which bounds its own gather, only the table builds
+Beyond ``vec_mat_logs``, which bounds its own temporaries, only the table builds
 (``log_powers``, ``decode_tables``, ``root_logs`` and ``_lagrange_logs``),
 the node weights prod (x_j - x_i) (``_log_weights``) and the decoder's
 interpolation block by hand, by ``arrays.BLOCK_ELEMENTS``.

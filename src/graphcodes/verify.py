@@ -140,13 +140,13 @@ def _min_distance(log_G, gf: GF, guard: int, with_histogram: bool):
     lower = lower[:, None]
     # targets per block, at least two, so that the first holds a message
     step = max(2, BLOCK // lower.shape[2])
+    weight_dtype = np.min_scalar_type(n)
 
     hist = np.zeros(n + 1, dtype=np.int64) if with_histogram else None
     best, best_j, zeros, offset = n + 1, None, 0, 0  # best: the least weight so far
     for start in range(0, targets.shape[1], step):
-        # w: the weights of a block's messages, in lex order; a weight is at
-        # most n <= q, so the elements' dtype holds it
-        w = (lower != targets[:, start:start + step]).sum(axis=0, dtype=fa.dtype)
+        # w: the weights of a block's messages, in lex order
+        w = (lower != targets[:, start:start + step]).sum(axis=0, dtype=weight_dtype)
         w = w.reshape(-1)
         if not start and first:
             # target 0 keeps the lower messages whose first nonzero symbol

@@ -275,3 +275,18 @@ def test_symbols_refuses_every_negative_and_every_entry_from_q_up(dtype, q):
             else:
                 with pytest.raises(ValueError, match=r"entries must lie in \[0, %d\)" % q):
                     arrays.symbols(arr, q, "entries")
+
+
+@pytest.mark.parametrize("block", [1, 64, None])
+def test_vec_mat_logs_sums_the_largest_products_exactly(monkeypatch, block):
+    # over GF(65521) each product (p - 1)^2 is near 2^32, and 3000 of them
+    # are summed in int64 across blocks of M's rows before the one mod p
+    if block is not None:
+        monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", block)
+    fa = field_arrays(GF(65521))
+    rows = 3000
+    log_v = fa.logs(np.full((2, rows), 65520))
+    log_mat = fa.logs(np.full((rows, 3), 65520))
+    got = fa.vec_mat_logs(log_v, log_mat)
+    assert got.dtype == fa.dtype and got.tolist() == [[rows] * 3] * 2
+    assert fa.vec_mat_logs(log_v[0], log_mat).tolist() == [rows] * 3

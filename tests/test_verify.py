@@ -213,6 +213,18 @@ def test_distance_skips_zero_codewords_of_deficient_generators():
         min_distance_exhaustive([[0, 0], [0, 0]], gf)
 
 
+@pytest.mark.parametrize("n", [256, 257])
+def test_distance_counts_weights_beyond_the_field_order(n):
+    # a weight may exceed q: over GF(2) an element fits a uint8, a weight of
+    # 256 does not
+    gf = GF(2)
+    rep = min_distance_exhaustive([[1] * n], gf, with_histogram=True)
+    assert (rep.value, rep.witness, rep.rank, rep.weight_histogram) == (n, (1,), 1, {n: 1})
+    rep = min_distance_exhaustive([[1] * n, [0] * (n - 1) + [1]], gf, with_histogram=True)
+    assert (rep.value, rep.witness, rep.rank) == (1, (0, 1), 2)
+    assert rep.weight_histogram == {1: 1, n - 1: 1, n: 1}
+
+
 @pytest.mark.parametrize("p, m, G", [
     (7, 1, [[1, 9, 0], [0, 1, 2]]),      # 9 used to be read as 9 mod 7
     (2, 4, [[1, 16, 0], [0, 1, 2]]),     # 16 used to index past the log table
@@ -312,10 +324,12 @@ def test_constructions_hand_the_audit_the_logs_of_G(p, m):
             except (InfeasibleError, NoMatchingError):
                 continue
             assert spec.log_G.dtype == np.int32
+            assert not spec.log_G.flags.writeable
             assert np.array_equal(spec.log_G, fa.logs(spec.G))
             loaded = CodeSpec.from_dict(spec.to_dict())
             assert "log_G" not in vars(loaded)
             assert verification_report(spec, g) == verification_report(loaded, g)
+            assert not loaded.log_G.flags.writeable
             built[build] += 1
 
 
