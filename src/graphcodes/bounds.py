@@ -26,9 +26,10 @@ to a row count: SUBSET_GUARD rows for the ``d_min`` walk, MATCHING_GUARD
 for the exact ``k_sys`` search.  Every entry takes one argument,
 ``max_exact_s``, that raises both limits and never lowers either
 (``graph.exact_limit``).  Above its limit ``d_min_bound`` raises, while
-``k_sys_search`` alone picks the greedy fallback, an upper bound flagged
-inexact.  Each graph runs each search at most once and keeps the result;
-the limits are still checked on every call, ahead of the stored result.
+``k_sys_search`` alone falls back to ``_k_sys_heuristic``, the Hall
+matching improved one row move at a time, an upper bound flagged inexact.
+Each graph runs each search at most once and keeps the result; the limits
+are still checked on every call, ahead of the stored result.
 
 Every search returns a ``Bound``: the interval [floor, value] that holds
 the minimum, its witness and the method that found it.  ``verify``'s

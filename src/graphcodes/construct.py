@@ -9,8 +9,9 @@ rows at once on field arrays: row i of G is zero at the row's roots and
 elsewhere the product of (x_j - x_z) over them (``rs.root_logs``), divided by
 that product at the matched node when there is a matching.  T is then G's
 first k columns times the Lagrange basis of the first k nodes
-(``rs.interpolation_table``, a table kept across constructions within
-``rs.INTERPOLATION_CACHE_BYTES``), one ``FieldArrays.vec_mat_logs``.  So no
+(``RSCode.interpolation``), one ``FieldArrays.vec_mat_logs``; the table is
+kept across constructions for the 64 node sets used last when it fits one
+``arrays.BLOCK_ELEMENTS`` block, as a node set's other tables are.  So no
 construction runs a product tree or ``rs.evaluate``, and the load check of a
 code file, G against ``rs.evaluate`` of T, checks G by a route independent
 of the one that built it.
@@ -68,7 +69,7 @@ from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF, _as_int
 from .graph import ConstraintGraph, _matched_rows, check_matching, find_matching
 from .linalg import left_nullspace_basis, rref
-from .rs import RSCode, default_defining_set, evaluate, interpolation_table, root_logs
+from .rs import RSCode, default_defining_set, evaluate, root_logs
 
 
 class MessageMap(NamedTuple):
@@ -162,21 +163,21 @@ class CodeSpec:
         log_R = np.full((k, s), fa.zero_log, dtype=np.int32)
         log_R[pivots] = fa.logs(rows)[:, k:]
         return MessageMap(np.arange(k), fa.logs(
-            fa.vec_mat_logs(interpolation_table(self.rs), log_R)))
+            fa.vec_mat_logs(self.rs.interpolation, log_R)))
 
     def to_dict(self) -> dict:
         if self.rs is None:
             raise ValueError("cannot serialize a spec without a defining set")
         return {
             "field": self.gf.to_dict(),
-            # RSCode accepts numpy integers, which json cannot write; a numpy
-            # k makes the claimed distance n - k + 1 one too
-            "defining_set": list(map(int, self.rs.nodes)),
-            "k": int(self.rs.k),
+            "defining_set": list(self.rs.nodes),  # RSCode keeps them as ints
+            "k": self.rs.k,
             "T": [list(r) for r in self.T],
             "G": [list(r) for r in self.G],
             "mode": self.mode,
             "matching": list(self.matching) if self.matching is not None else None,
+            # a numpy k given to a construction makes n - k + 1 numpy, which
+            # json cannot write
             "claimed_distance": int(self.claimed_distance),
             "distance_exact": self.distance_exact,
         }
@@ -266,7 +267,7 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
         log_G -= log_G.take(matching, axis=1).diagonal()[:, None]
     log_G %= rs.gf.q - 1
     np.putmask(log_G, zero, fa.zero_log)  # now exactly fa.logs(G)
-    T = fa.vec_mat_logs(log_G[:, :rs.k], interpolation_table(rs))
+    T = fa.vec_mat_logs(log_G[:, :rs.k], rs.interpolation)
     spec = CodeSpec(gf=rs.gf, rs=rs, T=T.tolist(),
                     G=fa.elements(log_G).tolist(), mode=mode, matching=matching,
                     claimed_distance=claimed_distance, distance_exact=distance_exact,
@@ -334,9 +335,10 @@ def systematic_dsys(g: ConstraintGraph, gf: GF, nodes=None,
     """Systematic code achieving the systematic ceiling d_sys.
 
     Uses the matching minimizing the worst row-zero count; above the exact
-    search's limit (``k_sys_search(g, max_exact_s)``) the greedy matching is
-    used instead and the claimed distance (still a valid lower bound) is
-    flagged inexact.
+    search's limit (``k_sys_search(g, max_exact_s)``) the heuristic's
+    matching is used instead (``bounds._k_sys_heuristic``: the Hall matching,
+    improved one row move at a time) and the claimed distance (still a valid
+    lower bound) is flagged inexact.
     """
     return _matched_subcode(g, gf, nodes, None, "systematic-dsys", max_exact_s)
 

@@ -7,22 +7,22 @@ the key-equation decoder of Sugiyama, Kasahara, Hirasawa and Namekawa
 whenever 2e + f <= n - k.  It runs on numpy field arrays (``arrays``)
 against ``RSCode.decode_tables``, built on a code's first decode: the node
 powers x_j^t for t < n - k and the column multipliers v_j as int32 logs
-(about 4 n (n - k) bytes), and the code's ``interpolation_table``.  The
-n - k syndromes are one ``FieldArrays.vec_mat_logs``; erasures enter as the
-factor prod (x - x_e), and only the coefficients of its product with the
-syndromes that the Euclid steps read are taken, one more ``vec_mat_logs``
-against a window that slides along the syndromes' logs.  Each quotient
-term of the Euclid steps costs one gather and one in-place update: the
-scaled row is ``exp[c:].take(log_row)``, which is ``elements(c + log_row)``
-without the sum, on a log row cast to intp once per step (``take`` converts
-int32 indices on every call), and ``FieldArrays.sub`` writes the difference
-into the row's slice through ``out=``.  The locator's roots are one more
+(about 4 n (n - k) bytes).  The n - k syndromes are one
+``FieldArrays.vec_mat_logs``; erasures enter as the factor prod (x - x_e),
+and only the coefficients of its product with the syndromes that the Euclid
+steps read are taken, one more ``vec_mat_logs`` against a window that
+slides along the syndromes' logs.  Each quotient term of the Euclid steps
+costs one gather and one in-place update: the scaled row is
+``exp[c:].take(log_row)``, which is ``elements(c + log_row)`` without the
+sum, on a log row cast to intp once per step (``take`` converts int32
+indices on every call), and ``FieldArrays.sub`` writes the difference into
+the row's slice through ``out=``.  The locator's roots are one more
 ``vec_mat_logs``.  Those steps are ``_locate``, and ``_corrected_logs``
 reads the corrected codeword at any chosen nodes: the received symbol
 where the locator and the erasures leave a node alone, and elsewhere the
 value interpolated through the first k nodes that are left alone.
 ``decode`` reads it at the first k nodes, turns that into the message with
-the interpolation table and re-encodes it as its acceptance check; a
+the code's interpolation table and re-encodes it as its acceptance check; a
 subcode's decoder (``verify.subcode_decode``) reads it at the subcode's
 information positions only.  The code's node powers (``RSCode.log_powers``)
 serve the generator, ``evaluate`` (encode and the code-file load check) and
@@ -31,24 +31,26 @@ The constructions build a subcode from its values instead.  ``root_logs``
 gives, for every row at once, the logs of the product of (x_j - x_z) over
 the row's roots z: one integer product of the row masks with the node set's
 difference table, or, above n = 128, with node differences taken a block
-of columns at a time.  ``interpolation_table`` turns values at the first k
+of columns at a time.  ``RSCode.interpolation`` turns values at the first k
 nodes into coefficients with one ``FieldArrays.vec_mat_logs``: it is the
-Lagrange basis of those nodes, built by synthetic division and kept
-read-only across codes, least recently used first out, within
-INTERPOLATION_CACHE_BYTES (4 MiB) in all.  A node set is checked and
-tabled once, on its first code, and kept for the 64 sets used last
+Lagrange basis of those nodes, built by synthetic division, read-only.
+One rule keeps a node set's tables across codes: they are kept for the 64
+sets used last (``_KEPT_SETS``), a table only when it fits one
+arrays.BLOCK_ELEMENTS block, and a table that does not is kept by its code
+alone.  A node set is checked and tabled once, on its first code
 (``_node_tables``): ``arrays.symbols`` checks it, and its nodes, their logs
-and, when n^2 <= arrays.BLOCK_ELEMENTS (n <= 128), the n x n int32 logs of
-the node differences are kept read-only.  That is at most 12 bytes a node
-and 64 KiB a difference table, 4 MiB of difference tables in all.  The
-tables are keyed by value, where True == 1, so ``RSCode`` passes only exact
-ints as they are.  Each ``RSCode`` keeps the tables of the set it checked
+and, when n^2 <= BLOCK_ELEMENTS (n <= 128), the n x n int32 logs of the
+node differences are kept.  A field and k-node prefix keep their
+interpolation table when k^2 <= BLOCK_ELEMENTS (``_interpolation``).  That
+is at most 12 bytes a node and 64 KiB a table, 4 MiB of each kind of table
+in all.  The tables are keyed by value, where True == 1, so ``RSCode``
+keeps only exact ints, which it checked, in place of the caller's nodes
+and k.  Each ``RSCode`` keeps the tables of the set it checked
 (``RSCode.node_tables``), and its node powers, its decode tables,
-``root_logs``, a missing interpolation table and ``_locate`` read them off
-the code, with no second key lookup.  ``_poly_mul`` is the one polynomial
-product, batched over leading axes; ``_node_product``, a product tree of
-it, builds the node products that the interpolation table and the erasure
-factor start from.
+``root_logs`` and ``_locate`` read them off the code, with no second key
+lookup.  ``_poly_mul`` is the one polynomial product, batched over leading
+axes; ``_node_product``, a product tree of it, builds the node products
+that the interpolation table and the erasure factor start from.
 Beyond ``vec_mat_logs``, which bounds its own temporaries, only the table builds
 (``log_powers``, ``decode_tables``, ``root_logs`` and ``_lagrange_logs``),
 the node weights prod (x_j - x_i) (``_log_weights``) and the decoder's
@@ -58,9 +60,6 @@ interpolation block by hand, by ``arrays.BLOCK_ELEMENTS``.
 from __future__ import annotations
 
 import functools
-import sys
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,11 +71,11 @@ from .errors import DecodingError, GuardExceededError
 from .field import _INT, GF, _as_int
 
 # bytes a code's decode tables may take: 4 n (n - k) of int32 node powers,
-# 4 n of multiplier logs and the 4 k^2 of the interpolation table
+# 4 n of multiplier logs and the 4 k^2 of the interpolation table, which a
+# decode may read, though decode_tables does not hold it
 TABLE_BYTES_GUARD = 256 << 20
-# bytes the interpolation tables kept across constructions may take in all,
-# each counted with its node tuple by sys.getsizeof
-INTERPOLATION_CACHE_BYTES = 4 << 20
+# node sets whose tables are kept across codes, the ones used last
+_KEPT_SETS = 64
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,11 @@ class RSCode:
         k = _as_int(self.k)  # an integer before it sizes a table
         if k is None or not 1 <= k <= n:
             raise ValueError("k must lie in [1, %d] and be an integer, got %r" % (n, self.k))
+        # the checked nodes and k in place of the caller's: a list, an array
+        # or numpy integers give the code a tuple of ints gives, hashable,
+        # and a later change to the caller's object reaches no table
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "k", k)
         # the checked node set's tables, kept on the code so that its table
         # builds and its decoder look no key up again; not a field, so
         # equality, hashing and repr ignore them
@@ -144,7 +148,20 @@ class RSCode:
         if 0 in self.nodes:
             powers[self.nodes.index(0), 1:] = fa.zero_log
         log_v = (-_log_weights(fa, x) % order).astype(np.int32)
-        return DecodeTables(powers, log_v, interpolation_table(self))
+        return DecodeTables(powers, log_v)
+
+    @functools.cached_property
+    def interpolation(self) -> np.ndarray:
+        """k x k int32 logs, read-only: row j the coefficients of the
+        Lagrange basis polynomial of node j over the first k nodes
+        (``_lagrange_logs``); not a field, so equality and hashing ignore
+        it.  Shared by every code on the same field and first k nodes while
+        k^2 <= arrays.BLOCK_ELEMENTS (``_interpolation``), since a design
+        builds many codes on one; a larger table is this code's alone."""
+        prefix = self.nodes[:self.k]
+        if self.k ** 2 <= arrays.BLOCK_ELEMENTS:
+            return _interpolation(self.gf, prefix)
+        return _interpolation.__wrapped__(self.gf, prefix)
 
 
 class DecodeTables(NamedTuple):
@@ -152,7 +169,6 @@ class DecodeTables(NamedTuple):
 
     powers: np.ndarray  # n x (n - k): x_j^t for t < n - k, 0^0 = 1
     log_v: np.ndarray  # n, below q - 1: v_j = 1 / prod over i != j of (x_j - x_i)
-    interpolation: np.ndarray  # k x k: the code's interpolation_table
 
 
 def default_defining_set(gf: GF, n: int) -> tuple[int, ...]:
@@ -201,55 +217,6 @@ def root_logs(code: RSCode, zero) -> np.ndarray:
     return out
 
 
-def interpolation_table(code: RSCode) -> np.ndarray:
-    """k x k int32 logs, read-only: row j the coefficients of the Lagrange
-    basis polynomial of node j over the first k nodes (``_lagrange_logs``).
-    Kept per field and k-node prefix in ``_interpolation_tables``, since a
-    design builds many codes on one."""
-    key = (code.gf, tuple(code.nodes[:code.k]))
-    table = _interpolation_tables.get(key)
-    if table is None:
-        x = code.node_tables.x[:code.k]
-        table = _lagrange_logs(code.gf, x, _node_product(field_arrays(code.gf), x))
-        table.flags.writeable = False
-        _interpolation_tables.put(key, table)
-    return table
-
-
-class _TableCache:
-    """Read-only tables by key, least recently used first out, at most
-    INTERPOLATION_CACHE_BYTES in all, each table counted with its key's node
-    tuple by sys.getsizeof; a table over that bound alone is not kept.  A
-    lock serializes every read and update, so threads building codes at
-    once cannot tear the byte count."""
-
-    def __init__(self):
-        self.entries: OrderedDict = OrderedDict()  # key -> (table, bytes)
-        self.bytes = 0
-        self.lock = threading.Lock()
-
-    def get(self, key):
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is None:
-                return None
-            self.entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key, table) -> None:
-        size = sys.getsizeof(table) + sys.getsizeof(key[1])
-        with self.lock:
-            if key in self.entries or size > INTERPOLATION_CACHE_BYTES:
-                return
-            while self.bytes + size > INTERPOLATION_CACHE_BYTES:
-                self.bytes -= self.entries.popitem(last=False)[1][1]
-            self.entries[key] = table, size
-            self.bytes += size
-
-
-_interpolation_tables = _TableCache()
-
-
 def decode(code: RSCode, received, erasures=()):
     """Correct e errors and f erasures whenever 2e + f <= n - k, by the
     key equation (Sugiyama, Kasahara, Hirasawa and Namekawa, 1975).
@@ -267,7 +234,7 @@ def decode(code: RSCode, received, erasures=()):
     word = _locate(code, received, erasures)
     fa = field_arrays(code.gf)
     log_c = _corrected_logs(code, word, np.arange(code.k))
-    message = fa.vec_mat_logs(log_c, code.decode_tables.interpolation)
+    message = fa.vec_mat_logs(log_c, code.interpolation)
     values = fa.vec_mat_logs(fa.logs(message), code.log_powers)
     return message.tolist(), word.errors(values, code.k).tolist()
 
@@ -479,7 +446,18 @@ class _NodeTables(NamedTuple):
     log_diff: np.ndarray | None
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=_KEPT_SETS)
+def _interpolation(gf: GF, prefix: tuple[int, ...]) -> np.ndarray:
+    """The interpolation table of the checked nodes ``prefix``
+    (``RSCode.interpolation``), read-only."""
+    fa = field_arrays(gf)
+    x = np.array(prefix, dtype=fa.dtype)
+    table = _lagrange_logs(gf, x, _node_product(fa, x))
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=_KEPT_SETS)
 def _node_tables(gf: GF, nodes: tuple[int, ...]) -> _NodeTables:
     """The node set's tables, built on its first code, which is where the
     set is checked: every node a symbol of gf and none twice.  A set that

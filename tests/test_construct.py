@@ -559,12 +559,12 @@ def test_subcode_transform_matches_the_scalar_reference(case):
 @pytest.mark.parametrize("block", [arrays.BLOCK_ELEMENTS, 40])
 def test_subcode_rows_do_not_depend_on_the_block_size(request, monkeypatch, block):
     # 40 elements split both the node-difference columns and the
-    # interpolation gather into several blocks; a node set's difference
-    # table is kept only if it fits one block, so the sets are built afresh
+    # interpolation gather into several blocks; a node set's tables are kept
+    # only if they fit one block, so the sets are built afresh
     monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", block)
-    monkeypatch.setattr(rs, "_interpolation_tables", rs._TableCache())
-    rs._node_tables.cache_clear()
-    request.addfinalizer(rs._node_tables.cache_clear)
+    for cache in (rs._node_tables, rs._interpolation):
+        cache.cache_clear()
+        request.addfinalizer(cache.cache_clear)
     rng = random.Random(41)
     for gf in (GF(13), GF(2, 4)):
         for _ in range(20):
@@ -620,16 +620,15 @@ def test_fields_of_equal_order_keep_their_own_interpolation_tables():
                 assert spec.G == evaluate(code, spec.T)
 
 
-def _cached_bytes(key, table):
-    """What the interpolation cache counts for one entry."""
-    return sys.getsizeof(table) + sys.getsizeof(key[1])
-
-
-def test_interpolation_cache_stays_within_its_byte_bound(monkeypatch):
-    bound = 1000  # 16 x 16 down to 14 x 14 tables are over it on their own
-    cache = rs._TableCache()
-    monkeypatch.setattr(rs, "_interpolation_tables", cache)
-    monkeypatch.setattr(rs, "INTERPOLATION_CACHE_BYTES", bound)
+def test_interpolation_cache_keeps_the_tables_of_the_64_sets_used_last(request, monkeypatch):
+    # the rule of the node-set tables: a table that fits one block is kept
+    # across codes for the 64 sets used last; over a 100-element block the
+    # 11 x 11 to 16 x 16 tables stay with their own code
+    monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", 100)
+    cache = rs._interpolation
+    cache.cache_clear()
+    request.addfinalizer(cache.cache_clear)
+    assert cache.cache_info().maxsize == rs._node_tables.cache_info().maxsize == 64
     rows = ((1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1),)
     for gf in (GF(17), GF(2, 4), GF(17, alpha=5)):
         nodes = default_defining_set(gf, 16)
@@ -637,49 +636,48 @@ def test_interpolation_cache_stays_within_its_byte_bound(monkeypatch):
             code = RSCode(gf, nodes, k)
             spec = construct._subcode(code, rows, "generic", None, 1, False)
             assert spec.T == scalar_transform(code, rows, None)
-            size = sum(_cached_bytes(key, t) for key, (t, _) in cache.entries.items())
-            assert size <= bound and size == cache.bytes
-            # the table just used is kept unless it alone is over the bound
-            key = (gf, nodes[:k])
-            assert (key in cache.entries) == (
-                _cached_bytes(key, rs.interpolation_table(code)) <= bound)
-    assert (GF(17, alpha=5), nodes[:13]) in cache.entries
-    assert (GF(17, alpha=5), nodes[:14]) not in cache.entries
+            # a second code on the same field and first k nodes shares the
+            # table exactly when it fits the block
+            twin = RSCode(gf, nodes[:k], k).interpolation
+            assert np.array_equal(twin, code.interpolation)
+            assert (twin is code.interpolation) == (k * k <= 100)
+    assert cache.cache_info().currsize == 3 * 7  # k = 4 to 10 in each field
 
-    # least recently used first out: a table read again outlives older ones
-    gf, nodes = GF(17), default_defining_set(GF(17), 16)
-    codes = [RSCode(gf, nodes, k) for k in (2, 3, 4, 5)]
-    sizes = [_cached_bytes((gf, c.nodes[:c.k]), rs.interpolation_table(c)) for c in codes]
-    cache = rs._TableCache()
-    monkeypatch.setattr(rs, "_interpolation_tables", cache)
-    monkeypatch.setattr(rs, "INTERPOLATION_CACHE_BYTES", sum(sizes[:3]))
-    for c in codes[:3] + codes[:1] + codes[3:]:
-        rs.interpolation_table(c)
-    assert list(cache.entries) == [(gf, nodes[:2]), (gf, nodes[:5])]
-    assert cache.bytes == sizes[0] + sizes[3]
+    # at most 64 sets, least recently used first out: a table read again
+    # outlives older ones
+    cache.cache_clear()
+    gf = GF(2, 8)
+    prefixes = [(a, a + 1) for a in range(0, 132, 2)]
+    tables = [RSCode(gf, p, 2).interpolation for p in prefixes[:64]]
+    assert cache.cache_info().currsize == 64
+    assert RSCode(gf, prefixes[0], 2).interpolation is tables[0]
+    RSCode(gf, prefixes[64], 2).interpolation
+    assert cache.cache_info().currsize == 64
+    assert RSCode(gf, prefixes[0], 2).interpolation is tables[0]
+    again = RSCode(gf, prefixes[1], 2).interpolation
+    assert again is not tables[1] and np.array_equal(again, tables[1])
+    assert cache.cache_info().currsize == 64
 
 
-def test_interpolation_cache_keeps_its_count_under_threads(monkeypatch):
+def test_interpolation_cache_keeps_its_count_under_threads(request):
     # more threads than cores and a short switch interval, so the lookups
-    # and updates of the one cache interleave, nearly every one evicting
-    gf = GF(17)
-    nodes = default_defining_set(gf, 16)
-    tables = {(gf, nodes[:k]): rs.interpolation_table(RSCode(gf, nodes, k))
-              for k in range(1, 17)}
-    cache = rs._TableCache()
-    monkeypatch.setattr(rs, "_interpolation_tables", cache)
-    monkeypatch.setattr(rs, "INTERPOLATION_CACHE_BYTES", 1500)
-    keys, errors = list(tables), []
+    # and updates of the one cache interleave over more sets than it keeps,
+    # many of them evicting
+    gf = GF(2, 8)
+    rng = random.Random(64)
+    keys = [(tuple(rng.sample(range(gf.q), 8)), rng.randint(2, 8)) for _ in range(96)]
+    want = {key: RSCode(gf, *key).interpolation.copy() for key in keys}
+    rs._interpolation.cache_clear()
+    request.addfinalizer(rs._interpolation.cache_clear)
+    errors = []
 
     def hammer(seed):
         rng = random.Random(seed)
         try:
             for _ in range(3000):
                 key = rng.choice(keys)
-                got = cache.get(key)
-                if got is None:
-                    cache.put(key, tables[key])
-                elif got is not tables[key]:
+                table = RSCode(gf, *key).interpolation
+                if table.flags.writeable or not np.array_equal(table, want[key]):
                     errors.append(key)
         except Exception as exc:  # a torn update surfaces here
             errors.append(exc)
@@ -695,20 +693,19 @@ def test_interpolation_cache_keeps_its_count_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers) and not errors
-    size = sum(_cached_bytes(key, t) for key, (t, _) in cache.entries.items())
-    assert size == cache.bytes <= 1500
+    assert rs._interpolation.cache_info().currsize <= 64
 
 
 def test_interpolation_tables_are_read_only():
     gf = GF(2, 3)
     code = RSCode(gf, default_defining_set(gf, 8), 5)
-    table = rs.interpolation_table(code)
+    table = code.interpolation
     assert table.shape == (5, 5) and table.dtype == np.int32
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 0
     # shared by every code on the same field and first k nodes
-    assert rs.interpolation_table(RSCode(gf, code.nodes[:5] + (7,), 5)) is table
+    assert RSCode(gf, code.nodes[:5] + (7,), 5).interpolation is table
 
 
 def test_a_second_construction_builds_no_table_and_evaluates_nothing(monkeypatch):

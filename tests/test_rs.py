@@ -125,6 +125,24 @@ def test_a_kept_node_set_still_refuses_equal_sets_of_non_symbols():
     assert generator_matrix(code) == generator_matrix(RSCode(gf, nodes, 4))
 
 
+def test_a_code_keeps_the_nodes_it_checked_not_the_callers_object():
+    # a list or an array of nodes and a numpy k give the code a tuple of
+    # ints gives: hashable, equal to it, and out of reach of a later change
+    # to the caller's list, which once reordered G's rows but not its tables
+    gf = GF(7)
+    nodes = [0, 1, 3, 2, 6, 4, 5]
+    want = RSCode(gf, tuple(nodes), 3)
+    G, word = generator_matrix(want), encode(want, [1, 1, 1])
+    for given_nodes, k in ((nodes, 3), (np.array(nodes), 3), (nodes, np.int64(3))):
+        code = RSCode(gf, given_nodes, k)
+        assert code.nodes == tuple(nodes) and type(code.k) is int
+        assert all(type(x) is int for x in code.nodes)
+        assert code == want and hash(code) == hash(want) and {want: 1}[code] == 1
+        given_nodes[:] = given_nodes[::-1]
+        assert generator_matrix(code) == G and encode(code, [1, 1, 1]) == word
+        given_nodes[:] = given_nodes[::-1]
+
+
 @pytest.mark.parametrize("p, m", [(131, 1), (2, 8)], ids=["GF131", "GF256"])
 def test_root_logs_match_a_plain_product_of_node_differences(p, m):
     # n = 7 and n = 128 read the node set's kept difference table, n = 129
@@ -618,12 +636,11 @@ def test_locator_roots_refuse_a_short_or_erased_root_set():
 
 
 def test_an_uncached_interpolation_table_is_built_once_per_code(monkeypatch):
-    # a table over INTERPOLATION_CACHE_BYTES is not kept across codes, so
-    # the decode tables hold the one the code built
+    # a table over one block is not kept across codes, so the code keeps
+    # the one it built
     gf = GF(2, 6)
     code = RSCode(gf, default_defining_set(gf, 40), 24)
-    monkeypatch.setattr(rs, "_interpolation_tables", rs._TableCache())
-    monkeypatch.setattr(rs, "INTERPOLATION_CACHE_BYTES", 4 * 24 * 24 - 1)
+    monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", 24 * 24 - 1)
     builds = []
     lagrange_logs = rs._lagrange_logs
     monkeypatch.setattr(rs, "_lagrange_logs", lambda *a: builds.append(1) or lagrange_logs(*a))
@@ -633,7 +650,7 @@ def test_an_uncached_interpolation_table_is_built_once_per_code(monkeypatch):
         assert (outcome(decode, code, received, erased)
                 == outcome(scalar_decode, code, received, erased))
     assert len(builds) == 1
-    rs.interpolation_table(code)
+    RSCode(gf, code.nodes, 24).interpolation
     assert len(builds) == 2
 
 
@@ -688,11 +705,14 @@ def test_decode_tables_are_built_once_and_stay_out_of_equality():
     assert decode(code, word, (7,)) == (msg, [3])
     assert code.decode_tables is tables
     assert code == twin and hash(code) == hash(twin) and repr(code) == repr(twin)
-    assert "decode_tables" not in vars(twin)
+    assert not {"decode_tables", "interpolation"} & set(vars(twin))
     assert {code: 1}[twin] == 1
-    # node-major powers x_j^t for t < n - k with 0^0 = 1, logs of
-    # v_j = 1 / prod (x_j - x_i) over i != j below q - 1, and the code's
-    # interpolation table
+    # the decode reads the code's interpolation table, kept on the code
+    # beside its decode tables and shared with the twin's
+    assert vars(code)["interpolation"] is twin.interpolation
+    # node-major powers x_j^t for t < n - k with 0^0 = 1, and logs of
+    # v_j = 1 / prod (x_j - x_i) over i != j below q - 1
+    assert tables._fields == ("powers", "log_v")
     fa = field_arrays(gf)
     assert tables.powers.shape == (40, 28) and tables.powers.dtype == np.int32
     assert fa.elements(tables.powers).tolist() == [[gf.pow(x, t) for t in range(28)]
@@ -704,7 +724,6 @@ def test_decode_tables_are_built_once_and_stay_out_of_equality():
             if i != j:
                 prod = gf.mul(prod, gf.sub(x, other))
         assert gf.mul(int(fa.elements(tables.log_v[j])), prod) == 1
-    assert tables.interpolation is rs.interpolation_table(code)
 
 
 def test_decode_tables_guard_refuses_before_allocating(monkeypatch):

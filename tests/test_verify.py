@@ -875,3 +875,15 @@ def test_spec_tables_are_built_once_and_decode_tables_only_on_decode(ref_graph, 
     # a systematic spec reads m at its matched columns, with no map
     assert log_R.positions.tolist() == list(spec.matching) and log_R.logs is None
     assert not tables & set(spec.to_dict()) and "log_" not in repr(spec)
+    # nor does a loaded systematic spec's decode build or keep the code's
+    # interpolation table: it reads m at the matched columns
+    loaded = CodeSpec.from_dict(spec.to_dict())
+
+    def refuse(*args):
+        raise AssertionError("an interpolation table built")
+
+    monkeypatch.setattr(rs, "_lagrange_logs", refuse)
+    word = list(codeword)
+    word[0] = (word[0] + 1) % 7
+    assert subcode_decode(loaded, word) == [2, 5, 1]
+    assert "decode_tables" in vars(loaded.rs) and "interpolation" not in vars(loaded.rs)
