@@ -251,7 +251,10 @@ def build_parser() -> _Parser:
     def add_guard_opt(p):
         p.add_argument("--max-exact-s", type=int, default=None,
                        help="raise the exhaustive-search guards (subsets and matchings); "
-                            "a k_sys limit above 12 can run for minutes on ordinary graphs")
+                            "the k_sys search has no work budget, so a limit above 12 can "
+                            "run for minutes on ordinary graphs and the default can on "
+                            "dense ones (a 10x20 graph with d_min 11 ran past 10 minutes; "
+                            "ROADMAP items 1 and 16 plan the mend)")
 
     p = sub.add_parser("bounds", help="distance bounds and witnesses for a graph")
     p.add_argument("graph")

@@ -48,8 +48,10 @@ c, and the logs of R with m = c_P R.  ``_subcode`` builds G as its logs
 and stores them on the spec it returns, so ``verify`` takes them as built;
 any other spec builds its ``log_G`` from G on first use.  ``log_R`` is
 built on the first decode.  A systematic spec reads its matched columns,
-where R is I.  The one elimination left here, of [T | I_s], builds R for a
-spec that is not systematic.
+where R is I.  The one elimination left here, of [G | I_s], builds P and R
+for a spec that is not systematic.  So encode, decode and the audit read
+G; T is left to the code file, its load check and the audit of a spec
+that is not marked ``consistent``.
 """
 
 from __future__ import annotations
@@ -84,8 +86,11 @@ class CodeSpec:
     """A constructed code: field, RS layer, transform T, generator G = T.G_RS.
 
     ``consistent`` marks a spec whose G is known to be T times an MDS
-    generator: the constructions set it, and ``from_dict`` sets it once G
-    has matched T . G_RS.  A spec built by hand leaves it False.
+    generator, so that T has G's rank.  Only ``_subcode``,
+    ``mds_nullspace_construct`` and ``from_dict``, once G has matched
+    T . G_RS, set it; the constructor takes no such argument, so a spec
+    built by hand or by ``dataclasses.replace`` is unmarked, and its audit
+    reads rank_T off its own T.
 
     ``log_G``, G as int32 logs on field arrays (``arrays``), is stored by
     the construction that built G, and built from G on first use on any
@@ -107,7 +112,7 @@ class CodeSpec:
     matching: tuple[int, ...] | None
     claimed_distance: int
     distance_exact: bool
-    consistent: bool = field(default=False, repr=False)
+    consistent: bool = field(default=False, init=False, repr=False)
 
     @property
     def s(self) -> int:
@@ -142,28 +147,21 @@ class CodeSpec:
         G[:, P] R = I, so every codeword m G gives back its m.
 
         A systematic spec holds a unit column of G per row at its matched
-        columns: P is those and R is I, so nothing is built.  Otherwise P is
-        the first k nodes, where c is u V_K, u = m T the RS message and V_K
-        those nodes' columns of the RS generator, and R is V_K's inverse,
-        the code's interpolation table, times a right inverse of T.  That
-        one holds the inverse of T's pivot columns in their rows and zeros
-        elsewhere, read off one elimination of [T | I_s]: while T has rank
-        s, every pivot lies in T, and the rows E of the I_s block satisfy
-        E . T[:, pivots] = I.
+        columns: P is those and R is I, so nothing is built.  Otherwise one
+        elimination of [G | I_s] gives both: P is G's pivot columns, s of
+        them while G has rank s, and the rows E of the I_s block satisfy
+        E . G[:, P] = I, so R is E.
         """
         if self.systematic:
             return MessageMap(np.array(self.matching), None)
-        fa, T = field_arrays(self.gf), self.T
-        s, k = len(T), len(T[0])
-        rows, pivots = rref(self.gf, np.hstack((T, np.eye(s, dtype=fa.dtype))))
-        rank = sum(c < k for c in pivots)
+        fa, s, n = field_arrays(self.gf), self.s, self.n
+        rows, pivots = rref(self.gf, np.hstack((fa.elements(self.log_G),
+                                                np.eye(s, dtype=fa.dtype))))
+        rank = sum(c < n for c in pivots)
         if rank < s:
             raise DecodingError(
                 "transform matrix has rank %d < s=%d; decoding is ambiguous" % (rank, s))
-        log_R = np.full((k, s), fa.zero_log, dtype=np.int32)
-        log_R[pivots] = fa.logs(rows)[:, k:]
-        return MessageMap(np.arange(k), fa.logs(
-            fa.vec_mat_logs(self.rs.interpolation, log_R)))
+        return MessageMap(np.array(pivots), fa.logs(rows)[:, n:])
 
     def to_dict(self) -> dict:
         if self.rs is None:
@@ -270,8 +268,8 @@ def _subcode(rs: RSCode, rows, mode: str, matching, claimed_distance: int,
     T = fa.vec_mat_logs(log_G[:, :rs.k], rs.interpolation)
     spec = CodeSpec(gf=rs.gf, rs=rs, T=T.tolist(),
                     G=fa.elements(log_G).tolist(), mode=mode, matching=matching,
-                    claimed_distance=claimed_distance, distance_exact=distance_exact,
-                    consistent=True)
+                    claimed_distance=claimed_distance, distance_exact=distance_exact)
+    spec.consistent = True
     log_G.flags.writeable = False
     spec.__dict__["log_G"] = log_G  # where the cached property keeps it
     return spec
@@ -445,9 +443,11 @@ def mds_nullspace_construct(g: ConstraintGraph, gf: GF, mds_generator,
             h, row = fa.mul(h, scale), fa.mul(row, scale)
         T.append(h)
         G.append(row)
-    return CodeSpec(gf=gf, rs=None, T=np.array(T).tolist(), G=np.array(G).tolist(),
+    spec = CodeSpec(gf=gf, rs=None, T=np.array(T).tolist(), G=np.array(G).tolist(),
                     mode="mds-nullspace", matching=matching, claimed_distance=n - k + 1,
-                    distance_exact=exact, consistent=True)
+                    distance_exact=exact)
+    spec.consistent = True
+    return spec
 
 
 def rs_nullspace_construct(g: ConstraintGraph, gf: GF, k: int | None = None, nodes=None,

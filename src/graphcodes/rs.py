@@ -17,16 +17,18 @@ costs one gather and one in-place update: the scaled row is
 sum, on a log row cast to intp once per step (``take`` converts int32
 indices on every call), and ``FieldArrays.sub`` writes the difference into
 the row's slice through ``out=``.  The locator's roots are one more
-``vec_mat_logs``.  Those steps are ``_locate``, and ``_corrected_logs``
-reads the corrected codeword at any chosen nodes: the received symbol
-where the locator and the erasures leave a node alone, and elsewhere the
-value interpolated through the first k nodes that are left alone.
-``decode`` reads it at the first k nodes, turns that into the message with
-the code's interpolation table and re-encodes it as its acceptance check; a
-subcode's decoder (``verify.subcode_decode``) reads it at the subcode's
-information positions only.  The code's node powers (``RSCode.log_powers``)
-serve the generator, ``evaluate`` (encode and the code-file load check) and
-``decode``'s re-encode.
+``vec_mat_logs``.  Those steps are ``_locate``.  One read-and-check
+step, ``_message``, ends every decode: it reads the corrected codeword at
+chosen nodes P (the received symbol where the locator and the erasures
+leave a node alone, and elsewhere the value interpolated through the first
+k nodes that are left alone), multiplies those values by a map R into the
+message m, and keeps m only if m times the generator lies within
+floor((N - k) / 2) of the N unerased symbols.  ``decode`` runs it on the
+code's own parts: the first k nodes, the interpolation table and the node
+powers.  A subcode's decoder (``verify.subcode_decode``) runs it on the
+subcode's information positions, its map and the logs of its G.  The
+code's node powers (``RSCode.log_powers``) serve the generator,
+``evaluate`` (encode and the code-file load check) and ``decode``'s check.
 The constructions build a subcode from its values instead.  ``root_logs``
 gives, for every row at once, the logs of the product of (x_j - x_z) over
 the row's roots z: one integer product of the row masks with the node set's
@@ -223,20 +225,17 @@ def decode(code: RSCode, received, erasures=()):
 
     Returns (message coefficients, error positions among the unerased
     symbols).  Erased symbols read 0.  ``_locate`` finds the symbols the
-    errors leave alone, and ``_corrected_logs`` gives the codeword at the
-    first k nodes from them; the interpolation table turns those k values
-    into the message.  Raises DecodingError when fewer than k symbols are
-    left, when the error locator does not have as many roots as its
+    errors leave alone, and ``_message`` reads the codeword at the first k
+    nodes from them and turns those k values into the message with the
+    interpolation table.  Raises DecodingError when fewer than k symbols
+    are left, when the error locator does not have as many roots as its
     degree, all at unerased nodes, or when the re-encoded message disagrees
     with the N = n - f unerased symbols in more than floor((N - k) / 2)
     places.
     """
-    word = _locate(code, received, erasures)
-    fa = field_arrays(code.gf)
-    log_c = _corrected_logs(code, word, np.arange(code.k))
-    message = fa.vec_mat_logs(log_c, code.interpolation)
-    values = fa.vec_mat_logs(fa.logs(message), code.log_powers)
-    return message.tolist(), word.errors(values, code.k).tolist()
+    message, errors = _message(code, _locate(code, received, erasures), np.arange(code.k),
+                               code.interpolation, code.log_powers)
+    return message.tolist(), errors.tolist()
 
 
 class _Word(NamedTuple):
@@ -247,15 +246,6 @@ class _Word(NamedTuple):
     known: np.ndarray  # bool, n: the unerased symbols at no root of the locator
     y: np.ndarray  # the symbols, erased ones read 0
     log_y: np.ndarray  # their logs
-
-    def errors(self, values, k: int) -> np.ndarray:
-        """The unerased positions where the codeword ``values`` differs
-        from y.  Raises DecodingError when they are more than
-        floor((N - k) / 2), N the unerased count."""
-        positions = np.flatnonzero(self.keep & (values != self.y))
-        if len(positions) > (int(np.count_nonzero(self.keep)) - k) // 2:
-            raise DecodingError("no codeword lies within the decoding radius")
-        return positions
 
 
 def _locate(code: RSCode, received, erasures) -> _Word:
@@ -312,12 +302,18 @@ def _locate(code: RSCode, received, erasures) -> _Word:
     return _Word(x, keep, known, y, log_y)
 
 
-def _corrected_logs(code: RSCode, word: _Word, positions) -> np.ndarray:
-    """The logs of the corrected codeword at the node indices ``positions``:
-    log y where the node is known, and elsewhere the log of
+def _message(code: RSCode, word: _Word, positions, log_R, log_gen):
+    """(m, error positions) for a word ``_locate`` left: m = c_P R, c the
+    corrected codeword read at the node indices ``positions`` (P) and R
+    the logs ``log_R`` (None meaning I), kept only when m times the
+    generator whose logs are ``log_gen`` differs from y in at most
+    floor((N - k) / 2) of the N unerased places, which it returns.
+
+    c_P is y where the node is known, and elsewhere
     sum over j in K of y_j L_j, L_j the Lagrange basis of K, the first k
-    known nodes.  log L_j(x_b) = sum over i != j of log (x_b - x_i) -
-    log (x_j - x_i), taken a block of rows at a time."""
+    known nodes: log L_j(x_b) = sum over i != j of log (x_b - x_i) -
+    log (x_j - x_i), taken a block of rows at a time.  Raises
+    DecodingError when m's codeword lies outside that radius."""
     fa, order, k, x = field_arrays(code.gf), code.gf.q - 1, code.k, word.x
     log_c = word.log_y[positions]
     bad = np.flatnonzero(~word.known[positions])
@@ -329,7 +325,11 @@ def _corrected_logs(code: RSCode, word: _Word, positions) -> np.ndarray:
             numerators = fa.log_sub(x[positions[bad[rows]], None], xk)
             log_l = numerators.sum(axis=1, keepdims=True) - numerators - log_w
             log_c[bad[rows]] = fa.logs(fa.vec_mat_logs(log_l % order, log_yk)[:, 0])
-    return log_c
+    m = fa.elements(log_c) if log_R is None else fa.vec_mat_logs(log_c, log_R)
+    errors = np.flatnonzero(word.keep & (fa.vec_mat_logs(fa.logs(m), log_gen) != word.y))
+    if len(errors) > (int(np.count_nonzero(word.keep)) - k) // 2:
+        raise DecodingError("no codeword lies within the decoding radius")
+    return m, errors
 
 
 def _locator(fa: FieldArrays, b, m: int) -> np.ndarray:

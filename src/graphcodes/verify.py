@@ -13,8 +13,8 @@ largest temporary a block allocates: no span of all the messages, no sum
 of one and no concatenation of one is built.  Its guard still counts all
 q^s messages.
 It also counts the messages that encode to zero, which gives the rank of G,
-so ``verification_report`` runs no elimination when a consistent spec's G
-has full rank and one, for T's rank, otherwise.  ``min_distance_exhaustive``
+so ``verification_report`` runs no elimination on a consistent spec, whose
+T has G's rank, and one, for T's rank, on any other.  ``min_distance_exhaustive``
 is its boundary: it checks G's shape and symbols, takes G's logs, and
 returns a ``DistanceReport``, an exact ``bounds.Bound`` that carries the
 rank too.  The enumeration itself, ``_min_distance``, runs on int32 logs,
@@ -26,13 +26,14 @@ Encoding, fast read and decoding run on field arrays against the spec's
 own tables: ``CodeSpec.log_G``, the logs of G, and ``CodeSpec.log_R``, the
 decode table, built on the first decode.  Decoding is one pass from the word
 to the message: the RS layer's syndromes, locator and roots
-(``rs._locate``), the corrected codeword at the spec's information
-positions P alone (``rs._corrected_logs``), m = those values times R, and
-one check that m . G lies within the decoding radius of the unerased
-symbols.  For a systematic spec P is the matched columns and R is I, so no
-elimination runs and no RS message is formed; other specs read the first
-k nodes and run one elimination, of [T | I_s], to build R.  Every
-elimination here is ``linalg``'s, on field arrays.
+(``rs._locate``), then its read-and-check step (``rs._message``) on the
+spec's parts: the corrected codeword at the spec's information positions
+P alone, m = those values times R, and one check that m . G lies within
+the decoding radius of the unerased symbols.  For a systematic spec P is
+the matched columns and R is I, so no elimination runs; any other spec
+runs one, of [G | I_s], whose pivots are P and whose I_s block is R.  No
+RS message is formed.  Every elimination here is ``linalg``'s, on field
+arrays.
 """
 
 from __future__ import annotations
@@ -221,29 +222,25 @@ def subcode_decode(spec: CodeSpec, received, erasures=()) -> list:
     differs from the N = n - f unerased symbols in at most
     floor((N - k) / 2) places: that radius holds one RS codeword at most,
     so m . G is then the word ``rs.decode`` corrects to.  Raises
-    DecodingError as ``rs.decode`` does, then when T has rank below s, then
-    when the corrected word lies outside the code; a refusal for T's rank
-    or by the final check runs ``rs.decode`` to tell these apart.
+    DecodingError as ``rs.decode`` does, then when G has rank below s, then
+    when the corrected word lies outside the code; a refusal for G's rank
+    or by the final check runs the RS code's own check on the word already
+    located, to tell these apart.
     """
-    if spec.rs is None:
+    code = spec.rs
+    if code is None:
         raise ValueError("spec carries no defining set; cannot decode")
-    erasures = list(erasures)  # a refusal reads them twice
+    word = rs._locate(code, received, erasures)
     try:
-        positions, log_R = spec.log_R
-    except DecodingError:  # T's rank, refused after the RS layer's refusals
-        rs.decode(spec.rs, received, erasures)
+        positions, log_R = spec.log_R  # refused when G has rank below s
+        try:
+            return rs._message(code, word, positions, log_R, spec.log_G)[0].tolist()
+        except DecodingError:
+            raise DecodingError("decoded word lies outside the code "
+                                "(likely corruption beyond radius)") from None
+    except DecodingError:  # the RS layer's refusal comes first
+        rs._message(code, word, np.arange(code.k), code.interpolation, code.log_powers)
         raise
-    word = rs._locate(spec.rs, received, erasures)
-    fa = field_arrays(spec.gf)
-    log_m = rs._corrected_logs(spec.rs, word, positions)
-    m = fa.elements(log_m) if log_R is None else fa.vec_mat_logs(log_m, log_R)
-    try:
-        word.errors(_encode(spec, m), spec.k)
-    except DecodingError:
-        rs.decode(spec.rs, received, erasures)
-        raise DecodingError(
-            "decoded word lies outside the code (likely corruption beyond radius)") from None
-    return m.tolist()
 
 
 def systematic_fast_read(spec: CodeSpec, received):
@@ -264,17 +261,16 @@ def systematic_fast_read(spec: CodeSpec, received):
 def verification_report(spec: CodeSpec, g, guard: int = ENUM_GUARD) -> dict:
     """Exhaustive audit of a spec against its graph (CLI `verify` payload).
 
-    rank_G is read off the distance enumeration.  When G = T . M, as a
-    ``consistent`` spec guarantees, rank_G <= rank_T <= s, so rank_T is s
-    when G has full rank; otherwise one elimination runs, on T.
+    rank_G is read off the distance enumeration.  When G = T . M with M of
+    full row rank, as a ``consistent`` spec guarantees, rank_T = rank_G;
+    a spec that is not marked consistent runs one elimination, on T.
     """
     distance, witness, rank_G, _ = _min_distance(spec.log_G, spec.gf, guard, False)
     return {
         "distance": distance,
         "witness_message": list(witness),
         "rank_G": rank_G,
-        "rank_T": (spec.s if spec.consistent and rank_G == spec.s
-                   else rank(spec.gf, spec.T)),
+        "rank_T": rank_G if spec.consistent else rank(spec.gf, spec.T),
         "valid_pattern": validity_check(g, spec.G),
         "systematic": spec.systematic,
     }

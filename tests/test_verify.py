@@ -334,8 +334,9 @@ def test_constructions_hand_the_audit_the_logs_of_G(p, m):
 
 
 def test_verification_report_runs_one_elimination(ref_graph, gf7, monkeypatch):
-    """A constructed spec has rank_G <= rank_T <= s, so a full-rank G runs
-    no elimination; a rank-deficient one runs one, on T."""
+    """A constructed spec has rank_T = rank_G, so it runs no elimination,
+    at full rank or below it; a hand-built spec, which nothing marks
+    consistent, runs one, on T."""
     calls = []
 
     def counted(gf, mat):
@@ -354,6 +355,12 @@ def test_verification_report_runs_one_elimination(ref_graph, gf7, monkeypatch):
     spec = generic_subcode(g, GF(11))
     report = verification_report(spec, g, guard=11 ** 7)
     assert (report["rank_G"], report["rank_T"]) == (6, 6)
+    assert calls == []
+
+    hand = CodeSpec(gf=spec.gf, rs=spec.rs, T=spec.T, G=spec.G, mode=spec.mode,
+                    matching=None, claimed_distance=spec.claimed_distance,
+                    distance_exact=spec.distance_exact)
+    assert verification_report(hand, g, guard=11 ** 7) == report
     assert calls == [spec.T]
 
 
@@ -374,6 +381,17 @@ def test_verification_report_reads_rank_t_only_off_a_consistent_spec(ref_graph, 
         CodeSpec.from_dict(dict(built.to_dict(), T=T))
     assert not exc.value.spec.consistent
     assert verification_report(exc.value.spec, ref_graph)["rank_T"] == 2
+    # dataclasses.replace gives an unmarked spec, audited from its own T,
+    # and cannot mark one
+    replaced = dataclasses.replace(built, T=T)
+    assert not replaced.consistent
+    assert verification_report(replaced, ref_graph)["rank_T"] == 2
+    with pytest.raises(ValueError):
+        dataclasses.replace(built, consistent=True)
+    with pytest.raises(TypeError):
+        CodeSpec(gf=gf7, rs=built.rs, T=built.T, G=built.G, mode=built.mode,
+                 matching=built.matching, claimed_distance=built.claimed_distance,
+                 distance_exact=built.distance_exact, consistent=True)
 
 
 def test_subcode_encode(ref_graph, gf7):
@@ -515,6 +533,53 @@ def test_subcode_decode_rejects_foreign_codewords(ref_graph, gf7):
         subcode_decode(spec, foreign)
 
 
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3)])
+@pytest.mark.parametrize("build", [generic_subcode, systematic_dsys])
+def test_a_replaced_generator_decodes_its_own_words(ref_graph, build, p, m):
+    """A spec given a row-permuted G by dataclasses.replace, as the CodeSpec
+    docstring says G is changed, decodes its own words to the message sent:
+    the decoder reads G, not the T it kept."""
+    gf = GF(p, m)
+    spec = build(ref_graph, gf)
+    permuted = dataclasses.replace(spec, G=[spec.G[1], spec.G[0], spec.G[2]])
+    assert not permuted.consistent and not permuted.systematic
+    message = [1, 2, 3]
+    word = subcode_encode(permuted, message)
+    assert word == vec_mat(gf, [2, 1, 3], spec.G)
+    assert subcode_decode(permuted, word) == message
+    for j in range(spec.n):
+        changed = list(word)
+        changed[j] = gf.add(changed[j], 1)
+        assert subcode_decode(permuted, changed) == message
+    erased = [0 if j in (0, 1) else v for j, v in enumerate(word)]
+    assert subcode_decode(permuted, erased, erasures=[0, 1]) == message
+
+
+def test_subcode_decode_locates_once(ref_graph, gf7, monkeypatch):
+    """One rs._locate per decode: on a clean word, on a foreign RS codeword
+    refused as outside the code, and on a word of a rank-deficient spec,
+    where the refusals run the RS code's own check on the located word."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return locate(*args)
+
+    locate = rs._locate
+    monkeypatch.setattr(rs, "_locate", counted)
+    spec = systematic_dsys(ref_graph, gf7)
+    deficient = generic_subcode(load_graph([[1, 1, 1, 1], [1, 1, 1, 1]]), GF(5), k=2)
+    cases = [(spec, subcode_encode(spec, [1, 2, 3]), [1, 2, 3]),
+             (spec, [1] * 7, "decoded word lies outside the code "
+                             "(likely corruption beyond radius)"),
+             (deficient, [1, 1, 1, 1],
+              "transform matrix has rank 1 < s=2; decoding is ambiguous")]
+    for code, word, want in cases:
+        calls.clear()
+        assert outcome(subcode_decode, code, word) == want
+        assert len(calls) == 1
+
+
 def test_subcode_decode_rank_deficient_generic():
     g = load_graph([[1, 1, 1, 1], [1, 1, 1, 1]])
     gf = GF(5)
@@ -603,8 +668,8 @@ def test_verdict_flags_a_generator_off_the_zero_pattern(ref_graph, gf7):
     G = [list(r) for r in spec.G]
     G[1][3] = 1  # row 1 must be zero at column 3, which no row is matched to
     # claiming only distance 1 keeps the claim out of it
-    tampered = dataclasses.replace(spec, G=G, claimed_distance=1, distance_exact=False,
-                                   consistent=False)
+    tampered = dataclasses.replace(spec, G=G, claimed_distance=1, distance_exact=False)
+    assert not tampered.consistent
     assert_logs_follow_G(tampered, spec)
     report = verification_report(tampered, ref_graph)
     assert not report["valid_pattern"] and report["systematic"]
@@ -737,7 +802,7 @@ def test_array_paths_match_scalar_reference(case):
 
 @pytest.mark.parametrize("p, m", SOLVE_FIELDS)
 def test_non_systematic_specs_decode_as_the_scalar_solve(p, m):
-    """Specs whose decode runs the [T | I] elimination: generic codes of full
+    """Specs whose decode runs the [G | I] elimination: generic codes of full
     rank and of rank below s, and loaded row-mixed codes.  The message or
     the DecodingError text equals scalar_solve's on clean words, words with
     one error and random words."""
