@@ -150,8 +150,13 @@ class CodeSpec:
         columns: P is those and R is I, so nothing is built.  Otherwise one
         elimination of [G | I_s] gives both: P is G's pivot columns, s of
         them while G has rank s, and the rows E of the I_s block satisfy
-        E . G[:, P] = I, so R is E.
+        E . G[:, P] = I, so R is E.  A G of rank below s is refused with
+        the same text on every decode after one elimination: the text is
+        kept on the spec, as a cached property keeps no raised error.
         """
+        refusal = self.__dict__.get("_log_R_refusal")
+        if refusal is not None:
+            raise DecodingError(refusal)
         if self.systematic:
             return MessageMap(np.array(self.matching), None)
         fa, s, n = field_arrays(self.gf), self.s, self.n
@@ -159,8 +164,9 @@ class CodeSpec:
                                                 np.eye(s, dtype=fa.dtype))))
         rank = sum(c < n for c in pivots)
         if rank < s:
-            raise DecodingError(
+            refusal = self.__dict__["_log_R_refusal"] = (
                 "transform matrix has rank %d < s=%d; decoding is ambiguous" % (rank, s))
+            raise DecodingError(refusal)
         return MessageMap(np.array(pivots), fa.logs(rows)[:, n:])
 
     def to_dict(self) -> dict:

@@ -169,6 +169,35 @@ def test_root_logs_match_a_plain_product_of_node_differences(p, m):
                         assert got[i, j] == want
 
 
+@pytest.mark.parametrize("p, m, n", [(131, 1, 100), (2, 16, 128), (2, 8, 255), (2, 16, 600)],
+                         ids=["GF131-n100", "GF65536-n128", "GF256-n255", "GF65536-n600"])
+def test_root_logs_equal_the_int64_product(request, p, m, n):
+    # root_logs multiplies in float64, which is exact while every partial sum
+    # lies below 2^53; the int64 product, reduced as root_logs reduces
+    # (not at all against the kept table, modulo q - 1 against blocks of
+    # differences), must give the same int32 logs.  n = 100 and 128 read the
+    # table, n = 255 and 600 take blocks; the all-ones row's sums at n = 600
+    # over GF(2^16) pass 2^24, where float32 would round them (at n = 300 on
+    # random nodes they stay near 10^7, under 2^24)
+    rs._node_tables.cache_clear()
+    request.addfinalizer(rs._node_tables.cache_clear)
+    gf = GF(p, m)
+    fa = field_arrays(gf)
+    rng = random.Random(n)
+    code = RSCode(gf, tuple(rng.sample(range(gf.q), n)), n)
+    assert (code.node_tables.log_diff is None) == (n * n > arrays.BLOCK_ELEMENTS)
+    zero = np.array([[rng.random() < density for _ in range(n)]
+                     for density in (0.1, 0.5, 0.9, 1.0)])
+    x = code.node_tables.x
+    want = np.matmul(zero, fa.log_sub(x, x[:, None]), dtype=np.int64)
+    if code.node_tables.log_diff is None:
+        if (p, m, n) == (2, 16, 600):
+            assert want.max() > 1 << 24
+        want %= gf.q - 1
+    got = rs.root_logs(code, zero)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
 def test_generator_shape_and_rows(gf7):
     code = RSCode(gf7, default_defining_set(gf7, 7), 4)
     gen = generator_matrix(code)

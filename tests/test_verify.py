@@ -588,6 +588,28 @@ def test_subcode_decode_rank_deficient_generic():
         subcode_decode(spec, [1, 1, 1, 1])
 
 
+def test_rank_refusal_runs_one_elimination(monkeypatch):
+    """A spec whose G has rank below s eliminates [G | I_s] once: five
+    decodes of the all-zero word refuse with the same text, and a word
+    beyond the radius is still refused for the radius first."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    eliminate = construct.rref
+    monkeypatch.setattr(construct, "rref", counted)
+    spec = generic_subcode(load_graph([[1, 1, 1, 1], [1, 1, 1, 1]]), GF(5), k=2)
+    rank = "transform matrix has rank 1 < s=2; decoding is ambiguous"
+    assert [outcome(subcode_decode, spec, [0] * 4) for _ in range(5)] == [rank] * 5
+    assert len(calls) == 1
+    radius = "no codeword lies within the decoding radius"
+    assert outcome(rs.decode, spec.rs, [0, 0, 1, 1]) == radius
+    assert outcome(subcode_decode, spec, [0, 0, 1, 1]) == radius
+    assert outcome(subcode_decode, spec, [0] * 4) == rank and len(calls) == 1
+
+
 def test_systematic_fast_read(ref_graph, gf7):
     spec = systematic_dsys(ref_graph, gf7)
     m = [6, 2, 3]
