@@ -13,7 +13,9 @@ and the decoder need field arithmetic on arrays: ``arrays``, ``linalg``,
 ``rs``, ``construct`` and ``verify`` use numpy, and load on first use.  The
 names re-exported here from ``construct``, ``rs`` and ``verify`` resolve on
 first access and are then kept in this namespace, so ``graphcodes bounds``
-and ``import graphcodes.bounds`` never import numpy.
+and ``import graphcodes.bounds`` never import numpy.  A graph is built by
+its constructor, ``ConstraintGraph(rows)``, or read by
+``ConstraintGraph.from_dict`` or ``ConstraintGraph.load``.
 """
 
 import importlib
@@ -22,8 +24,7 @@ from .bounds import Bound, BoundsReport, bounds_report, d_min_bound, k_sys_searc
 from .errors import (DecodingError, GuardExceededError, InfeasibleError,
                      NoMatchingError)
 from .field import GF, smallest_prime_at_least
-from .graph import (ConstraintGraph, find_matching, hall_check, load_graph,
-                    matched_adjacency, neighborhood_size, row_zero_stats)
+from .graph import ConstraintGraph, find_matching, hall_check, matched_adjacency
 
 __version__ = "0.1.0"
 
@@ -44,8 +45,7 @@ __all__ = [
     "bounds_report", "d_min_bound", "k_sys_search",
     "generic_subcode", "systematic_dmin", "systematic_dsys",
     "mds_nullspace_construct", "validity_check",
-    "load_graph", "find_matching", "hall_check", "matched_adjacency",
-    "neighborhood_size", "row_zero_stats", "default_defining_set",
+    "find_matching", "hall_check", "matched_adjacency", "default_defining_set",
     "min_distance_exhaustive", "rank_over_field",
     "subcode_encode", "subcode_decode", "systematic_fast_read",
     "smallest_prime_at_least",

@@ -42,8 +42,8 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import and_
 
-from .graph import (ConstraintGraph, _greedy_matching, bits_mask, check_matching,
-                    check_subset_limit, exact_limit, find_matching, min_surplus)
+from .graph import (ConstraintGraph, _greedy_matching, bits_mask, check_subset_limit,
+                    exact_limit, find_matching, min_surplus)
 
 MATCHING_GUARD = 12
 # Column sets the exact k_sys search remembers.  Past the cap it stops
@@ -153,12 +153,6 @@ def d_min_bound(g: ConstraintGraph, max_exact_s=None) -> Bound:
 def _d_min_exhaustive(g: ConstraintGraph) -> Bound:
     surplus, witness = min_surplus(g)
     return Bound(surplus + 1, surplus + 1, witness, "exhaustive")
-
-
-def matching_k(g: ConstraintGraph, matching) -> int:
-    """Max row zeros + 1 of the matched adjacency: row i loses the others' matched columns."""
-    matched = sum(1 << c for c in check_matching(g, matching))
-    return _leaf_k(g._masks, g.n, matched)
 
 
 def _leaf_k(masks, n: int, matched: int) -> int:

@@ -69,7 +69,7 @@ from .arrays import field_arrays, symbols
 from .bounds import MODES, Bound, d_min_bound, fully_connected_columns, k_sys_search
 from .errors import DecodingError, InconsistentCodeError, InfeasibleError
 from .field import GF, _as_int
-from .graph import ConstraintGraph, _matched_rows, check_matching, find_matching
+from .graph import ConstraintGraph, _hall_matching, _matched_rows, check_matching
 from .linalg import left_nullspace_basis, rref
 from .rs import RSCode, default_defining_set, evaluate, root_logs
 
@@ -309,6 +309,9 @@ def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
     columns exist.  Keeps d_min - 1 of them (the highest-indexed ones) out of
     the matching so that every matched-adjacency row retains at least d_min
     ones, then runs the usual RS-subcode extraction at k = n - d_min + 1.
+    The matching is the Hall matching (``graph.find_matching``'s search) of
+    g's row masks with those columns cleared; it exists because every row
+    set's surplus is at least d_min - 1.
     ``max_exact_s`` raises the limit of the d_min walk (``d_min_bound``).
     """
     nodes = _defining_set(g, gf, nodes)
@@ -322,14 +325,8 @@ def systematic_dmin(g: ConstraintGraph, gf: GF, nodes=None,
             "systematic construction at the subset bound needs k_min >= r_M: %d < %d"
             % (k, r_m))
 
-    keep = a - (d_min - 1)
-    reserved = set(full_cols[keep:])  # stay outside the matching
-    cols = [j for j in range(g.n) if j not in reserved]
-    sub = ConstraintGraph.from_rows([[row[j] for j in cols] for row in g.adjacency])
-    sub_matching = find_matching(sub)
-    matching = tuple(cols[c] for c in sub_matching)
-
-    # a matching of g, from the search on g's columns outside the reserved ones
+    reserved = sum(1 << j for j in full_cols[a - (d_min - 1):])
+    matching = _hall_matching(tuple(m & ~reserved for m in g._masks))
     return _subcode(RSCode(gf, nodes, k), _matched_rows(g, matching),
                     "systematic-dmin", matching, claimed_distance=d_min, distance_exact=True)
 

@@ -14,6 +14,7 @@ encoding of its coefficient bits).
 
 from __future__ import annotations
 
+import functools
 import operator
 
 MAX_ORDER = 1 << 16
@@ -100,8 +101,10 @@ def gf2_irreducible(f: int, m: int) -> bool:
     return True
 
 
+@functools.cache
 def smallest_irreducible_gf2(m: int) -> int:
-    """Smallest bit-encoded irreducible polynomial of degree m over GF(2)."""
+    """Smallest bit-encoded irreducible polynomial of degree m over GF(2),
+    searched once per m (GF keeps m <= 16)."""
     for f in range(1 << m, 1 << (m + 1)):
         if gf2_irreducible(f, m):
             return f

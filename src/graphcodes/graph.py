@@ -149,21 +149,6 @@ class ConstraintGraph:
             return cls.from_dict(json.load(fh))
 
 
-def load_graph(rows) -> ConstraintGraph:
-    """Validate a row-list description into a ConstraintGraph."""
-    return ConstraintGraph.from_rows(rows)
-
-
-def neighborhood_size(g: ConstraintGraph, subset) -> int:
-    """Number of code symbols adjacent to any of the given message rows."""
-    mask = 0
-    for i in subset:
-        if not 0 <= i < g.s:
-            raise IndexError("row index %r out of range" % (i,))
-        mask |= g.row_mask(i)
-    return mask.bit_count()
-
-
 def min_surplus(g: ConstraintGraph, stop=None):
     """(|N(S)| - |S|, S) minimized over nonempty row sets S, S the
     lexicographically smallest minimizer; with ``stop``, the first S whose
@@ -225,7 +210,7 @@ def find_matching(g: ConstraintGraph) -> tuple[int, ...]:
     """Matching covering every row, scanning rows in order and preferring the
     smallest admissible column; raises NoMatchingError with a Hall witness.
     Found once per graph."""
-    return g._solve("matching", lambda: _hall_matching(g))
+    return g._solve("matching", lambda: _hall_matching(g._masks))
 
 
 def _greedy_matching(masks) -> tuple[list, int]:
@@ -240,11 +225,13 @@ def _greedy_matching(masks) -> tuple[list, int]:
     return match, taken
 
 
-def _hall_matching(g: ConstraintGraph) -> tuple[int, ...]:
-    masks = g._masks
+def _hall_matching(masks) -> tuple[int, ...]:
+    """``find_matching`` on the rows whose column masks are ``masks``: a
+    caller that clears columns in the masks gets a matching that avoids
+    them, in the graph's own column numbering."""
     match, _ = _greedy_matching(masks)  # then the rows left are augmented
     owner = {c: i for i, c in enumerate(match) if c is not None}
-    for i in range(g.s):
+    for i in range(len(masks)):
         if match[i] is not None:
             continue
         seen = [0]
@@ -295,10 +282,3 @@ def _matched_rows(g: ConstraintGraph, matching: tuple[int, ...]) -> tuple[tuple[
         row[own] = 1  # an edge, as check_matching ensures
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def row_zero_stats(obj):
-    """(max zeros in any row, per-row zero counts) of a graph or a matrix."""
-    rows = obj.adjacency if isinstance(obj, ConstraintGraph) else obj
-    counts = [len(r) - sum(r) for r in rows]
-    return max(counts), counts

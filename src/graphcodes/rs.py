@@ -29,6 +29,10 @@ powers.  A subcode's decoder (``verify.subcode_decode``) runs it on the
 subcode's information positions, its map and the logs of its G.  The
 code's node powers (``RSCode.log_powers``) serve the generator,
 ``evaluate`` (encode and the code-file load check) and ``decode``'s check.
+One routine, ``_node_powers``, builds both node-power tables, with one
+0^0 = 1 rule: the k x n ``log_powers`` and, through a transposed view,
+the decoder's n x (n - k) table, each C-contiguous in its own
+orientation.
 The constructions build a subcode from its values instead.  ``root_logs``
 gives, for every row at once, the logs of the product of (x_j - x_z) over
 the row's roots z: one float64 BLAS product of the row masks with the node
@@ -57,7 +61,7 @@ lookup.  ``_poly_mul`` is the one polynomial product, batched over leading
 axes; ``_node_product``, a product tree of it, builds the node products
 that the interpolation table and the erasure factor start from.
 Beyond ``vec_mat_logs``, which bounds its own temporaries, only the table builds
-(``log_powers``, ``decode_tables``, ``root_logs`` and ``_lagrange_logs``),
+(``_node_powers``, ``root_logs`` and ``_lagrange_logs``),
 the node weights prod (x_j - x_i) (``_log_weights``) and the decoder's
 interpolation block by hand, by ``arrays.BLOCK_ELEMENTS``.
 """
@@ -121,16 +125,9 @@ class RSCode:
 
     @functools.cached_property
     def log_powers(self) -> np.ndarray:
-        """k x n int32 logs of x_j^r, 0^0 = 1; not a field, so equality and hashing ignore it."""
-        fa, order = field_arrays(self.gf), self.gf.q - 1
-        log_x = self.node_tables.log_x
-        powers = np.empty((self.k, self.n), dtype=np.int32)
-        for rows in _row_blocks(self.k, self.n):  # r log x_j in int64, a block at a time
-            np.remainder(np.multiply.outer(np.arange(rows.start, rows.stop), log_x), order,
-                         out=powers[rows])
-        if 0 in self.nodes:
-            powers[1:, self.nodes.index(0)] = fa.zero_log
-        return powers
+        """k x n int32 logs of x_j^r, 0^0 = 1 (``_node_powers``); not a
+        field, so equality and hashing ignore it."""
+        return _node_powers(self, np.empty((self.k, self.n), dtype=np.int32))
 
     @functools.cached_property
     def decode_tables(self) -> DecodeTables:
@@ -145,14 +142,11 @@ class RSCode:
                 "decode tables for n=%d need %d bytes, over the guard of %d"
                 % (n, needed, TABLE_BYTES_GUARD))
         fa, order = field_arrays(self.gf), self.gf.q - 1
-        x, log_x, _ = self.node_tables
+        # node-major and C-contiguous, as the syndrome product reads it,
+        # filled through its transpose
         powers = np.empty((n, n - k), dtype=np.int32)
-        for rows in _row_blocks(n, n):
-            np.remainder(np.multiply.outer(log_x[rows], np.arange(n - k)), order,
-                         out=powers[rows])
-        if 0 in self.nodes:
-            powers[self.nodes.index(0), 1:] = fa.zero_log
-        log_v = (-_log_weights(fa, x) % order).astype(np.int32)
+        _node_powers(self, powers.T)
+        log_v = (-_log_weights(fa, self.node_tables.x) % order).astype(np.int32)
         return DecodeTables(powers, log_v)
 
     @functools.cached_property
@@ -167,6 +161,19 @@ class RSCode:
         if self.k ** 2 <= arrays.BLOCK_ELEMENTS:
             return _interpolation(self.gf, prefix)
         return _interpolation.__wrapped__(self.gf, prefix)
+
+
+def _node_powers(code: RSCode, out: np.ndarray) -> np.ndarray:
+    """out, t x n int32 (a view, transposed or not), filled with the logs of
+    x_j^r at (r, j) for r < t, 0^0 = 1 and 0^r = 0 for r >= 1: r log x_j
+    in int64, a block of rows at a time."""
+    log_x, order = code.node_tables.log_x, code.gf.q - 1
+    for rows in _row_blocks(*out.shape):
+        np.remainder(np.multiply.outer(np.arange(rows.start, rows.stop), log_x), order,
+                     out=out[rows])
+    if 0 in code.nodes:
+        out[1:, code.nodes.index(0)] = field_arrays(code.gf).zero_log
+    return out
 
 
 class DecodeTables(NamedTuple):

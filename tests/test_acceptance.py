@@ -19,7 +19,7 @@ from graphcodes.construct import (generic_subcode, mds_nullspace_construct,
                                   systematic_dsys, validity_check)
 from graphcodes.errors import NoMatchingError
 from graphcodes.field import GF, smallest_prime_at_least
-from graphcodes.graph import load_graph, matched_adjacency
+from graphcodes.graph import ConstraintGraph, matched_adjacency
 from graphcodes.rs import (RSCode, decode, default_defining_set, encode,
                            generator_matrix)
 from graphcodes.verify import (min_distance_exhaustive, subcode_decode,
@@ -114,7 +114,7 @@ def test_criterion_1_reference_bounds(tmp_path, capsys):
 
 @criterion("2 (reference construction)", limit=1.0)
 def test_criterion_2_reference_construction(capsys):
-    g = load_graph(REF_ROWS)
+    g = ConstraintGraph(REF_ROWS)
     spec = systematic_dsys(g, GF(7))
     assert matched_adjacency(g, spec.matching) == REF_MATCHED
     assert tuple(tuple(r) for r in spec.T) == REF_T
@@ -130,10 +130,10 @@ def test_criterion_2_reference_construction(capsys):
 def test_criterion_3_distance_achievability():
     gf7 = GF(7)
     assert _distance([list(r) for r in REF_G], gf7) == 4
-    assert _distance(systematic_dsys(load_graph(REF_ROWS), gf7).G, gf7) == 4
+    assert _distance(systematic_dsys(ConstraintGraph(REF_ROWS), gf7).G, gf7) == 4
     for s in range(1, 5):
         for n in range(s, 10):
-            g = load_graph([[1] * n for _ in range(s)])
+            g = ConstraintGraph([[1] * n for _ in range(s)])
             gf = GF(smallest_prime_at_least(n))
             spec = systematic_dmin(g, gf)
             assert _distance(spec.G, gf) == n - s + 1
@@ -251,7 +251,7 @@ def test_criterion_7_mds_backend_equivalence(corpus):
 
 @criterion("8 (decoder round-trip)", limit=30.0)
 def test_criterion_8_decoder_roundtrip():
-    g = load_graph(REF_ROWS)
+    g = ConstraintGraph(REF_ROWS)
     gf = GF(7)
     spec = systematic_dsys(g, gf)
     n = spec.n

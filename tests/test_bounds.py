@@ -7,15 +7,15 @@ import pytest
 
 from conftest import ALL_MODES_ROWS, REF_ROWS, random_dims, random_graph
 from graphcodes import bounds, cli, graph
-from graphcodes.bounds import Bound, bounds_report, d_min_bound, k_sys_search, matching_k
+from graphcodes.bounds import Bound, _leaf_k, bounds_report, d_min_bound, k_sys_search
 from graphcodes.construct import (generic_subcode, mds_nullspace_construct,
                                   rs_nullspace_construct, systematic_dmin,
                                   systematic_dsys)
 from graphcodes.errors import GuardExceededError, NoMatchingError
 from graphcodes.field import GF
-from graphcodes.graph import (ConstraintGraph, find_matching, load_graph,
-                              matched_adjacency, row_zero_stats)
+from graphcodes.graph import ConstraintGraph, check_matching, find_matching, matched_adjacency
 from graphcodes.rs import RSCode, default_defining_set, generator_matrix
+from scalar_graph import matching_k, row_zero_stats
 
 
 def brute_d_min(rows):
@@ -109,7 +109,7 @@ def reference_k_sys_heuristic(g, start):
     every single reassignment, then tries pairwise swaps: the reference for
     bounds._k_sys_heuristic."""
     match = list(start)
-    best_k = matching_k(g, match)
+    best_k = matching_k(g.adjacency, match)
     taken = set(match)
     improved = True
     while improved:
@@ -120,7 +120,7 @@ def reference_k_sys_heuristic(g, start):
                     continue
                 trial = list(match)
                 trial[i] = c
-                k = matching_k(g, trial)
+                k = matching_k(g.adjacency, trial)
                 if k < best_k:
                     taken.discard(match[i])
                     taken.add(c)
@@ -137,7 +137,7 @@ def reference_k_sys_heuristic(g, start):
                     continue
                 trial = list(match)
                 trial[i], trial[r] = cr, ci
-                k = matching_k(g, trial)
+                k = matching_k(g.adjacency, trial)
                 if k < best_k:
                     match, best_k, improved = trial, k, True
                     break
@@ -186,7 +186,7 @@ def test_an_assigned_witness_subset_replaces_the_d_min_witness(ref_graph):
 
 def test_complete_graph_bounds():
     for s, n in [(1, 4), (2, 5), (3, 7), (4, 6)]:
-        g = load_graph([[1] * n for _ in range(s)])
+        g = ConstraintGraph([[1] * n for _ in range(s)])
         bound = d_min_bound(g)
         assert bound.value == bound.floor == n - s + 1
         assert bound.witness == tuple(range(s))
@@ -197,7 +197,7 @@ def test_complete_graph_bounds():
 
 def test_identity_graph_bounds():
     for s in [1, 2, 4]:
-        g = load_graph([[1 if i == j else 0 for j in range(s)] for i in range(s)])
+        g = ConstraintGraph([[1 if i == j else 0 for j in range(s)] for i in range(s)])
         assert d_min_bound(g).value == 1
         rep = bounds_report(g)
         assert rep.k_sys == s
@@ -206,14 +206,14 @@ def test_identity_graph_bounds():
 
 
 def test_single_row_bound():
-    g = load_graph([[1, 1, 1, 1, 1]])
+    g = ConstraintGraph([[1, 1, 1, 1, 1]])
     assert d_min_bound(g) == Bound(5, 5, (0,), "exhaustive")
     rep = bounds_report(g)
     assert rep.k_sys == 1 and rep.d_sys == 5
 
 
 def test_d_min_guard():
-    g = load_graph([[1] * 25 for _ in range(22)])
+    g = ConstraintGraph([[1] * 25 for _ in range(22)])
     with pytest.raises(GuardExceededError):
         d_min_bound(g)
     assert d_min_bound(g, max_exact_s=22).value == 25 - 22 + 1
@@ -241,7 +241,7 @@ def test_subset_searches_keep_no_table_of_subsets():
 
 def test_k_sys_guard_and_heuristic_fallback():
     rows = [[1] * 14 for _ in range(13)]
-    g = load_graph(rows)
+    g = ConstraintGraph(rows)
     heuristic = k_sys_search(g)  # s = 13 is above the exact search's limit
     # its k is s, the least k can be, yet the heuristic proves no floor
     assert heuristic.floor is None and heuristic.exact is False
@@ -254,7 +254,7 @@ def test_k_sys_guard_and_heuristic_fallback():
 
 def test_fallback_above_guard_agrees_everywhere(tmp_path):
     rows = [[1] * 14 for _ in range(13)]
-    g = load_graph(rows)
+    g = ConstraintGraph(rows)
     bound = k_sys_search(g)
     want = bound.value, bound.witness, bound.exact
     assert want[2] is False
@@ -276,7 +276,7 @@ def test_fallback_above_guard_agrees_everywhere(tmp_path):
 
 
 def test_no_matching_propagates():
-    g = load_graph([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
+    g = ConstraintGraph([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
     with pytest.raises(NoMatchingError):
         k_sys_search(g)
     with pytest.raises(NoMatchingError):
@@ -323,7 +323,7 @@ def test_k_sys_matches_brute_oracle():
             continue
         bound = k_sys_search(g)
         assert bound.exact and bound.value == expect
-        assert matching_k(g, bound.witness) == expect
+        assert matching_k(g.adjacency, bound.witness) == expect
         checked += 1
 
 
@@ -353,7 +353,12 @@ def test_random_matchings_never_beat_k_sys():
         for _ in range(20):
             match = random_matching(rng, g)
             if match is not None:
-                assert matching_k(g, match) >= k_sys
+                assert matching_k(g.adjacency, match) >= k_sys
+
+
+def leaf_k(g, match):
+    """``bounds._leaf_k``, which scores the DFS's leaves, on a matching."""
+    return _leaf_k(g._masks, g.n, sum(1 << c for c in match))
 
 
 def test_matching_k_matches_matched_adjacency():
@@ -365,12 +370,13 @@ def test_matching_k_matches_matched_adjacency():
         match = random_matching(rng, g)
         if match is None:
             continue
-        assert matching_k(g, match) == row_zero_stats(matched_adjacency(g, match))[0] + 1
+        expect = row_zero_stats(matched_adjacency(g, match))[0] + 1
+        assert leaf_k(g, match) == matching_k(g.adjacency, match) == expect
         checked += 1
-    g = load_graph(REF_ROWS)
+    g = ConstraintGraph(REF_ROWS)
     for bad in ([0, 1], [0, 0, 2], [1, 1, 2], [0, 1, 7]):  # short, repeated, non-edge, out of range
         with pytest.raises(ValueError):
-            matching_k(g, bad)
+            check_matching(g, bad)
 
 
 def test_heuristic_upper_bounds_exact():
@@ -384,7 +390,7 @@ def test_heuristic_upper_bounds_exact():
         assert exact.exact
         heuristic = bounds._k_sys_heuristic(g, find_matching(g))
         assert heuristic.value >= exact.value
-        assert matching_k(g, heuristic.witness) == heuristic.value
+        assert matching_k(g.adjacency, heuristic.witness) == heuristic.value
 
 
 def test_k_sys_searches_equal_the_reference_searches():
@@ -444,7 +450,7 @@ def test_heuristic_equals_the_reference_above_the_guard():
 
 
 def test_dense_graph_exact_search():
-    assert (k_sys_search(load_graph(DENSE_7X14))
+    assert (k_sys_search(ConstraintGraph(DENSE_7X14))
             == Bound(8, 8, (0, 1, 3, 2, 4, 5, 7), "exhaustive"))
 
 
@@ -463,9 +469,9 @@ def test_explored_cap_changes_no_answer(monkeypatch, cap):
             continue
         rows_list.append(g.adjacency)
     monkeypatch.setattr(bounds, "EXPLORED_CAP", 1 << 62)
-    uncapped = [k_sys_search(load_graph(rows)) for rows in rows_list]
+    uncapped = [k_sys_search(ConstraintGraph(rows)) for rows in rows_list]
     monkeypatch.setattr(bounds, "EXPLORED_CAP", cap)
-    assert [k_sys_search(load_graph(rows)) for rows in rows_list] == uncapped
+    assert [k_sys_search(ConstraintGraph(rows)) for rows in rows_list] == uncapped
     assert uncapped[0] == Bound(4, 4, (0, 1, 2), "exhaustive")  # the 3x7 reference
 
 
@@ -484,7 +490,8 @@ def test_matching_k_ignores_which_row_holds_which_column():
             continue
         swapped = list(match)
         swapped[i], swapped[r] = match[r], match[i]
-        assert matching_k(g, swapped) == matching_k(g, match)
+        assert matching_k(g.adjacency, swapped) == matching_k(g.adjacency, match)
+        assert leaf_k(g, swapped) == matching_k(g.adjacency, match)
         swaps += 1
 
 
@@ -505,7 +512,7 @@ def test_dimension_chain_on_random_reports():
 def test_guards_are_checked_ahead_of_stored_results():
     # a search finished under a raised limit is kept, yet a call at the
     # default limit still refuses, or falls back, as on a fresh graph
-    wide = load_graph([[1] * 22 for _ in range(21)])  # SUBSET_GUARD < s = 21
+    wide = ConstraintGraph([[1] * 22 for _ in range(21)])  # SUBSET_GUARD < s = 21
     report = bounds_report(wide, max_exact_s=21)  # stores the sweep and the exact search
     assert report.search_exact
     with pytest.raises(GuardExceededError):
@@ -513,16 +520,16 @@ def test_guards_are_checked_ahead_of_stored_results():
     with pytest.raises(GuardExceededError):
         bounds_report(wide)
     assert bounds_report(wide, max_exact_s=21) == report
-    g = load_graph([[1] * 14 for _ in range(13)])  # MATCHING_GUARD < s = 13 <= SUBSET_GUARD
+    g = ConstraintGraph([[1] * 14 for _ in range(13)])  # MATCHING_GUARD < s = 13 <= SUBSET_GUARD
     exact = k_sys_search(g, max_exact_s=13)
     assert exact.exact is True
     heuristic = k_sys_search(g)
     assert heuristic == bounds._k_sys_heuristic(g, find_matching(g))
-    assert heuristic == k_sys_search(load_graph(g.adjacency))
+    assert heuristic == k_sys_search(ConstraintGraph(g.adjacency))
     assert bounds_report(g).search_exact is False
     assert k_sys_search(g, max_exact_s=13) == exact
     # a limit below the defaults changes nothing
-    small = load_graph(ALL_MODES_ROWS)
+    small = ConstraintGraph(ALL_MODES_ROWS)
     report = bounds_report(small)
     assert bounds_report(small, max_exact_s=0) == report
     assert (k_sys_search(small, max_exact_s=2)
@@ -533,7 +540,7 @@ def test_one_limit_raises_each_default_and_never_lowers_it(tmp_path, capsys):
     # --max-exact-s L and max_exact_s=L are one rule: the exact k_sys search
     # runs up to s = max(L, 12), and below 12 the report is the default one
     rng = random.Random(2121)
-    graphs = [load_graph(REF_ROWS)]
+    graphs = [ConstraintGraph(REF_ROWS)]
     for s in range(1, 15):
         while len(graphs) <= s:
             # above s = 10, dense and nearly square, so the exact search
@@ -562,14 +569,14 @@ def test_one_limit_raises_each_default_and_never_lowers_it(tmp_path, capsys):
 
 
 def test_stored_results_leave_equality_hash_and_repr_alone(monkeypatch):
-    g, fresh = load_graph(REF_ROWS), load_graph(REF_ROWS)
+    g, fresh = ConstraintGraph(REF_ROWS), ConstraintGraph(REF_ROWS)
     before = (repr(g), hash(g))
     bounds_report(g)
     monkeypatch.setattr(bounds, "MATCHING_GUARD", 0)
     assert k_sys_search(g).exact is False  # stores the heuristic too
     assert g == fresh and len({g, fresh}) == 1
     assert (repr(g), hash(g)) == before == (repr(fresh), hash(fresh))
-    assert g != load_graph(ALL_MODES_ROWS)
+    assert g != ConstraintGraph(ALL_MODES_ROWS)
 
 
 SEARCHES = {
@@ -620,14 +627,14 @@ def test_one_graph_runs_each_search_once(monkeypatch):
     counting(graph, "_hall_matching")
     counting(bounds, "min_surplus")
     counting(bounds, "_k_sys_exact")
-    g, gf = load_graph(ALL_MODES_ROWS), GF(7)
+    g, gf = ConstraintGraph(ALL_MODES_ROWS), GF(7)
     report = bounds_report(g)
     systematic_dsys(g, gf)
-    systematic_dmin(g, gf)  # also matches a graph of its own, with columns held back
+    systematic_dmin(g, gf)  # also matches g's masks with columns held back
     generic_subcode(g, gf)
     rs_nullspace_construct(g, gf)
     gen = generator_matrix(RSCode(gf, default_defining_set(gf, g.n), report.k_sys))
     mds_nullspace_construct(g, gf, gen)
     assert searched["min_surplus"] == [g]
     assert searched["_k_sys_exact"] == [g]
-    assert [h for h in searched["_hall_matching"] if h is g] == [g]
+    assert [m for m in searched["_hall_matching"] if m is g._masks] == [g._masks]

@@ -11,7 +11,7 @@ import graphcodes
 from graphcodes import bounds, cli, rs
 from graphcodes.construct import MODES, CodeSpec, systematic_dsys
 from graphcodes.field import GF
-from graphcodes.graph import load_graph
+from graphcodes.graph import ConstraintGraph
 
 
 def _write_graph(tmp_path, rows, name="graph.json"):
@@ -95,7 +95,7 @@ def test_guards_without_the_flag_give_no_hint(tmp_path, capsys, monkeypatch):
             for i in range(7)]
     graph = _write_graph(tmp_path, rows)
     spec_file = tmp_path / "code.json"
-    spec_file.write_text(json.dumps(systematic_dsys(load_graph(rows), GF(11)).to_dict()))
+    spec_file.write_text(json.dumps(systematic_dsys(ConstraintGraph(rows), GF(11)).to_dict()))
     code, _, err = _run(capsys, ["verify", str(spec_file), graph])
     assert code == 3
     assert "exceeds the guard" in err and "--max-exact-s" not in err

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (ALL_MODES_ROWS, REF_G, REF_NODES, REF_ROWS, REF_T,
                       random_dims, random_graph)
 from graphcodes import arrays, construct, linalg, polys, rs
-from graphcodes.bounds import k_sys_search
+from graphcodes.bounds import d_min_bound, fully_connected_columns, k_sys_search
 from graphcodes.construct import (CodeSpec, generic_subcode,
                                   mds_nullspace_construct, rs_nullspace_construct,
                                   systematic_columns_ok, systematic_dmin,
@@ -20,7 +20,7 @@ from graphcodes.construct import (CodeSpec, generic_subcode,
 from graphcodes.errors import (InconsistentCodeError, InfeasibleError,
                                NoMatchingError)
 from graphcodes.field import GF
-from graphcodes.graph import ConstraintGraph, load_graph
+from graphcodes.graph import ConstraintGraph, find_matching, matched_adjacency
 from graphcodes.rs import (RSCode, default_defining_set, encode, evaluate,
                            generator_matrix)
 from graphcodes.verify import min_distance_exhaustive
@@ -64,7 +64,7 @@ def test_generic_default_k(ref_graph, gf7):
 
 
 def test_generic_all_ones_rank_collapses():
-    g = load_graph([[1, 1, 1, 1], [1, 1, 1, 1]])
+    g = ConstraintGraph([[1, 1, 1, 1], [1, 1, 1, 1]])
     gf = GF(5)
     spec = generic_subcode(g, gf, k=2)
     assert spec.T == [[1, 0], [1, 0]]
@@ -95,7 +95,7 @@ def test_systematic_dsys_reference(ref_graph, gf7):
 
 
 def test_systematic_dsys_identity_graph():
-    g = load_graph([[1 if i == j else 0 for j in range(3)] for i in range(3)])
+    g = ConstraintGraph([[1 if i == j else 0 for j in range(3)] for i in range(3)])
     gf = GF(3)
     spec = systematic_dsys(g, gf)
     assert spec.G == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -103,7 +103,7 @@ def test_systematic_dsys_identity_graph():
 
 
 def test_systematic_dsys_complete_2x4_gf5():
-    g = load_graph([[1] * 4, [1] * 4])
+    g = ConstraintGraph([[1] * 4, [1] * 4])
     gf = GF(5)
     spec = systematic_dsys(g, gf)
     assert spec.rs.k == 2
@@ -112,7 +112,7 @@ def test_systematic_dsys_complete_2x4_gf5():
 
 
 def test_systematic_dsys_extension_field():
-    g = load_graph([[1, 1, 0, 1, 1, 1],
+    g = ConstraintGraph([[1, 1, 0, 1, 1, 1],
                     [1, 0, 1, 1, 1, 1],
                     [0, 1, 1, 1, 1, 1]])
     gf = GF(2, 3)
@@ -124,7 +124,7 @@ def test_systematic_dsys_extension_field():
 
 def test_systematic_dsys_heuristic_fallback_above_guard():
     s = 13
-    g = load_graph([[1] * (s + 1) for _ in range(s)])
+    g = ConstraintGraph([[1] * (s + 1) for _ in range(s)])
     gf = GF(17)
     spec = systematic_dsys(g, gf)
     assert not spec.distance_exact
@@ -133,7 +133,7 @@ def test_systematic_dsys_heuristic_fallback_above_guard():
 
 
 def test_systematic_dmin_complete_graph():
-    g = load_graph([[1] * 7 for _ in range(3)])
+    g = ConstraintGraph([[1] * 7 for _ in range(3)])
     gf = GF(7)
     spec = systematic_dmin(g, gf)
     assert spec.rs.k == 3
@@ -145,12 +145,37 @@ def test_systematic_dmin_complete_graph():
 
 def test_systematic_dmin_identity_plus_full_block():
     rows = [[1 if i == j else 0 for j in range(3)] + [1] * 4 for i in range(3)]
-    g = load_graph(rows)
+    g = ConstraintGraph(rows)
     gf = GF(7)
     spec = systematic_dmin(g, gf)
     assert spec.claimed_distance == 5  # every subset gives 5
     assert min_distance_exhaustive(spec.G, gf).value == 5
     assert systematic_columns_ok(spec.G, spec.matching)
+
+
+def test_systematic_dmin_matching_equals_the_column_slice_route():
+    # systematic_dmin matches g's row masks with the reserved columns (the
+    # last d_min - 1 fully connected ones) cleared; the reference builds a
+    # graph on the other columns, matches it and maps its columns back
+    rng = random.Random(1511)
+    built = 0
+    while built < 400:
+        gf = GF(*rng.choice(((7, 1), (11, 1), (13, 1), (2, 3), (2, 4))))
+        s = rng.randint(1, 6)
+        g = random_graph(rng, s, rng.randint(s, min(gf.q, 10)),
+                         rng.choice((0.6, 0.8, 0.9, 1.0)))
+        d_min = d_min_bound(g).value
+        full = fully_connected_columns(g)
+        if d_min < 1 or g.n - d_min + 1 < g.n - len(full):  # not Theorem-2 feasible
+            continue
+        reserved = full[len(full) - (d_min - 1):]
+        cols = [j for j in range(g.n) if j not in reserved]
+        sub = ConstraintGraph([[row[j] for j in cols] for row in g.adjacency])
+        want = tuple(cols[c] for c in find_matching(sub))
+        spec = systematic_dmin(g, gf)
+        assert tuple(spec.matching) == want and not set(want) & set(reserved)
+        assert systematic_columns_ok(spec.G, spec.matching)
+        built += 1
 
 
 def test_systematic_dmin_infeasible_reference(ref_graph, gf7):
@@ -161,7 +186,7 @@ def test_systematic_dmin_infeasible_reference(ref_graph, gf7):
 def test_transform_degrees_bounded(ref_graph, gf7):
     for spec in (generic_subcode(ref_graph, gf7, k=4),
                  systematic_dsys(ref_graph, gf7),
-                 systematic_dmin(load_graph([[1] * 7 for _ in range(3)]), gf7)):
+                 systematic_dmin(ConstraintGraph([[1] * 7 for _ in range(3)]), gf7)):
         k = spec.rs.k
         for row in spec.T:
             assert len(row) == k
@@ -212,9 +237,58 @@ def test_mds_backend_matches_polynomial_route():
     assert built >= 40
 
 
+def test_mds_backend_mixes_the_basis_of_a_row_mixed_generator(monkeypatch):
+    # A . G_RS, A random and invertible, is the same RS code in another
+    # basis.  The first canonical nullspace vector's codeword may then
+    # vanish off a row's structural zeros, and the covering search mixes in
+    # further basis vectors until it does not
+    mixed = []
+    pick = construct._pick_covering_combination
+
+    def spy(fa, basis, log_gen, outside):
+        h, row = pick(fa, basis, log_gen, outside)
+        mixed.append(not np.array_equal(h, basis[0]))
+        return h, row
+
+    monkeypatch.setattr(construct, "_pick_covering_combination", spy)
+    rng = random.Random(1601)
+    built = {True: 0, False: 0}
+    for _ in range(100):
+        gf = GF(*rng.choice(((7, 1), (11, 1), (13, 1), (2, 3), (2, 4))))
+        s = rng.randint(1, 4)
+        n = rng.randint(s + 1, gf.q - 1)  # below q: no position the search cannot fix
+        g = random_graph(rng, s, n, rng.choice((0.5, 0.7, 0.9)))
+        nodes = tuple(rng.sample(range(gf.q), n))
+        try:
+            k_sys = k_sys_search(g).value
+        except NoMatchingError:
+            continue
+        for systematic in (True, False):
+            low = k_sys if systematic else max(row.count(0) for row in g.adjacency) + 1
+            k = rng.randint(low, n)
+            while True:
+                mix = [[rng.randrange(gf.q) for _ in range(k)] for _ in range(k)]
+                if rank(gf, mix) == k:
+                    break
+            gen = matmul(gf, mix, generator_matrix(RSCode(gf, nodes, k)))
+            spec = mds_nullspace_construct(g, gf, gen, systematic=systematic)
+            rows = matched_adjacency(g, spec.matching) if systematic else g.adjacency
+            assert _zero_pattern(spec.G) == [[v == 0 for v in row] for row in rows]
+            if systematic:
+                # a non-systematic G may fall below rank s, as the generic
+                # code does: rows with the same zeros get the same codeword
+                assert systematic_columns_ok(spec.G, spec.matching)
+                assert rank(gf, spec.G) == s
+            distance = min_distance_exhaustive(spec.G, gf).value
+            assert distance >= n - k + 1
+            assert distance == spec.claimed_distance or not spec.distance_exact
+            built[systematic] += 1
+    assert min(built.values()) >= 80 and sum(mixed) >= 100
+
+
 def test_mds_backend_unique_row_when_nullspace_is_one_dim(gf7):
     # a row with k-1 zeros pins the codeword up to scale
-    g = load_graph([[1, 0, 0, 1, 1, 1, 1], [1, 1, 1, 0, 1, 1, 1],
+    g = ConstraintGraph([[1, 0, 0, 1, 1, 1, 1], [1, 1, 1, 0, 1, 1, 1],
                     [0, 0, 1, 1, 1, 1, 1]])
     base = systematic_dsys(g, gf7)
     gen = generator_matrix(RSCode(gf7, base.rs.nodes, base.rs.k))
@@ -225,7 +299,7 @@ def test_mds_backend_unique_row_when_nullspace_is_one_dim(gf7):
 
 
 def test_mds_backend_nonsystematic():
-    g = load_graph([[1] * 5, [1, 1, 0, 1, 1]])
+    g = ConstraintGraph([[1] * 5, [1, 1, 0, 1, 1]])
     gf = GF(5)
     nodes = default_defining_set(gf, 5)
     gen = generator_matrix(RSCode(gf, nodes, 3))
@@ -241,7 +315,7 @@ def test_mds_backend_runs_no_scalar_field_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("scalar field arithmetic called")
 
-    g = load_graph(REF_ROWS)
+    g = ConstraintGraph(REF_ROWS)
     cases = [(gf, generator_matrix(RSCode(gf, default_defining_set(gf, 7), 4)))
              for gf in (GF(7), GF(2, 3))]
     for name in ("add", "sub", "mul", "div", "inv", "neg", "pow"):
@@ -270,7 +344,7 @@ def test_mds_backend_bounds_its_product_of_the_nullspace_basis():
 
 
 def test_mds_backend_rejects_overloaded_rows():
-    g = load_graph([[1, 0, 0, 1], [1, 1, 1, 1]])
+    g = ConstraintGraph([[1, 0, 0, 1], [1, 1, 1, 1]])
     gf = GF(5)
     nodes = default_defining_set(gf, 4)
     gen = generator_matrix(RSCode(gf, nodes, 2))
@@ -279,7 +353,7 @@ def test_mds_backend_rejects_overloaded_rows():
 
 
 def test_mds_backend_detects_non_mds():
-    g = load_graph([[1, 1, 0, 1], [1, 1, 1, 0]])
+    g = ConstraintGraph([[1, 1, 0, 1], [1, 1, 1, 0]])
     gf = GF(5)
     bad_gen = [[1, 0, 0, 0], [0, 1, 0, 0]]  # column (0,0) kills the dimension count
     with pytest.raises(ValueError):
@@ -296,7 +370,7 @@ def covered_graphs(draw):
     rows = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(s)]
     for i, c in enumerate(draw(st.permutations(range(n)))):
         rows[i % s][c] = 1  # the first s columns match rows 0..s-1; no column is empty
-    return load_graph(rows), gf
+    return ConstraintGraph(rows), gf
 
 
 def _refuses(build, *args, **kwargs) -> bool:
@@ -396,7 +470,7 @@ def test_codespec_load_requires_boolean_distance_exact(ref_graph, gf7, flag):
 
 
 def test_codespec_without_nodes_cannot_serialize():
-    g = load_graph([[1, 1, 1], [1, 1, 1]])
+    g = ConstraintGraph([[1, 1, 1], [1, 1, 1]])
     gf = GF(5)
     gen = generator_matrix(RSCode(gf, default_defining_set(gf, 3), 2))
     spec = mds_nullspace_construct(g, gf, gen, systematic=True)
@@ -407,7 +481,7 @@ def test_codespec_without_nodes_cannot_serialize():
 @pytest.mark.parametrize("p, m", [(7, 1), (2, 3)])
 @pytest.mark.parametrize("mode", sorted(BUILDERS))
 def test_code_files_are_byte_identical_across_builds(p, m, mode):
-    g, gf = load_graph(ALL_MODES_ROWS), GF(p, m)
+    g, gf = ConstraintGraph(ALL_MODES_ROWS), GF(p, m)
     first, second = (json.dumps(BUILDERS[mode](g, gf).to_dict()) for _ in range(2))
     assert first == second
     d = json.loads(first)
@@ -419,11 +493,11 @@ def test_code_files_are_byte_identical_across_builds(p, m, mode):
 def valid_code_files():
     """Code files of every mode over GF(7) and GF(8), plus a generic one over
     GF(11) on nodes without 0, as JSON text."""
-    g = load_graph(ALL_MODES_ROWS)
+    g = ConstraintGraph(ALL_MODES_ROWS)
     files = [BUILDERS[mode](g, GF(p, m)).to_dict()
              for p, m in ((7, 1), (2, 3)) for mode in sorted(BUILDERS)]
     nodes = (2, 3, 5, 7, 8, 9, 10)
-    files.append(generic_subcode(load_graph(REF_ROWS), GF(11), nodes=nodes).to_dict())
+    files.append(generic_subcode(ConstraintGraph(REF_ROWS), GF(11), nodes=nodes).to_dict())
     return tuple(json.dumps(d) for d in files)
 
 
@@ -464,7 +538,7 @@ def test_code_file_load_checks_every_entry(data):
 def test_code_file_with_json_true_is_refused(part, what):
     # numpy reads a true among integers as 1: the row used to load and
     # serialize back with the true in it
-    d = systematic_dsys(load_graph(REF_ROWS), GF(7)).to_dict()
+    d = systematic_dsys(ConstraintGraph(REF_ROWS), GF(7)).to_dict()
     row = d[part] if part == "defining_set" else d[part][0]
     row[row.index(1)] = True
     with pytest.raises(ValueError, match=r"^%s must lie in \[0, 7\)$" % what):
@@ -595,7 +669,7 @@ def test_subcode_modes_run_without_the_scalar_polynomials(monkeypatch):
         monkeypatch.setattr(construct, name, refuse)
     monkeypatch.setattr(linalg, "_rref", refuse)
     assert not hasattr(construct, "vec_mat") and not hasattr(construct, "invert")
-    g, fields = load_graph(ALL_MODES_ROWS), (GF(7), GF(2, 3))
+    g, fields = ConstraintGraph(ALL_MODES_ROWS), (GF(7), GF(2, 3))
     # nor one scalar field operation
     for name in ("add", "sub", "mul", "div", "inv", "neg", "pow"):
         monkeypatch.setattr(GF, name, refuse)
@@ -709,7 +783,7 @@ def test_interpolation_tables_are_read_only():
 
 
 def test_a_second_construction_builds_no_table_and_evaluates_nothing(monkeypatch):
-    g, gf, nodes = load_graph(REF_ROWS), GF(7, alpha=5), (6, 5, 4, 3, 2, 1, 0)
+    g, gf, nodes = ConstraintGraph(REF_ROWS), GF(7, alpha=5), (6, 5, 4, 3, 2, 1, 0)
     first = systematic_dsys(g, gf, nodes)
 
     def refuse(*args):
@@ -726,7 +800,7 @@ def test_a_second_construction_builds_no_table_and_evaluates_nothing(monkeypatch
 def test_a_bool_node_is_refused_before_a_code_file_is_written():
     # numpy reads True among integers as 1: the node used to pass, and the
     # code file written with it in the defining set failed to load
-    g = load_graph(((1, 1, 0, 1), (0, 1, 1, 1)))
+    g = ConstraintGraph(((1, 1, 0, 1), (0, 1, 1, 1)))
     for nodes in ((True, 2, 3, 4), (np.True_, 2, 3, 4), (0, 2.0, 3, 4)):
         with pytest.raises(ValueError, match=r"^defining set must lie in \[0, 7\)$"):
             systematic_dsys(g, GF(7), nodes=nodes)
@@ -738,7 +812,7 @@ def test_a_bool_node_is_refused_before_a_code_file_is_written():
 
 def test_a_spec_on_numpy_integer_nodes_writes_a_json_code_file():
     # RSCode accepts numpy integers as nodes and k; the dict must hold ints
-    g = load_graph(((1, 1, 0, 1), (0, 1, 1, 1)))
+    g = ConstraintGraph(((1, 1, 0, 1), (0, 1, 1, 1)))
     for spec in (systematic_dsys(g, GF(7), nodes=(np.int64(1), 2, 3, 4)),
                  generic_subcode(g, GF(7), nodes=np.arange(1, 5), k=np.int64(3))):
         back = CodeSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
@@ -757,7 +831,7 @@ def test_numpy_integers_pass_where_ints_do_and_bools_do_not():
     json.dumps(gf.to_dict())
     rows = ((1, 1, 0, 1), (0, 1, 1, 1))
     g = ConstraintGraph.from_dict({"s": np.int64(2), "n": np.uint16(4), "adjacency": rows})
-    assert g == load_graph(rows)
+    assert g == ConstraintGraph(rows)
     d = systematic_dsys(g, GF(7)).to_dict()
     spec = CodeSpec.from_dict(dict(d, claimed_distance=np.int64(d["claimed_distance"]),
                                    matching=[np.int64(c) for c in d["matching"]]))

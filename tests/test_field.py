@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from graphcodes import field
 from graphcodes.field import (GF, gf2_irreducible, is_prime,
                               smallest_irreducible_gf2, smallest_prime_at_least)
 
@@ -192,6 +193,25 @@ def test_largest_supported_field():
     assert gf.mul(a, gf.inv(a)) == 1
     assert gf.mul(a, b) == gf.mul(b, a)
     assert gf.add(a, a) == 0
+
+
+def test_the_gf2_modulus_is_searched_once_per_degree(monkeypatch):
+    # the smallest irreducible of degree m depends on m alone, so a second
+    # GF(2, 8) reads the kept polynomial and tests no candidate
+    tested = []
+
+    def counted(f, m):
+        tested.append(f)
+        return gf2_irreducible(f, m)
+
+    monkeypatch.setattr(field, "gf2_irreducible", counted)
+    smallest_irreducible_gf2.cache_clear()
+    first = GF(2, 8)
+    searched = len(tested)
+    assert searched == 0b100011011 - (1 << 8) + 1  # every candidate up to the modulus
+    second = GF(2, 8)
+    assert len(tested) == searched
+    assert first.reduction_poly == second.reduction_poly == [1, 1, 0, 1, 1, 0, 0, 0, 1]
 
 
 def test_prime_helpers():

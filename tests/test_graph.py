@@ -11,11 +11,10 @@ from graphcodes.construct import mds_nullspace_construct
 from graphcodes.errors import GuardExceededError, NoMatchingError
 from graphcodes.field import GF
 from graphcodes.graph import (ConstraintGraph, bits_mask, check_matching, find_matching,
-                              hall_check, load_graph, matched_adjacency,
-                              neighborhood_size, row_zero_stats)
+                              hall_check, matched_adjacency)
 from graphcodes.rs import RSCode, default_defining_set, generator_matrix
-from scalar_graph import (scalar_column_masks, scalar_fully_connected_columns, scalar_rows,
-                          scalar_support)
+from scalar_graph import (neighborhood_size, row_zero_stats, scalar_column_masks,
+                          scalar_fully_connected_columns, scalar_rows, scalar_support)
 
 
 def brute_has_matching(rows):
@@ -32,19 +31,19 @@ def brute_has_matching(rows):
 
 
 def test_load_and_validation():
-    g = load_graph(REF_ROWS)
+    g = ConstraintGraph(REF_ROWS)
     assert (g.s, g.n) == (3, 7)
-    assert load_graph([[1]]).s == 1
+    assert ConstraintGraph([[1]]).s == 1
     with pytest.raises(ValueError):
-        load_graph([[1, 0], [1]])  # ragged
+        ConstraintGraph([[1, 0], [1]])  # ragged
     with pytest.raises(ValueError):
-        load_graph([[1, 0, 0], [0, 1, 0]])  # zero column
+        ConstraintGraph([[1, 0, 0], [0, 1, 0]])  # zero column
     with pytest.raises(ValueError):
-        load_graph([[1, 1], [0, 0]])  # zero row
+        ConstraintGraph([[1, 1], [0, 0]])  # zero row
     with pytest.raises(ValueError):
-        load_graph([[1], [1]])  # s > n
+        ConstraintGraph([[1], [1]])  # s > n
     with pytest.raises(ValueError):
-        load_graph([[1, 2]])  # non-binary
+        ConstraintGraph([[1, 2]])  # non-binary
 
 
 @pytest.mark.parametrize("bad", [0.6, 0.2, 1.0, 0.0, "1", "0", True, False, None,
@@ -85,31 +84,38 @@ def test_dict_roundtrip_and_mismatch(ref_graph):
 
 
 def test_neighborhood_size(ref_graph):
-    assert neighborhood_size(ref_graph, {0}) == 5
-    assert neighborhood_size(ref_graph, {0, 2}) == 6
-    assert neighborhood_size(ref_graph, range(ref_graph.s)) == ref_graph.n
-    assert neighborhood_size(ref_graph, ()) == 0
+    assert neighborhood_size(ref_graph.adjacency, {0}) == 5
+    assert neighborhood_size(ref_graph.adjacency, {0, 2}) == 6
+    assert neighborhood_size(ref_graph.adjacency, range(ref_graph.s)) == ref_graph.n
+    assert neighborhood_size(ref_graph.adjacency, ()) == 0
     with pytest.raises(IndexError):
-        neighborhood_size(ref_graph, {3})
+        neighborhood_size(ref_graph.adjacency, {3})
 
 
 def test_neighborhood_monotone_submodular():
     rng = random.Random(101)
     for _ in range(20):
         g = random_graph(rng, *random_dims(rng, 5, 7, s_min=2))
+
+        def size(subset):
+            # the reference count, and the union of the row masks the subset
+            # walk takes it from
+            count = neighborhood_size(g.adjacency, subset)
+            assert count == sum(1 for j in range(g.n)
+                                if any(g.row_mask(i) >> j & 1 for i in subset))
+            return count
+
         rows = list(range(g.s))
         for size_a in range(g.s + 1):
             for a_set in itertools.combinations(rows, size_a):
                 left = set(a_set)
                 for extra in itertools.combinations(set(rows) - left, 1):
                     bigger = left | set(extra)
-                    assert neighborhood_size(g, bigger) >= neighborhood_size(g, left)
+                    assert size(bigger) >= size(left)
                     # submodularity: marginal gain shrinks on supersets
                     for x in set(rows) - bigger:
-                        gain_small = (neighborhood_size(g, left | {x})
-                                      - neighborhood_size(g, left))
-                        gain_big = (neighborhood_size(g, bigger | {x})
-                                    - neighborhood_size(g, bigger))
+                        gain_small = size(left | {x}) - size(left)
+                        gain_big = size(bigger | {x}) - size(bigger)
                         assert gain_small >= gain_big
 
 
@@ -117,20 +123,20 @@ def test_hall_check(ref_graph):
     ok, witness = hall_check(ref_graph)
     assert ok and witness is None
     # rows 0 and 1 both live on column 0 alone
-    crowded = load_graph([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
+    crowded = ConstraintGraph([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
     ok, witness = hall_check(crowded)
     assert not ok
     assert witness == (0, 1)
-    wide = load_graph([[1] * 4 for _ in range(3)])
+    wide = ConstraintGraph([[1] * 4 for _ in range(3)])
     assert hall_check(wide) == (True, None)
 
 
 def test_hall_guard():
     # a matching answers at any s: only the subset walk, which runs when
     # there is none, is limited
-    assert hall_check(load_graph([[1] * 25 for _ in range(25)])) == (True, None)
+    assert hall_check(ConstraintGraph([[1] * 25 for _ in range(25)])) == (True, None)
     # rows 0 and 1 share column 0 alone
-    crowded = load_graph([[1] + [0] * 24] * 2
+    crowded = ConstraintGraph([[1] + [0] * 24] * 2
                          + [[int(j in (1, i)) for j in range(25)] for i in range(2, 25)])
     with pytest.raises(GuardExceededError):
         hall_check(crowded)
@@ -145,16 +151,16 @@ def test_find_matching_reference(ref_graph):
 
 def test_find_matching_identity():
     rows = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert find_matching(load_graph(rows)) == (0, 1, 2, 3)
+    assert find_matching(ConstraintGraph(rows)) == (0, 1, 2, 3)
 
 
 def test_find_matching_failure_carries_witness():
-    g = load_graph([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
+    g = ConstraintGraph([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
     with pytest.raises(NoMatchingError) as exc:
         find_matching(g)
     witness = exc.value.witness
     assert witness is not None
-    assert len(witness) > neighborhood_size(g, witness)
+    assert len(witness) > neighborhood_size(g.adjacency, witness)
 
 
 def test_hall_iff_matching_exhaustive_small():
@@ -166,7 +172,7 @@ def test_hall_iff_matching_exhaustive_small():
                 continue
             if any(all(r[j] == 0 for r in rows) for j in range(n)):
                 continue
-            g = load_graph(rows)
+            g = ConstraintGraph(rows)
             expect = brute_has_matching(rows)
             assert hall_check(g)[0] == expect
             if expect:
@@ -199,7 +205,7 @@ def test_hall_witness_is_lex_smallest_violator():
         violators = []
         for size in range(1, g.s + 1):
             for subset in itertools.combinations(range(g.s), size):
-                if neighborhood_size(g, subset) < size:
+                if neighborhood_size(g.adjacency, subset) < size:
                     violators.append(subset)
         assert witness == min(violators)
 
@@ -210,12 +216,12 @@ def test_matched_adjacency_reference(ref_graph):
 
 def test_matched_adjacency_identity_unchanged():
     rows = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    g = load_graph(rows)
+    g = ConstraintGraph(rows)
     assert matched_adjacency(g, (0, 1, 2)) == g.adjacency
 
 
 def test_matched_adjacency_complete():
-    g = load_graph([[1, 1, 1], [1, 1, 1]])
+    g = ConstraintGraph([[1, 1, 1], [1, 1, 1]])
     assert matched_adjacency(g, (0, 1)) == ((1, 0, 1), (0, 1, 1))
 
 
@@ -249,7 +255,7 @@ def test_matched_adjacency_touches_only_matched_columns():
 
 
 def test_row_zero_stats(ref_graph):
-    assert row_zero_stats(ref_graph) == (2, [2, 1, 2])
+    assert row_zero_stats(ref_graph.adjacency) == (2, [2, 1, 2])
     assert row_zero_stats(matched_adjacency(ref_graph, (0, 1, 2))) == (3, [2, 3, 2])
     assert row_zero_stats([[1, 1, 1], [1, 1, 1]]) == (0, [0, 0])
 

@@ -220,6 +220,22 @@ def test_generator_matches_scalar_powers(monkeypatch, block):
         assert all(type(v) is int for row in generator_matrix(code) for v in row)
 
 
+@pytest.mark.parametrize("block", [arrays.BLOCK_ELEMENTS, 64])
+def test_both_node_power_tables_match_scalar_powers(monkeypatch, block):
+    # one routine fills the k x n generator table and, through a transposed
+    # view of the decoder's own array, its n x (n - k) table; each stays
+    # C-contiguous in the orientation its products read
+    monkeypatch.setattr(arrays, "BLOCK_ELEMENTS", block)
+    for code, want in generator_cases():
+        gf, fa = code.gf, field_arrays(code.gf)
+        log_powers, powers = code.log_powers, code.decode_tables.powers
+        assert log_powers.flags.c_contiguous and powers.flags.c_contiguous
+        assert powers.shape == (code.n, code.n - code.k) and powers.dtype == np.int32
+        assert fa.elements(log_powers).tolist() == want
+        assert fa.elements(powers).tolist() == [[gf.pow(x, t) for t in range(code.n - code.k)]
+                                                for x in code.nodes]
+
+
 def test_node_powers_are_built_once_and_stay_out_of_equality():
     gf = GF(2, 4)
     code, twin = (RSCode(gf, default_defining_set(gf, 12), 5) for _ in range(2))

@@ -18,7 +18,7 @@ from graphcodes.construct import (CodeSpec, generic_subcode, rs_nullspace_constr
 from graphcodes.errors import (DecodingError, GuardExceededError, InconsistentCodeError,
                                InfeasibleError, NoMatchingError)
 from graphcodes.field import GF
-from graphcodes.graph import ConstraintGraph, load_graph
+from graphcodes.graph import ConstraintGraph
 from graphcodes.rs import RSCode, default_defining_set, encode, generator_matrix
 from graphcodes.verify import (min_distance_exhaustive, rank_over_field,
                                subcode_decode, subcode_encode,
@@ -568,7 +568,7 @@ def test_subcode_decode_locates_once(ref_graph, gf7, monkeypatch):
     locate = rs._locate
     monkeypatch.setattr(rs, "_locate", counted)
     spec = systematic_dsys(ref_graph, gf7)
-    deficient = generic_subcode(load_graph([[1, 1, 1, 1], [1, 1, 1, 1]]), GF(5), k=2)
+    deficient = generic_subcode(ConstraintGraph([[1, 1, 1, 1], [1, 1, 1, 1]]), GF(5), k=2)
     cases = [(spec, subcode_encode(spec, [1, 2, 3]), [1, 2, 3]),
              (spec, [1] * 7, "decoded word lies outside the code "
                              "(likely corruption beyond radius)"),
@@ -581,7 +581,7 @@ def test_subcode_decode_locates_once(ref_graph, gf7, monkeypatch):
 
 
 def test_subcode_decode_rank_deficient_generic():
-    g = load_graph([[1, 1, 1, 1], [1, 1, 1, 1]])
+    g = ConstraintGraph([[1, 1, 1, 1], [1, 1, 1, 1]])
     gf = GF(5)
     spec = generic_subcode(g, gf, k=2)  # both rows identical
     with pytest.raises(DecodingError):
@@ -600,7 +600,7 @@ def test_rank_refusal_runs_one_elimination(monkeypatch):
 
     eliminate = construct.rref
     monkeypatch.setattr(construct, "rref", counted)
-    spec = generic_subcode(load_graph([[1, 1, 1, 1], [1, 1, 1, 1]]), GF(5), k=2)
+    spec = generic_subcode(ConstraintGraph([[1, 1, 1, 1], [1, 1, 1, 1]]), GF(5), k=2)
     rank = "transform matrix has rank 1 < s=2; decoding is ambiguous"
     assert [outcome(subcode_decode, spec, [0] * 4) for _ in range(5)] == [rank] * 5
     assert len(calls) == 1
